@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError, ParameterError
+from .errors import DataError, DimensionError, FormatError, LmmError, ParameterError
 from .network import LmmParams
 
 MODEL_MAGIC = b"LMMP"
@@ -167,12 +167,15 @@ def load_model(path) -> LmmParams:
         arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64))
         offset += 8 * count
     scales, w1_flat, w2_flat = arrays
-    return LmmParams(
-        scales,
-        w1_flat.reshape((2 * n_pix, n_hid), order="F"),
-        w2_flat.reshape((n_hid, n_cls), order="C"),
-        temperature,
-    )
+    try:
+        return LmmParams(
+            scales,
+            w1_flat.reshape((2 * n_pix, n_hid), order="F"),
+            w2_flat.reshape((n_hid, n_cls), order="C"),
+            temperature,
+        )
+    except LmmError as exc:
+        raise FormatError(f"model file holds invalid parameters: {exc}") from exc
 
 
 def _importance_key(scores: np.ndarray, ordering: str) -> np.ndarray:

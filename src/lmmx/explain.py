@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, UnsupportedConfigError
-from .network import ForwardTrace, LmmParams, batch_predict, forward
+from .network import ForwardTrace, LmmParams, batch_predict, forward, linear_layer, tropical_pass
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
 DESCENDING = "descending"   # larger |score| = more important (attributions)
@@ -197,21 +197,13 @@ def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50,
     diff = x - baseline
 
     ts = (np.arange(steps) + 0.5) / steps
+    points = baseline[None, :] + ts[:, None] * diff[None, :]
+    active = tropical_pass(params, points)
+    h_star = active.logit_argmax[:, target]                           # (steps,)
+    branch = active.hidden_argmin[np.arange(steps), h_star]
+    grad = np.where(branch % 2 == 0, params.scales[branch], -params.scales[branch])
     mean_grad = np.zeros(params.n_pixels)
-    chunk = max(1, 2_000_000 // (2 * params.n_pixels * params.n_hidden))
-    for start in range(0, steps, chunk):
-        part = ts[start:start + chunk]
-        points = baseline[None, :] + part[:, None] * diff[None, :]
-        lin = np.empty((part.size, 2 * params.n_pixels))
-        lin[:, 0::2] = params.scales[0::2] * points
-        lin[:, 1::2] = -params.scales[1::2] * points
-        pre_hidden = lin[:, :, None] + params.minplus_weights[None, :, :]
-        winners = np.argmin(pre_hidden, axis=1)                   # (chunk, H1)
-        hidden = np.take_along_axis(pre_hidden, winners[:, None, :], axis=1)[:, 0, :]
-        h_star = np.argmax(hidden + params.maxplus_weights[:, target][None, :], axis=1)
-        branch = winners[np.arange(part.size), h_star]            # (chunk,)
-        grad = np.where(branch % 2 == 0, params.scales[branch], -params.scales[branch])
-        np.add.at(mean_grad, branch // 2, grad)
+    np.add.at(mean_grad, branch // 2, grad)
     mean_grad /= steps
     return ImportanceMap(diff * mean_grad, DESCENDING, "intgrad", image_index)
 
@@ -239,10 +231,7 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
     n_pix, n_hid = params.n_pixels, params.n_hidden
 
     def per_pixel_mins(values: np.ndarray) -> np.ndarray:
-        lin = np.empty(2 * n_pix)
-        lin[0::2] = params.scales[0::2] * values
-        lin[1::2] = -params.scales[1::2] * values
-        pre = lin[:, None] + params.minplus_weights
+        pre = linear_layer(params, values)[:, None] + params.minplus_weights
         return np.minimum(pre[0::2, :], pre[1::2, :])             # (P, H1)
 
     at_base = per_pixel_mins(baseline)

@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 
 from .data import Dataset
 from .errors import DataError, DimensionError, ParameterError
-from .network import SCALE_FLOOR, LmmParams
+from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
 
@@ -142,16 +142,11 @@ def init_params(medoids: MedoidSet, k0: float = 1.0) -> LmmParams:
     n_pix = medoids.vectors.shape[1]
     n_hid = medoids.n_medoids
     n_cls = medoids.n_classes
-    scales = np.full(2 * n_pix, float(k0))
-
-    lin = np.empty((n_hid, 2 * n_pix))
-    lin[:, 0::2] = k0 * medoids.vectors
-    lin[:, 1::2] = -k0 * medoids.vectors
-    w1 = -lin.T
-
     w2 = np.full((n_hid, n_cls), -float(k0))
     w2[np.arange(n_hid), medoids.labels] = float(k0)
-    return LmmParams(scales, w1, w2, temperature=1.0)
+    params = LmmParams(np.full(2 * n_pix, float(k0)), np.zeros((2 * n_pix, n_hid)), w2)
+    params.minplus_weights = -linear_layer(params, medoids.vectors).T
+    return params
 
 
 def nearest_medoid_predict(medoids: MedoidSet, x) -> int:

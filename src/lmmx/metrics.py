@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 from .network import LmmParams, batch_logits, batch_predict, softmax_rows
 
 
@@ -75,8 +75,11 @@ class MetricsReport:
 
 def confusion_matrix(params: LmmParams, data: Dataset) -> np.ndarray:
     """Counts indexed (true, predicted); prediction ignores temperature."""
-    predicted = batch_predict(params, data.images)
     n = params.n_classes
+    if data.labels.max() >= n:
+        raise DataError(f"{data.split or 'dataset'} labels reach {data.labels.max()}, "
+                        f"but the model has {n} classes")
+    predicted = batch_predict(params, data.images)
     counts = np.zeros((n, n), dtype=np.int64)
     np.add.at(counts, (data.labels, predicted), 1)
     return counts

@@ -2,12 +2,16 @@
 
 Everything here evaluates the layer definitions or metric definitions
 directly (plain loops, finite differences, exhaustive enumeration) and
-deliberately avoids the code paths under test.
+deliberately avoids the code paths under test.  ``lmmx selftest`` and the
+test suite both check the library against them.
 """
 
 import itertools
 
 import numpy as np
+
+from .network import forward
+from .training import cross_entropy
 
 
 def brute_linear(scales, x):
@@ -58,8 +62,6 @@ def cross_entropy_value(scales, w1, w2, x, y):
 
 def fd_gradients(params, x, y, step=1e-6):
     """Central finite differences of the cross-entropy on every entry."""
-    from lmmx.training import cross_entropy
-
     out = []
     for arr in (params.scales, params.minplus_weights, params.maxplus_weights):
         grad = np.zeros_like(arr)
@@ -108,8 +110,6 @@ def walk_deltas(scales, w1, w2, x, baseline, target, perm):
 
 def path_integral_attribution(params, x, baseline, target, steps):
     """Midpoint-rule line integral of the active-path derivative."""
-    from lmmx.network import forward
-
     n_pix = len(x)
     diff = x - baseline
     acc = np.zeros(n_pix)

@@ -18,7 +18,8 @@ from .errors import LmmError
 from .explain import NeuronClassing, extended_sensitivity, pixel_fragility, shapley_sampling, slack
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
 from .network import LmmParams, forward
-from .training import cross_entropy, sparse_subgradient
+from .oracles import brute_forward, fd_gradients
+from .training import sparse_subgradient
 
 
 def _random_params(rng, n_pix, n_hid, n_cls, lo=0.2, hi=2.0) -> LmmParams:
@@ -27,20 +28,6 @@ def _random_params(rng, n_pix, n_hid, n_cls, lo=0.2, hi=2.0) -> LmmParams:
         rng.normal(0.0, 1.0, (2 * n_pix, n_hid)),
         rng.normal(0.0, 1.0, (n_hid, n_cls)),
     )
-
-
-def _brute_forward(params: LmmParams, x):
-    """Layer definitions evaluated with plain Python loops."""
-    n_pix, n_hid, n_cls = params.n_pixels, params.n_hidden, params.n_classes
-    lin = []
-    for p in range(n_pix):
-        lin.append(params.scales[2 * p] * x[p])
-        lin.append(-params.scales[2 * p + 1] * x[p])
-    hidden = [min(lin[i] + params.minplus_weights[i, h] for i in range(2 * n_pix))
-              for h in range(n_hid)]
-    logits = [max(hidden[h] + params.maxplus_weights[h, d] for h in range(n_hid))
-              for d in range(n_cls)]
-    return np.array(hidden), np.array(logits)
 
 
 def check_forward_oracle(trials: int = 200, seed: int = 0) -> None:
@@ -52,7 +39,8 @@ def check_forward_oracle(trials: int = 200, seed: int = 0) -> None:
         params = _random_params(rng, n_pix, n_hid, n_cls)
         x = rng.uniform(-1.0, 2.0, n_pix)
         trace = forward(params, x)
-        hidden, logits = _brute_forward(params, x)
+        _, hidden, _, logits, _ = brute_forward(
+            params.scales, params.minplus_weights, params.maxplus_weights, x)
         assert np.max(np.abs(trace.hidden - hidden)) <= 1e-12
         assert np.max(np.abs(trace.logits - logits)) <= 1e-12
         # single-active-path: the recorded winners reproduce every value
@@ -78,7 +66,6 @@ def check_init_equivalence(trials: int = 200, seed: int = 1) -> None:
 
 def check_gradient_oracle(trials: int = 60, seed: int = 2) -> None:
     rng = np.random.default_rng(seed)
-    step = 1e-6
     done = 0
     while done < trials:
         n_pix = int(rng.integers(1, 4))
@@ -99,23 +86,11 @@ def check_gradient_oracle(trials: int = 60, seed: int = 2) -> None:
         if not margins_ok:
             continue
         done += 1
-        g_scales, g_w1, g_w2 = sparse_subgradient(params, x, y).as_dense(params)
-        for dense, attr in ((g_scales, "scales"), (g_w1, "minplus_weights"), (g_w2, "maxplus_weights")):
-            arr = getattr(params, attr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                keep = arr[idx]
-                arr[idx] = keep + step
-                up = cross_entropy(params, x, y)
-                arr[idx] = keep - step
-                down = cross_entropy(params, x, y)
-                arr[idx] = keep
-                fd = (up - down) / (2 * step)
-                if dense[idx] == 0.0:
-                    assert abs(fd) < 1e-7
-                else:
-                    assert abs(fd - dense[idx]) <= 1e-5 * max(1.0, abs(dense[idx]))
+        dense = sparse_subgradient(params, x, y).as_dense(params)
+        for exact, fd in zip(dense, fd_gradients(params, x, y)):
+            zero = exact == 0.0
+            assert np.all(np.abs(fd[zero]) < 1e-7)
+            assert np.all(np.abs(fd - exact)[~zero] <= 1e-5 * np.maximum(1.0, np.abs(exact[~zero])))
 
 
 def check_fragility_formulas(trials: int = 200, seed: int = 3) -> None:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import CalibrationError, DataError, DimensionError, NumericError, ParameterError
-from .network import LmmParams, batch_logits, forward, softmax_rows, softmax_with_temperature
+from .network import (LmmParams, batch_logits, forward, softmax_rows, softmax_with_temperature,
+                      tropical_pass)
 
 
 @dataclass
@@ -112,26 +113,11 @@ def sparse_subgradient(params: LmmParams, x, y: int) -> SparseGrad:
     return SparseGrad(hidden_winner, branch_winner, residuals, scale_coeff)
 
 
-def _batch_winners(params: LmmParams, images: np.ndarray):
-    """Hidden activations, logits and winning indices for a small batch."""
-    n = images.shape[0]
-    lin = np.empty((n, 2 * params.n_pixels))
-    lin[:, 0::2] = params.scales[0::2] * images
-    lin[:, 1::2] = -params.scales[1::2] * images
-    pre_hidden = lin[:, :, None] + params.minplus_weights[None, :, :]   # (n, 2P, H1)
-    hidden_argmin = np.argmin(pre_hidden, axis=1)                       # (n, H1)
-    hidden = np.take_along_axis(pre_hidden, hidden_argmin[:, None, :], axis=1)[:, 0, :]
-    pre_logits = hidden[:, :, None] + params.maxplus_weights[None, :, :]  # (n, H1, C)
-    logit_argmax = np.argmax(pre_logits, axis=1)                        # (n, C)
-    logits = np.take_along_axis(pre_logits, logit_argmax[:, None, :], axis=1)[:, 0, :]
-    return hidden_argmin, logit_argmax, logits
-
-
 def _apply_batch(params: LmmParams, images: np.ndarray, labels: np.ndarray,
                  lr: float, k_min: float) -> float:
     """One subgradient step on a minibatch; returns the batch mean loss."""
     n = images.shape[0]
-    hidden_argmin, logit_argmax, logits = _batch_winners(params, images)
+    _, _, hidden_argmin, logits, logit_argmax = tropical_pass(params, images)
 
     with np.errstate(invalid="ignore", over="ignore"):  # caught right below
         m = np.max(logits, axis=1)

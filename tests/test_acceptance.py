@@ -15,7 +15,7 @@ from lmmx import (LmmParams, MedoidSet, TrainConfig, batch_logits, fidelity, for
 from lmmx.explain import NeuronClassing, extended_sensitivity, sensitivity, slack
 from lmmx.network import softmax_rows
 
-from oracles import brute_forward, fd_gradients
+from lmmx.oracles import brute_forward, fd_gradients
 
 
 def report(n, name):

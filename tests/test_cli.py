@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lmmx.cli import run
+from lmmx.data import _HEADER
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,35 @@ class TestEvaluate:
         bad = tmp_path / "bad.lmmp"
         bad.write_bytes(b"JUNKJUNKJUNKJUNK")
         assert run(["evaluate", "--model", str(bad), "--data", tiny_archive]) == 2
+
+    @pytest.mark.parametrize("defect", ["nan-temperature", "scale-below-floor", "no-hidden"])
+    def test_invalid_parameters_are_format_errors(self, trained_model, tiny_archive, tmp_path,
+                                                  defect):
+        blob = bytearray(open(trained_model, "rb").read())
+        magic, version, n_pix, n_hid, n_cls, temperature = _HEADER.unpack_from(blob)
+        if defect == "nan-temperature":
+            _HEADER.pack_into(blob, 0, magic, version, n_pix, n_hid, n_cls, float("nan"))
+        elif defect == "scale-below-floor":
+            blob[_HEADER.size:_HEADER.size + 8] = np.float64(0.0).tobytes()
+        else:  # H1 = 0: the file ends after the scales
+            blob = blob[:_HEADER.size + 8 * 2 * n_pix]
+            _HEADER.pack_into(blob, 0, magic, version, n_pix, 0, n_cls, temperature)
+        bad = tmp_path / "bad.lmmp"
+        bad.write_bytes(bytes(blob))
+        assert run(["evaluate", "--model", str(bad), "--data", tiny_archive]) == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    def test_labels_beyond_model_classes_are_data_errors(self, trained_model, tiny_archive,
+                                                         tmp_path, command):
+        with np.load(tiny_archive) as archive:
+            members = dict(archive)
+        members["test_labels"][0] = 2
+        data = str(tmp_path / "three_labels.npz")
+        np.savez(data, **members)
+        args = [command, "--model", trained_model, "--data", data]
+        if command == "metrics":
+            args += ["--methods", "fragility", "--out", str(tmp_path / "report.txt")]
+        assert run(args) == 2
 
 
 class TestExplain:

@@ -8,7 +8,7 @@ from lmmx import (ImportanceMap, LmmParams, MedoidSet, NeuronClassing, Parameter
                   fragility_bruteforce_flip, init_params, integrated_gradients,
                   pixel_fragility, sensitivity, shapley_sampling, slack)
 
-from oracles import exact_shapley, path_integral_attribution, walk_deltas
+from lmmx.oracles import exact_shapley, path_integral_attribution, walk_deltas
 
 from test_network import random_params
 

@@ -8,7 +8,7 @@ from lmmx import (DataError, Dataset, DimensionError, MedoidSet, ParameterError,
                   init_params, nearest_medoid_predict, select_medoids)
 from lmmx.medoids import _allocate_per_class
 
-from oracles import chebyshev_nearest
+from lmmx.oracles import chebyshev_nearest
 
 
 def tiny_train():

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmmx import (DimensionError, LmmParams, NumericError, ParameterError, batch_logits,
                   forward, linear_layer, morphological_perceptron, softmax_with_temperature)
 
-from oracles import brute_forward
+from lmmx import network
+from lmmx.network import tropical_pass
+from lmmx.oracles import brute_forward
 
 
 def random_params(rng, n_pix, n_hid, n_cls, lo=0.2, hi=2.0):
@@ -196,6 +200,51 @@ class TestForward:
             assert np.array_equal(logits[i], forward(params, batch[i]).logits)
 
 
+@st.composite
+def tie_heavy_nets(draw):
+    """Dyadic nets (k/1024) on a coarse grid with duplicated hidden neurons.
+
+    Every sum is exact, the coarse grid makes branches tie inside a neuron,
+    and a repeated W1 column with its W2 row makes neurons tie for a logit.
+    """
+    n_pix, n_hid, n_cls = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    n_rows = draw(st.integers(1, 6))
+
+    def grid(lo, hi, shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+        return np.array(values, dtype=np.float64).reshape(shape) / 1024.0
+
+    columns = draw(st.lists(st.integers(0, n_hid - 1), min_size=n_hid, max_size=n_hid))
+    params = LmmParams(grid(1, 4, (2 * n_pix,)),
+                       grid(-4, 4, (2 * n_pix, n_hid))[:, columns],
+                       grid(-4, 4, (n_hid, n_cls))[columns])
+    return params, grid(0, 4, (n_rows, n_pix))
+
+
+class TestTropicalPass:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_nets())
+    def test_matches_bruteforce_and_forward_on_ties(self, net):
+        params, rows = net
+        active = tropical_pass(params, rows)
+        for i, x in enumerate(rows):
+            expect = brute_forward(params.scales, params.minplus_weights, params.maxplus_weights, x)
+            trace = forward(params, x)
+            for field, oracle in zip(active._fields, expect):
+                assert np.array_equal(getattr(active, field)[i], oracle)
+                assert np.array_equal(getattr(active, field)[i], getattr(trace, field))
+
+    def test_batch_crosses_chunk_boundaries(self):
+        rng = np.random.default_rng(7)
+        params = random_params(rng, 784, 25, 2)
+        images = rng.integers(0, 256, (120, 784)) / 255.0
+        assert 120 * 2 * 784 * 25 > 2 * network._CHUNK_CELLS  # several min-plus chunks
+        logits = batch_logits(params, images)
+        for i in range(120):
+            assert np.array_equal(logits[i], forward(params, images[i]).logits)
+
+
 class TestParams:
     def test_parameter_count(self):
         params = LmmParams(np.ones(1568), np.zeros((1568, 25)), np.zeros((25, 2)))
@@ -210,6 +259,8 @@ class TestParams:
             LmmParams(np.ones(2), np.zeros((4, 1)), np.zeros((1, 2)))
         with pytest.raises(DimensionError):
             LmmParams(np.ones(2), np.zeros((2, 2)), np.zeros((1, 2)))
+        with pytest.raises(DimensionError):
+            LmmParams(np.ones(2), np.zeros((2, 0)), np.zeros((0, 2)))  # no hidden neuron
         with pytest.raises(ParameterError):
             LmmParams(np.ones(2), np.zeros((2, 1)), np.zeros((1, 1)))  # single class
         with pytest.raises(ParameterError):

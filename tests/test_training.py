@@ -8,7 +8,7 @@ from lmmx import (CalibrationError, Dataset, LmmParams, NumericError, ParameterE
                   sparse_subgradient, synth_dataset, train)
 from lmmx.training import _apply_batch
 
-from oracles import fd_gradients
+from lmmx.oracles import fd_gradients
 
 from test_network import random_params
 
