@@ -10,8 +10,8 @@ softmax temperature so the mean predicted-class confidence is 0.8.
 
 import numpy as np
 
-from lmmx import (TrainConfig, batch_logits, calibrate_temperature, init_params,
-                  select_medoids, sparse_subgradient, synth_dataset, train)
+from lmmx import (TrainConfig, batch_logits, calibrate_temperature, forward, init_params,
+                  select_medoids, subgradient, synth_dataset, train)
 from lmmx.network import softmax_rows
 
 centers = np.array([[0.1], [0.9]])
@@ -20,11 +20,16 @@ val_data = synth_dataset(1, 30, centers, noise_sigma=0.05, seed=1, split="val")
 
 params = init_params(select_medoids(train_data, 2, "greedy-kmedoids", seed=0), 1.0)
 
-grad = sparse_subgradient(params, train_data.images[0], int(train_data.labels[0]))
-print("one sample's sparse subgradient:")
-print("  residuals (probs - onehot):", np.round(grad.residuals, 4))
-print("  winning neurons per class :", grad.hidden_winner.tolist())
-print("  winning branches per class:", grad.branch_winner.tolist())
+x, y = train_data.images[0], int(train_data.labels[0])
+trace = forward(params, x)
+loss, *grads = subgradient(params, x[None], [y])
+print(f"one sample (label {y}, loss {loss:.4f}), its active path:")
+for d, h in enumerate(trace.logit_argmax):
+    print(f"  class {d}: winning neuron {h}, whose winning branch is {trace.hidden_argmin[h]}")
+print("its non-zero subgradient entries (all others are exactly zero):")
+for name, grad in zip(("scales", "minplus_weights", "maxplus_weights"), grads):
+    for idx in zip(*np.nonzero(grad)):
+        print(f"  {name}[{', '.join(map(str, idx))}] = {grad[idx]:+.4f}")
 
 config = TrainConfig(epochs=15, batch_size=16, lr0=0.05, seed=0)
 params, history = train(params, train_data, val_data, config)

@@ -18,10 +18,8 @@ from .medoids import MedoidSet, init_params, nearest_medoid_predict, select_medo
 from .metrics import (MetricsReport, compute_report, confusion_matrix, fidelity,
                       stability, timing)
 from .network import (SCALE_FLOOR, ForwardTrace, LmmParams, batch_logits, batch_predict,
-                      forward, linear_layer, morphological_perceptron,
-                      softmax_with_temperature)
-from .training import (SparseGrad, TrainConfig, calibrate_temperature, cross_entropy,
-                       sparse_subgradient, train)
+                      forward, linear_layer)
+from .training import TrainConfig, calibrate_temperature, cross_entropy, subgradient, train
 
 __version__ = "0.1.0"
 
@@ -29,12 +27,12 @@ __all__ = [
     "CalibrationError", "DataError", "Dataset", "DimensionError", "FormatError",
     "ForwardTrace", "ImportanceMap", "LmmError", "LmmParams", "MedoidSet",
     "MetricsReport", "NeuronClassing", "NumericError", "ParameterError",
-    "SCALE_FLOOR", "SparseGrad", "TrainConfig", "UnsupportedConfigError",
+    "SCALE_FLOOR", "TrainConfig", "UnsupportedConfigError",
     "batch_logits", "batch_predict", "calibrate_temperature", "compute_report",
     "confusion_matrix", "cross_entropy", "export_map", "extended_sensitivity",
     "fidelity", "forward", "fragility_bruteforce_flip", "init_params",
     "integrated_gradients", "linear_layer", "load_model", "load_npz_dataset",
-    "morphological_perceptron", "nearest_medoid_predict", "pixel_fragility",
-    "save_model", "select_medoids", "sensitivity", "shapley_sampling", "slack",
-    "softmax_with_temperature", "stability", "synth_dataset", "timing", "train",
+    "nearest_medoid_predict", "pixel_fragility", "save_model", "select_medoids",
+    "sensitivity", "shapley_sampling", "slack", "stability", "subgradient",
+    "synth_dataset", "timing", "train",
 ]

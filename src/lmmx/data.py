@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ MODEL_VERSION = 1
 _HEADER = struct.Struct("<4sHIIHd")  # magic, version, P, H1, C, temperature
 
 _SPLITS = ("train", "val", "test")
+
+# What zipfile and numpy raise on a damaged archive: bad headers, members that fail to
+# inflate (zlib.error, EOFError) or claim an unsupported method, version or encryption.
+_ARCHIVE_ERRORS = (ValueError, OSError, EOFError, RuntimeError, zlib.error, zipfile.BadZipFile)
 
 
 @dataclass
@@ -69,7 +74,7 @@ def _read_member(archive: zipfile.ZipFile, member: str) -> np.ndarray:
     try:
         with archive.open(name) as fh:
             return np.lib.format.read_array(fh, allow_pickle=False)
-    except (ValueError, OSError, zipfile.BadZipFile) as exc:
+    except _ARCHIVE_ERRORS as exc:
         raise FormatError(f"member '{member}' is not a valid NPY array: {exc}") from exc
 
 
@@ -81,7 +86,7 @@ def load_npz_dataset(path) -> dict[str, Dataset]:
     """
     try:
         archive = zipfile.ZipFile(path)
-    except (zipfile.BadZipFile, OSError) as exc:
+    except _ARCHIVE_ERRORS as exc:
         raise FormatError(f"cannot open dataset archive {path}: {exc}") from exc
 
     raw = {}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, UnsupportedConfigError
+from .errors import DimensionError, NumericError, ParameterError, UnsupportedConfigError
 from .network import ForwardTrace, LmmParams, batch_predict, forward, linear_layer, tropical_pass
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
@@ -176,6 +176,8 @@ def _fill_baseline(params: LmmParams, baseline) -> np.ndarray:
     baseline = np.asarray(baseline, dtype=np.float64)
     if baseline.shape != (params.n_pixels,):
         raise DimensionError(f"baseline must have length {params.n_pixels}")
+    if not np.all(np.isfinite(baseline)):
+        raise NumericError("baseline contains non-finite values")
     return baseline
 
 

@@ -128,20 +128,6 @@ class ForwardTrace:
     probs: np.ndarray         # (C,)
 
 
-def morphological_perceptron(x, w, b) -> float:
-    """Single max-plus neuron: max(b, max_i(x_i + w_i)).
-
-    An empty input falls back to the bias.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.ndim != 1 or w.ndim != 1 or x.shape != w.shape:
-        raise DimensionError(f"x and w must be 1-D of equal length, got {x.shape} and {w.shape}")
-    if x.size == 0:
-        return float(b)
-    return float(max(float(b), float(np.max(x + w))))
-
-
 def linear_layer(params: LmmParams, x) -> np.ndarray:
     """Sparse linear map of one input (P,) or of rows (N, P).
 
@@ -154,15 +140,6 @@ def linear_layer(params: LmmParams, x) -> np.ndarray:
     out[..., 0::2] = params.scales[0::2] * x
     out[..., 1::2] = -params.scales[1::2] * x
     return out
-
-
-def softmax_with_temperature(z, temperature: float) -> np.ndarray:
-    """Tempered softmax exp(z_d/T) / sum_d' exp(z_d'/T), max-subtracted."""
-    if temperature <= 0:
-        raise ParameterError("temperature must be > 0")
-    z = np.asarray(z, dtype=np.float64) / temperature
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
 
 
 class TropicalPass(NamedTuple):
@@ -208,7 +185,7 @@ def forward(params: LmmParams, x) -> ForwardTrace:
         raise NumericError("input contains non-finite values")
     lin, hidden, hidden_argmin, logits, logit_argmax = [a[0] for a in tropical_pass(params, x[None])]
     predicted = int(np.argmax(logits))
-    probs = softmax_with_temperature(logits, params.temperature)
+    probs = softmax_rows(logits, params.temperature)
     return ForwardTrace(lin, hidden, hidden_argmin, logits, logit_argmax, predicted, probs)
 
 
@@ -227,10 +204,10 @@ def batch_predict(params: LmmParams, images: np.ndarray) -> np.ndarray:
     return np.argmax(batch_logits(params, images), axis=1)
 
 
-def softmax_rows(z: np.ndarray, temperature: float) -> np.ndarray:
-    """Row-wise tempered softmax for (N, C) logit matrices."""
+def softmax_rows(z, temperature: float) -> np.ndarray:
+    """Tempered softmax of logits (C,) or rows (N, C) over the last axis, max-subtracted."""
     if temperature <= 0:
         raise ParameterError("temperature must be > 0")
     z = np.asarray(z, dtype=np.float64) / temperature
-    e = np.exp(z - np.max(z, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import CalibrationError, DataError, DimensionError, NumericError, ParameterError
-from .network import (LmmParams, batch_logits, forward, softmax_rows, softmax_with_temperature,
-                      tropical_pass)
+from .network import LmmParams, batch_logits, forward, softmax_rows, tropical_pass
 
 
 @dataclass
@@ -49,38 +48,6 @@ class TrainConfig:
             raise ParameterError("k_min must be > 0")
 
 
-@dataclass
-class SparseGrad:
-    """Subgradient of the cross-entropy at one sample.
-
-    Per class d: ``residuals[d]`` (= probs_d - [d == y]) is the coefficient
-    on max-plus entry (hidden_winner[d], d) and on min-plus entry
-    (branch_winner[d], hidden_winner[d]); ``scale_coeff[d]`` (= residual
-    times +/- x_p, sign by branch parity) is the coefficient on the scale
-    entry branch_winner[d].  Everything else is zero.
-    """
-
-    hidden_winner: np.ndarray  # (C,) int
-    branch_winner: np.ndarray  # (C,) int
-    residuals: np.ndarray      # (C,) float
-    scale_coeff: np.ndarray    # (C,) float
-
-    def add_to(self, g_scales: np.ndarray, g_w1: np.ndarray, g_w2: np.ndarray) -> None:
-        """Accumulate into dense gradient buffers."""
-        classes = np.arange(self.residuals.size)
-        np.add.at(g_w2, (self.hidden_winner, classes), self.residuals)
-        np.add.at(g_w1, (self.branch_winner, self.hidden_winner), self.residuals)
-        np.add.at(g_scales, self.branch_winner, self.scale_coeff)
-
-    def as_dense(self, params: LmmParams):
-        """Dense (g_scales, g_w1, g_w2) arrays, mostly zeros."""
-        g_scales = np.zeros_like(params.scales)
-        g_w1 = np.zeros_like(params.minplus_weights)
-        g_w2 = np.zeros_like(params.maxplus_weights)
-        self.add_to(g_scales, g_w1, g_w2)
-        return g_scales, g_w1, g_w2
-
-
 def cross_entropy(params: LmmParams, x, y: int) -> float:
     """Negative log-probability of class y at temperature 1."""
     y = int(y)
@@ -91,32 +58,22 @@ def cross_entropy(params: LmmParams, x, y: int) -> float:
     return float(m + np.log(np.sum(np.exp(z - m))) - z[y])
 
 
-def sparse_subgradient(params: LmmParams, x, y: int) -> SparseGrad:
-    """Subgradient of ``cross_entropy`` through the active paths.
+def subgradient(params: LmmParams, images, labels) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of rows (N, P) at temperature 1 and its active-path subgradient.
 
-    At kinks (tied winners) the lowest-index winner recorded by ``forward``
-    defines the subgradient.
+    Returns ``(loss, g_scales, g_w1, g_w2)``, dense and shaped like the parameters.
+    Per row, the residual probs_d - [d == y] reaches only the winning neuron h of
+    logit d (W2[h, d]), h's winning branch i (W1[i, h]) and scale i (times +/- x_p
+    by the parity of i); tied winners go to the lowest index.
     """
-    y = int(y)
-    if not 0 <= y < params.n_classes:
-        raise ParameterError(f"label {y} outside 0..{params.n_classes - 1}")
-    x = np.asarray(x, dtype=np.float64)
-    trace = forward(params, x)
-    residuals = softmax_with_temperature(trace.logits, 1.0)
-    residuals[y] -= 1.0
-
-    hidden_winner = trace.logit_argmax.copy()
-    branch_winner = trace.hidden_argmin[hidden_winner]
-    pixel = branch_winner // 2
-    sign = np.where(branch_winner % 2 == 0, 1.0, -1.0)
-    scale_coeff = residuals * sign * x[pixel]
-    return SparseGrad(hidden_winner, branch_winner, residuals, scale_coeff)
-
-
-def _apply_batch(params: LmmParams, images: np.ndarray, labels: np.ndarray,
-                 lr: float, k_min: float) -> float:
-    """One subgradient step on a minibatch; returns the batch mean loss."""
-    n = images.shape[0]
+    images = np.asarray(images, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = labels.size
+    if n == 0 or images.shape != (n, params.n_pixels) or labels.shape != (n,):
+        raise DimensionError(f"expected rows (N >= 1, {params.n_pixels}) and labels (N,), "
+                             f"got shapes {images.shape} and {labels.shape}")
+    if np.any((labels < 0) | (labels >= params.n_classes)):
+        raise ParameterError(f"labels outside 0..{params.n_classes - 1}")
     _, _, hidden_argmin, logits, logit_argmax = tropical_pass(params, images)
 
     with np.errstate(invalid="ignore", over="ignore"):  # caught right below
@@ -131,9 +88,8 @@ def _apply_batch(params: LmmParams, images: np.ndarray, labels: np.ndarray,
     residuals /= n  # minibatch mean
 
     branch = np.take_along_axis(hidden_argmin, logit_argmax, axis=1)    # (n, C)
-    pixel = branch // 2
     sign = np.where(branch % 2 == 0, 1.0, -1.0)
-    xsel = np.take_along_axis(images, pixel, axis=1)
+    xsel = np.take_along_axis(images, branch // 2, axis=1)          # the branches' pixels
 
     g_scales = np.zeros_like(params.scales)
     g_w1 = np.zeros_like(params.minplus_weights)
@@ -142,7 +98,13 @@ def _apply_batch(params: LmmParams, images: np.ndarray, labels: np.ndarray,
     np.add.at(g_w2, (logit_argmax, classes), residuals)
     np.add.at(g_w1, (branch, logit_argmax), residuals)
     np.add.at(g_scales, branch, residuals * sign * xsel)
+    return loss, g_scales, g_w1, g_w2
 
+
+def _apply_batch(params: LmmParams, images: np.ndarray, labels: np.ndarray,
+                 lr: float, k_min: float) -> float:
+    """One subgradient step on a minibatch; returns the batch mean loss."""
+    loss, g_scales, g_w1, g_w2 = subgradient(params, images, labels)
     params.maxplus_weights -= lr * g_w2
     params.minplus_weights -= lr * g_w1
     params.scales -= lr * g_scales

@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a tiny archive: subcommands, exit codes, determinism."""
 
+import struct
 import subprocess
 import sys
 
@@ -117,6 +118,17 @@ class TestEvaluate:
         if command == "metrics":
             args += ["--methods", "fragility", "--out", str(tmp_path / "report.txt")]
         assert run(args) == 2
+
+    def test_damaged_deflate_member_is_format_error(self, trained_model, tiny_archive, tmp_path):
+        with np.load(tiny_archive) as archive:
+            members = dict(archive)
+        data = tmp_path / "deflated.npz"
+        np.savez_compressed(data, **members)
+        blob = bytearray(data.read_bytes())
+        name_len, extra_len = struct.unpack_from("<HH", blob, 26)  # first local file header
+        blob[30 + name_len + extra_len] ^= 0xFF  # first byte of that member's deflate stream
+        data.write_bytes(bytes(blob))
+        assert run(["evaluate", "--model", trained_model, "--data", str(data)]) == 2
 
 
 class TestExplain:

@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from lmmx import (DataError, Dataset, FormatError, ImportanceMap, LmmParams, ParameterError,
-                  export_map, load_model, load_npz_dataset, save_model, synth_dataset)
+from lmmx import (DataError, Dataset, FormatError, ImportanceMap, LmmError, LmmParams,
+                  ParameterError, export_map, load_model, load_npz_dataset, save_model, synth_dataset)
 
 
 def write_archive(path, n=(6, 4, 4), side=5, compressed=False, **overrides):
@@ -84,6 +84,39 @@ class TestArchiveLoading:
         path.write_bytes(b"definitely not a zip archive")
         with pytest.raises(FormatError):
             load_npz_dataset(path)
+
+
+class TestCorruptFiles:
+    """Seeded truncations and bit flips; only LmmError subclasses may escape."""
+
+    @pytest.mark.parametrize("kind", ["model", "stored", "deflated"])
+    def test_fuzzed_files_raise_only_lmm_errors(self, tmp_path, kind):
+        clean = tmp_path / "clean.npz"
+        if kind == "model":
+            rng = np.random.default_rng(5)
+            save_model(LmmParams(rng.uniform(0.5, 2, 6), rng.normal(0, 1, (6, 2)),
+                                 rng.normal(0, 1, (2, 2))), clean)
+            loader = load_model
+        else:
+            write_archive(clean, compressed=kind == "deflated")
+            loader = load_npz_dataset
+        blob = clean.read_bytes()
+        bad = tmp_path / "bad.npz"
+        rng = np.random.default_rng(6)
+        for trial in range(400):
+            damaged = bytearray(blob)
+            if trial % 2:
+                del damaged[int(rng.integers(0, len(blob))):]
+            else:
+                for pos, bit in zip(rng.integers(0, len(blob), 3), rng.integers(0, 8, 3)):
+                    damaged[pos] ^= 1 << int(bit)
+            bad.write_bytes(bytes(damaged))
+            try:
+                loader(bad)
+            except LmmError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"trial {trial}: {type(exc).__name__}: {exc}")
 
 
 class TestSynthDataset:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lmmx import (ImportanceMap, LmmParams, MedoidSet, NeuronClassing, ParameterError,
-                  UnsupportedConfigError, extended_sensitivity, forward,
+from lmmx import (ImportanceMap, LmmParams, MedoidSet, NeuronClassing, NumericError,
+                  ParameterError, UnsupportedConfigError, extended_sensitivity, forward,
                   fragility_bruteforce_flip, init_params, integrated_gradients,
                   pixel_fragility, sensitivity, shapley_sampling, slack)
 
@@ -215,6 +215,12 @@ class TestIntegratedGradients:
         assert np.array_equal(imap.scores, np.zeros(3))
         assert imap.ordering == "descending"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_baseline_rejected(self, bad):
+        params = random_params(np.random.default_rng(38), 3, 3, 2)
+        with pytest.raises(NumericError):
+            integrated_gradients(params, np.full(3, 0.25), baseline=[0.5, bad, 0.5])
+
     def test_matches_line_integral_oracle(self, two_medoid_net):
         params, x, trace = two_medoid_net
         oracle = path_integral_attribution(params, x, np.full(1, 0.5), trace.predicted, 10_000)
@@ -260,6 +266,12 @@ class TestShapleySampling:
         params = random_params(rng, 3, 3, 2)
         imap = shapley_sampling(params, np.full(3, 0.5), permutations=5, seed=0)
         assert np.array_equal(imap.scores, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_baseline_rejected(self, bad):
+        params = random_params(np.random.default_rng(41), 3, 3, 2)
+        with pytest.raises(NumericError):
+            shapley_sampling(params, np.full(3, 0.25), baseline=[0.5, 0.5, bad], permutations=5)
 
     def test_two_pixel_exact_enumeration(self):
         rng = np.random.default_rng(42)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmmx import (DimensionError, LmmParams, NumericError, ParameterError, batch_logits,
-                  forward, linear_layer, morphological_perceptron, softmax_with_temperature)
+                  forward, linear_layer)
 
 from lmmx import network
-from lmmx.network import tropical_pass
+from lmmx.network import softmax_rows, tropical_pass
 from lmmx.oracles import brute_forward
 
 
@@ -19,21 +19,6 @@ def random_params(rng, n_pix, n_hid, n_cls, lo=0.2, hi=2.0):
         rng.normal(0.0, 1.0, (2 * n_pix, n_hid)),
         rng.normal(0.0, 1.0, (n_hid, n_cls)),
     )
-
-
-class TestMorphologicalPerceptron:
-    def test_bias_below_zeros(self):
-        assert morphological_perceptron((0.0, 0.0), (0.0, 0.0), -1.0) == 0.0
-
-    def test_mixed(self):
-        assert morphological_perceptron((1.0, 2.0), (3.0, -5.0), 0.0) == 4.0
-
-    def test_empty_falls_back_to_bias(self):
-        assert morphological_perceptron((), (), 7.0) == 7.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            morphological_perceptron((1.0,), (1.0, 2.0), 0.0)
 
 
 class TestLinearLayer:
@@ -59,22 +44,22 @@ class TestLinearLayer:
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert np.array_equal(softmax_with_temperature([0.0, 0.0], 1.0), [0.5, 0.5])
+        assert np.array_equal(softmax_rows([0.0, 0.0], 1.0), [0.5, 0.5])
 
     def test_shift_invariance(self):
         for a in (-3.0, 0.0, 7.5):
-            out = softmax_with_temperature([a, a, a], 2.0)
+            out = softmax_rows([a, a, a], 2.0)
             np.testing.assert_allclose(out, [1 / 3] * 3, rtol=0, atol=1e-15)
 
     def test_high_temperature_flattens(self):
-        out = softmax_with_temperature([1.0, 0.0], 1e9)
+        out = softmax_rows([1.0, 0.0], 1e9)
         np.testing.assert_allclose(out, [0.5, 0.5], rtol=0, atol=1e-9)
 
     def test_invalid_temperature(self):
         with pytest.raises(ParameterError):
-            softmax_with_temperature([1.0, 0.0], 0.0)
+            softmax_rows([1.0, 0.0], 0.0)
         with pytest.raises(ParameterError):
-            softmax_with_temperature([1.0, 0.0], -1.0)
+            softmax_rows([1.0, 0.0], -1.0)
 
     def test_sums_to_one(self):
         # sharpness capped so no probability saturates to exactly 0 or 1
@@ -82,9 +67,16 @@ class TestSoftmax:
         for _ in range(100):
             z = rng.normal(0, 5, rng.integers(2, 6))
             t = float(rng.uniform(0.5, 20))
-            p = softmax_with_temperature(z, t)
+            p = softmax_rows(z, t)
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p > 0) and np.all(p < 1)
+
+    def test_vector_equals_its_row(self):
+        rng = np.random.default_rng(2)
+        z = rng.normal(0, 5, (50, 3))
+        rows = softmax_rows(z, 0.7)
+        for i in range(50):
+            assert np.array_equal(softmax_rows(z[i], 0.7), rows[i])
 
 
 class TestForward:
@@ -201,8 +193,8 @@ class TestForward:
 
 
 @st.composite
-def tie_heavy_nets(draw):
-    """Dyadic nets (k/1024) on a coarse grid with duplicated hidden neurons.
+def tie_heavy_nets(draw, denominator=1024.0):
+    """Dyadic nets (k/denominator) on a coarse grid with duplicated hidden neurons.
 
     Every sum is exact, the coarse grid makes branches tie inside a neuron,
     and a repeated W1 column with its W2 row makes neurons tie for a logit.
@@ -213,7 +205,7 @@ def tie_heavy_nets(draw):
     def grid(lo, hi, shape):
         size = int(np.prod(shape))
         values = draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
-        return np.array(values, dtype=np.float64).reshape(shape) / 1024.0
+        return np.array(values, dtype=np.float64).reshape(shape) / denominator
 
     columns = draw(st.lists(st.integers(0, n_hid - 1), min_size=n_hid, max_size=n_hid))
     params = LmmParams(grid(1, 4, (2 * n_pix,)),

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmmx import (CalibrationError, Dataset, LmmParams, NumericError, ParameterError,
-                  TrainConfig, batch_logits, calibrate_temperature, cross_entropy, forward,
-                  sparse_subgradient, synth_dataset, train)
+from lmmx import (CalibrationError, Dataset, DimensionError, LmmParams, NumericError,
+                  ParameterError, TrainConfig, batch_logits, calibrate_temperature, cross_entropy,
+                  forward, subgradient, synth_dataset, train)
 from lmmx.training import _apply_batch
 
-from lmmx.oracles import fd_gradients
+from lmmx.oracles import brute_forward, fd_gradients
 
-from test_network import random_params
+from test_network import random_params, tie_heavy_nets
 
 
 def flat_params(n_pix=1, n_hid=1, n_cls=2, scale=1.0):
@@ -57,38 +59,52 @@ class TestCrossEntropy:
 class TestSparseSubgradient:
     def test_hand_worked_example(self):
         params = flat_params()
-        grad = sparse_subgradient(params, np.array([0.5]), 0)
-        assert np.array_equal(grad.residuals, [-0.5, 0.5])
-        assert grad.hidden_winner.tolist() == [0, 0]
-        assert grad.branch_winner.tolist() == [1, 1]  # minus branch wins: -0.5 < 0.5
-        g_scales, g_w1, g_w2 = grad.as_dense(params)
-        assert g_w2[0, 0] == -0.5 and g_w2[0, 1] == 0.5
+        x = np.array([0.5])
+        loss, g_scales, g_w1, g_w2 = subgradient(params, x[None], [0])
+        assert abs(loss - np.log(2)) <= 1e-12
+        trace = forward(params, x)
+        assert trace.logit_argmax.tolist() == [0, 0]
+        assert trace.hidden_argmin.tolist() == [1]  # minus branch wins: -0.5 < 0.5
+        assert g_w2[0, 0] == -0.5 and g_w2[0, 1] == 0.5  # residuals probs - onehot
         assert np.all(g_w1 == 0.0)   # -0.5 + 0.5 cancels on the shared branch
         assert np.all(g_scales == 0.0)
 
     def test_zero_residual_zero_gradient(self):
         params = flat_params()
         params.maxplus_weights[0] = [500.0, -500.0]  # prob saturates to one-hot
-        grad = sparse_subgradient(params, np.array([0.3]), 0)
-        assert np.array_equal(grad.residuals, [0.0, 0.0])
-        assert all(np.all(g == 0.0) for g in grad.as_dense(params))
+        loss, *grads = subgradient(params, np.array([[0.3]]), [0])
+        assert loss == 0.0
+        assert all(np.all(g == 0.0) for g in grads)
 
     def test_residuals_sum_to_zero(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             params = random_params(rng, 2, 3, 3)
-            grad = sparse_subgradient(params, rng.uniform(0, 1, 2), int(rng.integers(0, 3)))
-            assert abs(grad.residuals.sum()) <= 1e-12
+            g_w2 = subgradient(params, rng.uniform(0, 1, (1, 2)), [int(rng.integers(0, 3))])[3]
+            assert abs(g_w2.sum()) <= 1e-12  # each class's residual lands once in W2
 
     def test_sparsity_bounds(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             n_cls = int(rng.integers(2, 4))
             params = random_params(rng, 3, 4, n_cls)
-            grad = sparse_subgradient(params, rng.uniform(0, 1, 3), int(rng.integers(0, n_cls)))
-            assert len(set(zip(grad.hidden_winner, range(n_cls)))) <= n_cls
-            assert len(set(zip(grad.branch_winner, grad.hidden_winner))) <= n_cls
-            assert len(set(grad.branch_winner.tolist())) <= n_cls
+            _, g_scales, g_w1, g_w2 = subgradient(params, rng.uniform(0, 1, (1, 3)),
+                                                  [int(rng.integers(0, n_cls))])
+            assert np.all(np.count_nonzero(g_w2, axis=0) <= 1)
+            assert np.count_nonzero(g_w1) <= n_cls
+            assert np.count_nonzero(g_scales) <= n_cls
+
+    def test_input_validation(self):
+        params = flat_params()
+        for bad in ([2], [-1]):
+            with pytest.raises(ParameterError):
+                subgradient(params, np.array([[0.5]]), bad)
+        with pytest.raises(DimensionError):
+            subgradient(params, np.array([0.5]), [0])
+        with pytest.raises(DimensionError):
+            subgradient(params, np.array([[0.5], [0.6]]), [0])
+        with pytest.raises(DimensionError):
+            subgradient(params, np.zeros((0, 1)), [])
 
     def margins(self, params, x):
         trace = forward(params, x)
@@ -113,7 +129,7 @@ class TestSparseSubgradient:
             if self.margins(params, x) <= 1e-3:
                 continue
             checked += 1
-            dense = sparse_subgradient(params, x, y).as_dense(params)
+            dense = subgradient(params, x[None], [y])[1:]
             fd = fd_gradients(params, x, y)
             scale = max(1.0, max(np.max(np.abs(g), initial=0.0) for g in dense))
             for got, ref in zip(dense, fd):
@@ -192,30 +208,35 @@ class TestTrainLoop:
         final_acc = float(np.mean(final_preds == val_data.labels))
         assert final_acc >= max(history["val_accuracy"]) - 1e-12
 
-    def test_batch_accumulation_matches_per_sample(self):
-        rng = np.random.default_rng(23)
-        params = random_params(rng, 3, 4, 2)
-        images = rng.uniform(0, 1, (16, 3))
-        labels = rng.integers(0, 2, 16)
-        lr = 0.05
-        batched = params.copy()
-        _apply_batch(batched, images, labels, lr, 1e-6)
-        manual = params.copy()
-        g_scales = np.zeros_like(manual.scales)
-        g_w1 = np.zeros_like(manual.minplus_weights)
-        g_w2 = np.zeros_like(manual.maxplus_weights)
-        for i in reversed(range(16)):  # opposite accumulation order
-            grad = sparse_subgradient(params, images[i], int(labels[i]))
-            s, w1, w2 = grad.as_dense(params)
-            g_scales += s
-            g_w1 += w1
-            g_w2 += w2
-        manual.scales = np.maximum(manual.scales - lr * g_scales / 16, 1e-6)
-        manual.minplus_weights -= lr * g_w1 / 16
-        manual.maxplus_weights -= lr * g_w2 / 16
-        assert np.max(np.abs(batched.scales - manual.scales)) <= 1e-9
-        assert np.max(np.abs(batched.minplus_weights - manual.minplus_weights)) <= 1e-9
-        assert np.max(np.abs(batched.maxplus_weights - manual.maxplus_weights)) <= 1e-9
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_nets(denominator=64.0), st.data())
+    def test_batch_accumulation_matches_per_sample(self, net, data):
+        params, images = net
+        labels = np.array(data.draw(st.lists(st.integers(0, params.n_classes - 1),
+                                             min_size=len(images), max_size=len(images))))
+        loss, *batched = subgradient(params, images, labels)
+        singles = [subgradient(params, x[None], [y]) for x, y in zip(images, labels)]
+        assert abs(loss - np.mean([one[0] for one in singles])) <= 1e-12
+        for k, grad in enumerate(batched, start=1):
+            assert np.max(np.abs(grad - np.mean([one[k] for one in singles], axis=0))) <= 1e-12
+
+        classes = np.arange(params.n_classes)
+        for x, (_, g_scales, g_w1, g_w2) in zip(images, singles):
+            *_, argmins, _, argmaxes = brute_forward(params.scales, params.minplus_weights,
+                                                     params.maxplus_weights, x)
+            branches = argmins[argmaxes]
+            for grad, touched in ((g_w2, (argmaxes, classes)), (g_w1, (branches, argmaxes)),
+                                  (g_scales, branches)):
+                off_path = np.ones(grad.shape, dtype=bool)
+                off_path[touched] = False
+                assert np.all(grad[off_path] == 0.0)
+
+        stepped = params.copy()
+        _apply_batch(stepped, images, labels, 0.5, 1e-6)
+        g_scales, g_w1, g_w2 = batched
+        assert np.array_equal(stepped.scales, np.maximum(params.scales - 0.5 * g_scales, 1e-6))
+        assert np.array_equal(stepped.minplus_weights, params.minplus_weights - 0.5 * g_w1)
+        assert np.array_equal(stepped.maxplus_weights, params.maxplus_weights - 0.5 * g_w2)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_aborts(self):
