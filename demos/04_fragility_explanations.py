@@ -44,17 +44,17 @@ maps = {
     "shapley": shapley_sampling(params, x, permutations=200, seed=0),
 }
 
-out_dir = tempfile.mkdtemp(prefix="lmmx_maps_")
-for name, imap in maps.items():
-    top = imap.ranking()[:4]
-    print(f"\n{name}: top-4 pixels {top.tolist()} (ordering: {imap.ordering})")
-    grid = np.array([f"{v: .3f}" for v in imap.scores]).reshape(side, side)
-    for row in grid:
-        print("   ", "  ".join(row))
-    path = os.path.join(out_dir, f"{name}.pgm")
-    export_map(imap, path, "pgm")
-    export_map(imap, os.path.join(out_dir, f"{name}.csv"), "csv")
-print(f"\nheatmaps written to {out_dir} (PGM: lighter = more important)")
+with tempfile.TemporaryDirectory(prefix="lmmx_maps_") as out_dir:
+    for name, imap in maps.items():
+        top = imap.ranking()[:4]
+        print(f"\n{name}: top-4 pixels {top.tolist()} (ordering: {imap.ordering})")
+        grid = np.array([f"{v: .3f}" for v in imap.scores]).reshape(side, side)
+        for row in grid:
+            print("   ", "  ".join(row))
+        export_map(imap, os.path.join(out_dir, f"{name}.pgm"), "pgm")
+        export_map(imap, os.path.join(out_dir, f"{name}.csv"), "csv")
+    print(f"\nheatmaps written to {out_dir}: {sorted(os.listdir(out_dir))}"
+          " (PGM: lighter = more important; removed when the demo ends)")
 
 # fragility scores hold the winning logit fixed; the brute-force flip scan
 # moves it too, so the two are related but not equal

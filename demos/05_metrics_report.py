@@ -8,6 +8,7 @@ ranking never found decisive pixels.  Stability measures how much the
 normalized map moves under small input noise.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -45,7 +46,9 @@ print(report.format_table())
 print("\nreading the numbers: fidelity well below the 0.8 calibration target"
       "\nmeans the explainer finds pixels the model actually relies on.")
 
-out = tempfile.mktemp(suffix=".txt", prefix="lmmx_report_")
-with open(out, "w", encoding="utf-8") as fh:
-    fh.write("\n".join(report.key_value_lines()) + "\n")
-print(f"\nmachine-readable report written to {out}")
+with tempfile.TemporaryDirectory(prefix="lmmx_report_") as out_dir:
+    out = os.path.join(out_dir, "report.txt")
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(report.key_value_lines()) + "\n")
+    print(f"\nmachine-readable report written to {out} "
+          f"({os.path.getsize(out)} bytes; removed when the demo ends)")

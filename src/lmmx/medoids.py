@@ -19,6 +19,7 @@ from .errors import DataError, DimensionError, ParameterError
 from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
+_BLOCK = 128  # rows/columns per distance block and cost sweep (measured best)
 
 
 @dataclass
@@ -58,11 +59,14 @@ def _allocate_per_class(counts: np.ndarray, n_medoids: int) -> np.ndarray:
     """Medoids per class, proportional to class frequency, at least 1 each.
 
     The remainder after the proportional floor goes to the largest classes
-    first (ties by class index).
+    first (ties by class index), skipping classes that already have a
+    medoid for every member, so no class gets more medoids than samples.
     """
     n_classes = counts.size
     if n_medoids < n_classes:
         raise ParameterError(f"need at least one medoid per class: {n_medoids} < {n_classes}")
+    if n_medoids > counts.sum():
+        raise ParameterError(f"cannot pick {n_medoids} medoids from {counts.sum()} samples")
     alloc = np.ones(n_classes, dtype=np.int64)
     spare = n_medoids - n_classes
     extra = (spare * counts) // counts.sum()
@@ -71,8 +75,10 @@ def _allocate_per_class(counts: np.ndarray, n_medoids: int) -> np.ndarray:
     order = np.lexsort((np.arange(n_classes), -counts))
     i = 0
     while left > 0:
-        alloc[order[i % n_classes]] += 1
-        left -= 1
+        c = order[i % n_classes]
+        if alloc[c] < counts[c]:
+            alloc[c] += 1
+            left -= 1
         i += 1
     return alloc
 
@@ -82,17 +88,38 @@ def _greedy_kmedoids(points: np.ndarray, quota: int) -> list[int]:
 
     Repeatedly adds the point minimizing the summed distance from every
     class member to its nearest chosen medoid.  Ties go to the lowest
-    index.  Needs O(n^2) memory for the pairwise distance matrix.
+    index.  Needs one n x n distance matrix plus (n, _BLOCK) buffers.
+
+    The matrix is built from upper-triangle row blocks, each written with
+    its transpose: the Chebyshev distance is exactly symmetric (|a - b|
+    equals |b - a| in IEEE arithmetic and max is order-free), so it equals
+    the full ``cdist(points, points)`` bit for bit at about half the work.
+    Costs are summed over axis 0 of column blocks at least two wide, which
+    adds rows 0..n-1 in order just as the full-matrix sum does; summing
+    along rows instead would be pairwise and change the bits.
     """
-    dist = cdist(points, points, "chebyshev")
-    nearest = np.full(points.shape[0], np.inf)
+    n = points.shape[0]
+    dist = np.empty((n, n))
+    for i0 in range(0, n, _BLOCK):
+        block = cdist(points[i0:i0 + _BLOCK], points[i0:], "chebyshev")
+        dist[i0:i0 + _BLOCK, i0:] = block
+        dist[i0:, i0:i0 + _BLOCK] = block.T
+    width = min(n, _BLOCK)
+    buf = np.empty((n, width))
+    costs = np.empty(n)
+    nearest = np.full(n, np.inf)
     chosen: list[int] = []
     for _ in range(quota):
-        costs = np.minimum(dist, nearest[:, None]).sum(axis=0)
+        for j0 in range(0, n, width):
+            # the last block overlaps the one before rather than narrowing:
+            # numpy sums a lone column pairwise, not row by row
+            j0 = min(j0, n - width)
+            np.minimum(dist[:, j0:j0 + width], nearest[:, None], out=buf)
+            buf.sum(axis=0, out=costs[j0:j0 + width])
         costs[chosen] = np.inf  # never pick the same sample twice
         best = int(np.argmin(costs))
         chosen.append(best)
-        nearest = np.minimum(nearest, dist[:, best])
+        nearest = np.minimum(nearest, dist[best])  # the row equals the column
     return chosen
 
 
@@ -106,8 +133,6 @@ def select_medoids(train: Dataset, n_medoids: int, strategy: str = "greedy-kmedo
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy '{strategy}' (expected one of {STRATEGIES})")
-    if n_medoids > train.n_samples:
-        raise ParameterError(f"cannot pick {n_medoids} medoids from {train.n_samples} samples")
     n_classes = int(train.labels.max()) + 1
     counts = np.bincount(train.labels, minlength=n_classes)
     if np.any(counts == 0):

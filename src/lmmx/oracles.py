@@ -9,6 +9,7 @@ test suite both check the library against them.
 import itertools
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .network import forward
 from .training import cross_entropy
@@ -52,6 +53,20 @@ def chebyshev_nearest(medoid_vectors, medoid_labels, x):
     dists = [max(abs(v - x).max(), 0.0) for v in medoid_vectors]
     best = min(range(len(dists)), key=lambda i: (dists[i], i))
     return medoid_labels[best]
+
+
+def brute_greedy_kmedoids(points, quota):
+    """Greedy PAM build picks from the full distance matrix, lowest index on ties."""
+    dist = cdist(points, points, "chebyshev")
+    nearest = np.full(points.shape[0], np.inf)
+    chosen = []
+    for _ in range(quota):
+        costs = np.minimum(dist, nearest[:, None]).sum(axis=0)
+        costs[chosen] = np.inf
+        best = int(np.argmin(costs))
+        chosen.append(best)
+        nearest = np.minimum(nearest, dist[:, best])
+    return chosen
 
 
 def cross_entropy_value(scales, w1, w2, x, y):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lmmx.cli import run
-from lmmx.data import _HEADER
+from lmmx.data import _HEADER, load_model
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,24 @@ class TestTrain:
             assert code == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("strategy", ["random", "greedy-kmedoids"])
+    def test_medoid_quota_fits_small_classes(self, tmp_path, strategy):
+        # 7 medoids over class sizes 1/1/5: every sample becomes a distinct neuron
+        rng = np.random.default_rng(3)
+        path = tmp_path / "skewed.npz"
+        labels = np.array([[0], [1], [2], [2], [2], [2], [2]], dtype=np.uint8)
+        np.savez(path, **{f"{name}_{kind}": member
+                          for name in ("train", "val", "test")
+                          for kind, member in (("images", rng.integers(0, 256, (7, 3, 3),
+                                                                        dtype=np.uint8)),
+                                               ("labels", labels))})
+        out = tmp_path / "m.lmmp"
+        code = run(["train", "--data", str(path), "--h1", "7", "--strategy", strategy,
+                    "--epochs", "1", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        hidden = load_model(str(out)).minplus_weights.T
+        assert len(np.unique(hidden, axis=0)) == 7
 
     def test_missing_archive_is_data_error(self, tmp_path):
         code = run(["train", "--data", str(tmp_path / "nope.npz"), "--out",

@@ -18,9 +18,12 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=os.path.basename)
 def test_demo_exits_zero(script, tmp_path):
     # Demo 06 exits 0 with a notice when the chest-X-ray archive is absent.
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demos 04 and 05 write temp files
+    temp_dir = tmp_path / "tmp"  # demos 04 and 05 write temp files and must remove them
+    temp_dir.mkdir()
+    env = dict(os.environ, TMPDIR=str(temp_dir))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(_REPO_ROOT, "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+    assert list(temp_dir.iterdir()) == []

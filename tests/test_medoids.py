@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from lmmx import (DataError, Dataset, DimensionError, MedoidSet, ParameterError, forward,
                   init_params, nearest_medoid_predict, select_medoids)
-from lmmx.medoids import _allocate_per_class
+from lmmx.medoids import _BLOCK, _allocate_per_class, _greedy_kmedoids
 
-from lmmx.oracles import chebyshev_nearest
+from lmmx.oracles import brute_greedy_kmedoids, chebyshev_nearest
 
 
 def tiny_train():
@@ -25,7 +27,7 @@ class TestAllocation:
         # 90/10 split over 10 medoids: floor gives 7/0, minimum lifts to 1,
         # remainder goes to the largest class
         alloc = _allocate_per_class(np.array([90, 10]), 10)
-        assert alloc.tolist() == [9, 1] or alloc.sum() == 10 and alloc.min() >= 1
+        assert alloc.tolist() == [9, 1]
 
     def test_exact_split(self):
         assert _allocate_per_class(np.array([50, 50]), 10).tolist() == [5, 5]
@@ -38,6 +40,27 @@ class TestAllocation:
     def test_too_few(self):
         with pytest.raises(ParameterError):
             _allocate_per_class(np.array([5, 5, 5]), 2)
+
+    def test_too_many(self):
+        with pytest.raises(ParameterError):
+            _allocate_per_class(np.array([1, 2]), 4)
+
+    def test_paper_shape(self):
+        assert _allocate_per_class(np.array([1214, 3494]), 25).tolist() == [6, 19]
+
+    def test_remainder_skips_full_classes(self):
+        # class 0 has one member: the remainder it would get goes to class 2
+        assert _allocate_per_class(np.array([1, 1, 5]), 7).tolist() == [1, 1, 5]
+        assert _allocate_per_class(np.array([1, 4, 4]), 8).tolist() == [1, 4, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6), st.data())
+    def test_never_exceeds_class_size(self, counts, data):
+        counts = np.array(counts)
+        n_medoids = data.draw(st.integers(counts.size, int(counts.sum())))
+        alloc = _allocate_per_class(counts, n_medoids)
+        assert alloc.sum() == n_medoids
+        assert np.all(alloc >= 1) and np.all(alloc <= counts)
 
 
 class TestSelectMedoids:
@@ -81,12 +104,49 @@ class TestSelectMedoids:
         with pytest.raises(DataError):
             select_medoids(gappy, 3, "random", 0)  # class 1 empty
 
+    @pytest.mark.parametrize("strategy", ["random", "greedy-kmedoids"])
+    def test_small_classes_get_distinct_medoids(self, strategy):
+        rng = np.random.default_rng(5)
+        labels = np.array([0, 1, 2, 2, 2, 2, 2])
+        train = Dataset(rng.integers(0, 256, (7, 4)) / 255.0, labels, "train")
+        med = select_medoids(train, 7, strategy, seed=0)
+        assert len(set(med.source_indices.tolist())) == 7
+        assert np.all(np.bincount(med.labels) <= np.bincount(labels))
+
     def test_allocation_respects_frequency(self):
         rng = np.random.default_rng(8)
         images = rng.uniform(0, 1, (100, 2))
         labels = np.array([0] * 75 + [1] * 25)
         med = select_medoids(Dataset(images, labels, "train"), 8, "random", seed=0)
         assert np.sum(med.labels == 0) == 6 and np.sum(med.labels == 1) == 2
+
+
+@st.composite
+def tied_points(draw):
+    """Duplicated rows on a coarse k/255 grid, so greedy costs tie often.
+
+    Sizes include the block edges of the distance build and the cost sweep.
+    """
+    n = draw(st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300]) | st.integers(1, 40))
+    n_pix = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(0, 4, (draw(st.integers(1, 6)), n_pix)) / 255.0
+    points = distinct[rng.integers(0, distinct.shape[0], n)]
+    return points, draw(st.integers(1, n))
+
+
+class TestGreedyKMedoids:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_points())
+    def test_matches_full_matrix_reference_on_ties(self, case):
+        points, quota = case
+        assert _greedy_kmedoids(points, quota) == brute_greedy_kmedoids(points, quota)
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+    def test_matches_reference_across_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        points = rng.integers(0, 256, (n, 5)) / 255.0
+        assert _greedy_kmedoids(points, n) == brute_greedy_kmedoids(points, n)
 
 
 class TestInitParams:
