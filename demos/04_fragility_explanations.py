@@ -13,9 +13,9 @@ import tempfile
 
 import numpy as np
 
-from lmmx import (TrainConfig, export_map, forward, fragility_bruteforce_flip, init_params,
-                  integrated_gradients, pixel_fragility, select_medoids, shapley_sampling,
-                  synth_dataset, train)
+from lmmx import (TrainConfig, export_map, forward, init_params, integrated_gradients,
+                  pixel_fragility, select_medoids, shapley_sampling, synth_dataset, train)
+from lmmx.oracles import fragility_bruteforce_flip
 
 side = 4
 n_pixels = side * side

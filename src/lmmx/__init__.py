@@ -11,9 +11,8 @@ explainers (:mod:`lmmx.explain`), explanation-quality metrics
 from .data import Dataset, export_map, load_model, load_npz_dataset, save_model, synth_dataset
 from .errors import (CalibrationError, DataError, DimensionError, FormatError, LmmError,
                      NumericError, ParameterError, UnsupportedConfigError)
-from .explain import (ImportanceMap, NeuronClassing, extended_sensitivity,
-                      fragility_bruteforce_flip, integrated_gradients, pixel_fragility,
-                      sensitivity, shapley_sampling, slack)
+from .explain import (ImportanceMap, NeuronClassing, integrated_gradients, pixel_fragility,
+                      shapley_sampling)
 from .medoids import MedoidSet, init_params, nearest_medoid_predict, select_medoids
 from .metrics import (MetricsReport, compute_report, confusion_matrix, fidelity,
                       stability, timing)
@@ -29,10 +28,8 @@ __all__ = [
     "MetricsReport", "NeuronClassing", "NumericError", "ParameterError",
     "SCALE_FLOOR", "TrainConfig", "UnsupportedConfigError",
     "batch_logits", "batch_predict", "calibrate_temperature", "compute_report",
-    "confusion_matrix", "cross_entropy", "export_map", "extended_sensitivity",
-    "fidelity", "forward", "fragility_bruteforce_flip", "init_params",
-    "integrated_gradients", "linear_layer", "load_model", "load_npz_dataset",
+    "confusion_matrix", "cross_entropy", "export_map", "fidelity", "forward",
+    "init_params", "integrated_gradients", "linear_layer", "load_model", "load_npz_dataset",
     "nearest_medoid_predict", "pixel_fragility", "save_model", "select_medoids",
-    "sensitivity", "shapley_sampling", "slack", "stability", "subgradient",
-    "synth_dataset", "timing", "train",
+    "shapley_sampling", "stability", "subgradient", "synth_dataset", "timing", "train",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError, UnsupportedConfigError
-from .network import ForwardTrace, LmmParams, batch_predict, forward, linear_layer, tropical_pass
+from .network import ForwardTrace, LmmParams, forward, linear_layer, tropical_pass
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
 DESCENDING = "descending"   # larger |score| = more important (attributions)
@@ -69,54 +69,11 @@ class NeuronClassing:
         return same, other
 
 
-def sensitivity(params: LmmParams, trace: ForwardTrace, x, pixel: int, neuron: int) -> float:
-    """Change margin of pixel ``pixel`` before neuron ``neuron`` activates lower.
-
-    Returns the distance from zero to the nearest end of the interval of
-    single-pixel changes v for which both of the pixel's branch terms stay
-    at or above the neuron's current activation.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    g = float(trace.hidden[neuron])
-    w1_plus = params.minplus_weights[2 * pixel, neuron]
-    w1_minus = params.minplus_weights[2 * pixel + 1, neuron]
-    k_plus = params.scales[2 * pixel]
-    k_minus = params.scales[2 * pixel + 1]
-    return float(min(x[pixel] - (g - w1_plus) / k_plus,
-                     (w1_minus - g) / k_minus - x[pixel]))
-
-
-def slack(params: LmmParams, trace: ForwardTrace, neuron: int, predicted: int) -> float:
-    """Gap z_c - (g_h + W2[h, d(h)]); non-negative when c is the argmax class.
-
-    The grouping matters: g_h + W2[h, d(h)] is one of the candidates the
-    max defining the logits already dominated, so the subtraction cannot
-    round below zero.
-    """
-    own = int(np.argmax(params.maxplus_weights[neuron]))
-    return float(trace.logits[predicted]
-                 - (trace.hidden[neuron] + params.maxplus_weights[neuron, own]))
-
-
-def extended_sensitivity(params: LmmParams, trace: ForwardTrace, x,
-                         pixel: int, neuron: int, predicted: int) -> float:
-    """Sensitivity with the neuron's slack granted toward the winning logit."""
-    x = np.asarray(x, dtype=np.float64)
-    g = float(trace.hidden[neuron])
-    s = slack(params, trace, neuron, predicted)
-    w1_plus = params.minplus_weights[2 * pixel, neuron]
-    w1_minus = params.minplus_weights[2 * pixel + 1, neuron]
-    k_plus = params.scales[2 * pixel]
-    k_minus = params.scales[2 * pixel + 1]
-    return float(min(x[pixel] - (g - s - w1_plus) / k_plus,
-                     (s + w1_minus - g) / k_minus - x[pixel]))
-
-
 def extended_sensitivity_matrix(params: LmmParams, trace: ForwardTrace, x) -> np.ndarray:
     """Extended sensitivities for all (pixel, neuron) pairs, shape (P, H1).
 
-    Performs the same arithmetic as ``extended_sensitivity`` entry by
-    entry, just vectorized.
+    Performs the same arithmetic as the per-entry reference
+    ``lmmx.oracles.extended_sensitivity``, just vectorized.
     """
     x = np.asarray(x, dtype=np.float64)
     own = np.argmax(params.maxplus_weights, axis=1)
@@ -147,27 +104,6 @@ def pixel_fragility(params: LmmParams, x, image_index: int = -1) -> ImportanceMa
     else:
         scores = np.min(sbar[:, opposite], axis=1)
     return ImportanceMap(scores, ASCENDING, "fragility", image_index)
-
-
-def fragility_bruteforce_flip(params: LmmParams, x, pixel: int, grid: int = 401):
-    """Smallest |v| on a grid over [-2, 2] that flips the prediction.
-
-    Diagnostic oracle: scans single-pixel perturbations by brute force and
-    returns the flip distance, or None when no grid point flips.  Reported
-    alongside fragility scores; the two are related but not identical
-    quantities.
-    """
-    if grid < 100:
-        raise ParameterError("grid must be >= 100")
-    x = np.asarray(x, dtype=np.float64)
-    base = forward(params, x).predicted
-    vs = np.linspace(-2.0, 2.0, grid)
-    batch = np.repeat(x[None, :], grid, axis=0)
-    batch[:, pixel] = x[pixel] + vs
-    flipped = batch_predict(params, batch) != base
-    if not flipped.any():
-        return None
-    return float(min(np.abs(vs[flipped])))
 
 
 def _fill_baseline(params: LmmParams, baseline) -> np.ndarray:
@@ -227,6 +163,8 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
     """
     if permutations < 1:
         raise ParameterError("permutations must be >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     baseline = _fill_baseline(params, baseline)
     target = forward(params, x).predicted

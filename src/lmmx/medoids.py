@@ -133,6 +133,8 @@ def select_medoids(train: Dataset, n_medoids: int, strategy: str = "greedy-kmedo
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy '{strategy}' (expected one of {STRATEGIES})")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     n_classes = int(train.labels.max()) + 1
     counts = np.bincount(train.labels, minlength=n_classes)
     if np.any(counts == 0):
@@ -162,8 +164,8 @@ def init_params(medoids: MedoidSet, k0: float = 1.0) -> LmmParams:
     the negated linear image of medoid h, and the max-plus bias is +k0 for
     the medoid's own class and -k0 otherwise.
     """
-    if k0 < SCALE_FLOOR:
-        raise ParameterError(f"k0 must be >= {SCALE_FLOOR}")
+    if not SCALE_FLOOR <= k0 < np.inf:  # false for NaN too
+        raise ParameterError(f"k0 must be finite and >= {SCALE_FLOOR}")
     n_pix = medoids.vectors.shape[1]
     n_hid = medoids.n_medoids
     n_cls = medoids.n_classes

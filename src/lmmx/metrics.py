@@ -140,10 +140,12 @@ def _unit_map(scores: np.ndarray) -> np.ndarray:
 def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
               m: int = 10, seed: int = 0, workers: int = 1) -> float:
     """Mean ratio of explanation change to input change under noise."""
-    if sigma <= 0:
-        raise ParameterError("sigma must be > 0")
+    if not 0 < sigma < np.inf:  # false for NaN too
+        raise ParameterError("sigma must be finite and > 0")
     if m < 1:
         raise ParameterError("m must be >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     n_pix = data.n_pixels
     # one independent, index-keyed stream per image so the schedule cannot
     # change the draws

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here evaluates the layer definitions or metric definitions
-directly (plain loops, finite differences, exhaustive enumeration) and
-deliberately avoids the code paths under test.  ``lmmx selftest`` and the
-test suite both check the library against them.
+directly (plain loops, finite differences, exhaustive enumeration,
+per-entry formulas) and deliberately avoids the code paths under test.
+The checks in :mod:`lmmx.selftest`, and through them ``lmmx selftest``
+and the test suite, compare the library against them.
 """
 
 import itertools
@@ -11,8 +12,8 @@ import itertools
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .network import forward
-from .training import cross_entropy
+from .errors import ParameterError
+from .network import batch_predict, forward
 
 
 def brute_linear(scales, x):
@@ -70,24 +71,26 @@ def brute_greedy_kmedoids(points, quota):
 
 
 def cross_entropy_value(scales, w1, w2, x, y):
+    """Cross-entropy of class y at temperature 1 on ``brute_forward``'s logits."""
     z = brute_forward(scales, w1, w2, x)[3]
     m = z.max()
     return m + np.log(np.sum(np.exp(z - m))) - z[y]
 
 
 def fd_gradients(params, x, y, step=1e-6):
-    """Central finite differences of the cross-entropy on every entry."""
+    """Central finite differences of ``cross_entropy_value`` on every entry."""
+    weights = (params.scales, params.minplus_weights, params.maxplus_weights)
     out = []
-    for arr in (params.scales, params.minplus_weights, params.maxplus_weights):
+    for arr in weights:
         grad = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             keep = arr[idx]
             arr[idx] = keep + step
-            up = cross_entropy(params, x, y)
+            up = cross_entropy_value(*weights, x, y)
             arr[idx] = keep - step
-            down = cross_entropy(params, x, y)
+            down = cross_entropy_value(*weights, x, y)
             arr[idx] = keep
             grad[idx] = (up - down) / (2 * step)
         out.append(grad)
@@ -136,3 +139,69 @@ def path_integral_attribution(params, x, baseline, target, steps):
         slope = params.scales[branch] if branch % 2 == 0 else -params.scales[branch]
         acc[branch // 2] += slope
     return diff * acc / steps
+
+
+def sensitivity(params, trace, x, pixel, neuron):
+    """Change margin of pixel ``pixel`` before neuron ``neuron`` activates lower.
+
+    The distance from zero to the nearest end of the interval of
+    single-pixel changes v for which both of the pixel's branch terms stay
+    at or above the neuron's current activation.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = float(trace.hidden[neuron])
+    w1_plus = params.minplus_weights[2 * pixel, neuron]
+    w1_minus = params.minplus_weights[2 * pixel + 1, neuron]
+    k_plus = params.scales[2 * pixel]
+    k_minus = params.scales[2 * pixel + 1]
+    return float(min(x[pixel] - (g - w1_plus) / k_plus,
+                     (w1_minus - g) / k_minus - x[pixel]))
+
+
+def slack(params, trace, neuron, predicted):
+    """Gap z_c - (g_h + W2[h, d(h)]); non-negative when c is the argmax class.
+
+    The grouping matters: g_h + W2[h, d(h)] is one of the candidates the
+    max defining the logits already dominated, so the subtraction cannot
+    round below zero.
+    """
+    own = int(np.argmax(params.maxplus_weights[neuron]))
+    return float(trace.logits[predicted]
+                 - (trace.hidden[neuron] + params.maxplus_weights[neuron, own]))
+
+
+def extended_sensitivity(params, trace, x, pixel, neuron, predicted):
+    """Sensitivity with the neuron's slack granted toward the winning logit.
+
+    The per-entry reference for ``lmmx.explain.extended_sensitivity_matrix``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = float(trace.hidden[neuron])
+    s = slack(params, trace, neuron, predicted)
+    w1_plus = params.minplus_weights[2 * pixel, neuron]
+    w1_minus = params.minplus_weights[2 * pixel + 1, neuron]
+    k_plus = params.scales[2 * pixel]
+    k_minus = params.scales[2 * pixel + 1]
+    return float(min(x[pixel] - (g - s - w1_plus) / k_plus,
+                     (s + w1_minus - g) / k_minus - x[pixel]))
+
+
+def fragility_bruteforce_flip(params, x, pixel, grid=401):
+    """Smallest |v| on a grid over [-2, 2] that flips the prediction.
+
+    Scans single-pixel perturbations by brute force and returns the flip
+    distance, or None when no grid point flips.  Fragility scores hold the
+    winning logit fixed and this scan moves it too, so the two are related
+    but not identical quantities.
+    """
+    if grid < 100:
+        raise ParameterError("grid must be >= 100")
+    x = np.asarray(x, dtype=np.float64)
+    base = forward(params, x).predicted
+    vs = np.linspace(-2.0, 2.0, grid)
+    batch = np.repeat(x[None, :], grid, axis=0)
+    batch[:, pixel] = x[pixel] + vs
+    flipped = batch_predict(params, batch) != base
+    if not flipped.any():
+        return None
+    return float(min(np.abs(vs[flipped])))

@@ -40,12 +40,15 @@ class TrainConfig:
             raise ParameterError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
-        if self.lr0 <= 0:
-            raise ParameterError("lr0 must be > 0")
-        if self.lr_decay < 0:
-            raise ParameterError("lr_decay must be >= 0")
-        if self.k_min <= 0:
-            raise ParameterError("k_min must be > 0")
+        # NaN fails every comparison, so these bounds reject it too
+        if not 0 < self.lr0 < np.inf:
+            raise ParameterError("lr0 must be finite and > 0")
+        if not 0 <= self.lr_decay < np.inf:
+            raise ParameterError("lr_decay must be finite and >= 0")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
+        if not 0 < self.k_min < np.inf:
+            raise ParameterError("k_min must be finite and > 0")
 
 
 def cross_entropy(params: LmmParams, x, y: int) -> float:

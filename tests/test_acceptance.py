@@ -1,33 +1,25 @@
 """Acceptance suite: one test per release criterion, at pinned tolerances.
 
 Each test prints a single PASS line on success (visible with -rA/-s).
-Criteria 7 and 9 need the real chest-X-ray archive and are skipped with a
-notice when it is not present (see conftest.pneumonia_archive_path).
+Criteria 2-5, 10 and 11 run the oracle checks of ``lmmx selftest`` at
+release sizes.  Criteria 7 and 9 need the real chest-X-ray archive and are
+skipped with a notice when it is not present (see
+conftest.pneumonia_archive_path).
 """
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from lmmx import (LmmParams, MedoidSet, TrainConfig, batch_logits, fidelity, forward,
-                  init_params, integrated_gradients, load_model, pixel_fragility,
-                  save_model, select_medoids, shapley_sampling, subgradient, synth_dataset,
-                  train)
-from lmmx.explain import NeuronClassing, extended_sensitivity, sensitivity, slack
+from lmmx import (LmmParams, TrainConfig, batch_logits, fidelity, init_params,
+                  integrated_gradients, pixel_fragility, save_model, select_medoids,
+                  shapley_sampling, synth_dataset, train)
 from lmmx.network import softmax_rows
-
-from lmmx.oracles import brute_forward, fd_gradients
+from lmmx.selftest import (check_forward_oracle, check_fragility_formulas, check_gradient_oracle,
+                           check_init_equivalence, check_model_roundtrip,
+                           check_shapley_efficiency)
 
 
 def report(n, name):
     print(f"\nACCEPTANCE {n:2d} {name}: PASS", flush=True)
-
-
-def random_params(rng, n_pix, n_hid, n_cls, lo=0.2, hi=2.0):
-    return LmmParams(
-        rng.uniform(lo, hi, 2 * n_pix),
-        rng.normal(0.0, 1.0, (2 * n_pix, n_hid)),
-        rng.normal(0.0, 1.0, (n_hid, n_cls)),
-    )
 
 
 def test_c01_parameter_count():
@@ -37,117 +29,23 @@ def test_c01_parameter_count():
 
 
 def test_c02_init_equals_nearest_medoid():
-    rng = np.random.default_rng(100)
-    plan = {2: (5, 200), 8: (5, 200), 784: (2, 500)}  # sets x inputs per set
-    for n_pix, (n_sets, n_inputs) in plan.items():
-        for _ in range(n_sets):
-            n_med = int(rng.integers(2, 8))
-            labels = np.concatenate([[0, 1], rng.integers(0, 2, n_med - 2)])
-            med = MedoidSet(rng.uniform(0, 1, (n_med, n_pix)), labels, np.arange(n_med))
-            inputs = rng.uniform(0, 1, (n_inputs, n_pix))
-            oracle = med.labels[np.argmin(cdist(inputs, med.vectors, "chebyshev"), axis=1)]
-            for k0 in (0.1, 1.0, 10.0):
-                params = init_params(med, k0)
-                predicted = np.argmax(batch_logits(params, inputs), axis=1)
-                assert np.array_equal(predicted, oracle)
+    check_init_equivalence(trials=1000, seed=100)
     report(2, "medoid init predicts exactly like the Chebyshev nearest-medoid rule")
 
 
 def test_c03_forward_matches_bruteforce():
-    rng = np.random.default_rng(101)
-    for _ in range(1000):
-        params = random_params(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)),
-                               int(rng.integers(2, 4)))
-        x = rng.uniform(-1, 2, params.n_pixels)
-        trace = forward(params, x)
-        _, hidden, argmins, logits, argmaxes = brute_forward(
-            params.scales, params.minplus_weights, params.maxplus_weights, x)
-        assert np.max(np.abs(trace.hidden - hidden)) <= 1e-12
-        assert np.max(np.abs(trace.logits - logits)) <= 1e-12
-        assert np.array_equal(trace.hidden_argmin, argmins)
-        assert np.array_equal(trace.logit_argmax, argmaxes)
-    report(3, "forward equals exhaustive min/max evaluation within 1e-12 (1000 nets)")
-
-
-def _winner_margins(params, trace):
-    pre_hidden = trace.linear[:, None] + params.minplus_weights
-    hid = min(np.partition(pre_hidden[:, h], 1)[1] - trace.hidden[h]
-              for h in range(params.n_hidden))
-    if params.n_hidden == 1:
-        return hid
-    out = min(trace.logits[d]
-              - np.partition(trace.hidden + params.maxplus_weights[:, d], -2)[-2]
-              for d in range(params.n_classes))
-    return min(hid, out)
+    check_forward_oracle(trials=1000, seed=101)
+    report(3, "forward equals exhaustive min/max evaluation within 1e-12 "
+              "(1000 nets, 1000 tie-heavy)")
 
 
 def test_c04_subgradient_matches_finite_differences():
-    rng = np.random.default_rng(102)
-    checked = 0
-    while checked < 500:
-        params = random_params(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                               int(rng.integers(2, 4)))
-        x = rng.uniform(0, 1, params.n_pixels)
-        if _winner_margins(params, forward(params, x)) <= 1e-3:
-            continue
-        checked += 1
-        y = int(rng.integers(0, params.n_classes))
-        dense = subgradient(params, x[None], [y])[1:]
-        fd = fd_gradients(params, x, y)
-        scale = max(1.0, max(np.max(np.abs(g), initial=0.0) for g in dense))
-        for got, ref in zip(dense, fd):
-            # contributions that cancel mathematically leave ~1e-17 float
-            # residue; below finite-difference resolution they count as zeros
-            nz = np.abs(got) > 1e-12 * scale
-            if nz.any():
-                assert np.max(np.abs(got[nz] - ref[nz]) / np.abs(got[nz])) <= 1e-5
-            assert np.max(np.abs(ref[~nz]), initial=0.0) < 1e-7 * scale
+    check_gradient_oracle(trials=500, seed=102)
     report(4, "sparse subgradient matches central differences at 500 smooth points")
 
 
 def test_c05_fragility_formula_suite():
-    rng = np.random.default_rng(103)
-    for _ in range(1000):
-        params = random_params(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), 2)
-        x = rng.uniform(0, 1, params.n_pixels)
-        trace = forward(params, x)
-        c = trace.predicted
-        slacks = [slack(params, trace, h, c) for h in range(params.n_hidden)]
-        assert min(slacks) >= 0.0
-        for p in range(params.n_pixels):
-            for h in range(params.n_hidden):
-                assert extended_sensitivity(params, trace, x, p, h, c) >= \
-                    sensitivity(params, trace, x, p, h)
-        fmap = pixel_fragility(params, x)
-        _, opposite = NeuronClassing.from_params(params).split(c)
-        for p in range(params.n_pixels):
-            if opposite.size:
-                expected = min(extended_sensitivity(params, trace, x, p, h, c)
-                               for h in opposite)
-                assert fmap.scores[p] == expected
-            else:
-                assert fmap.scores[p] == np.inf
-        # interval invariant under a 10^4-point scan at one sampled (p, h)
-        p = int(rng.integers(0, params.n_pixels))
-        h = int(rng.integers(0, params.n_hidden))
-        g = trace.hidden[h]
-        w1p = params.minplus_weights[2 * p, h]
-        w1m = params.minplus_weights[2 * p + 1, h]
-        kp, km = params.scales[2 * p], params.scales[2 * p + 1]
-        v_lo = (g - w1p) / kp - x[p]
-        v_hi = (w1m - g) / km - x[p]
-        if v_hi - v_lo > 1e-9:
-            shrink = 1e-9 * (v_hi - v_lo)
-            vs = np.linspace(v_lo + shrink, v_hi - shrink, 10_000)
-            plus_terms = kp * (x[p] + vs) + w1p
-            minus_terms = -km * (x[p] + vs) + w1m
-            assert np.all(plus_terms >= g - 1e-12)
-            assert np.all(minus_terms >= g - 1e-12)
-            if trace.hidden_argmin[h] not in (2 * p, 2 * p + 1):
-                others = np.delete(trace.linear + params.minplus_weights[:, h],
-                                   [2 * p, 2 * p + 1])
-                g_scan = np.minimum(others.min(), np.minimum(plus_terms, minus_terms))
-                assert np.all(g_scan == g)
+    check_fragility_formulas(trials=1000, seed=103)
     report(5, "slack/extended-sensitivity/fragility identities on 1000 binary nets")
 
 
@@ -209,37 +107,12 @@ def test_c09_fidelity_ordering(pneumonia_model, pneumonia_splits):
 
 
 def test_c10_shapley_efficiency_exact():
-    rng = np.random.default_rng(104)
-    for _ in range(100):
-        n_pix = int(rng.integers(2, 7))
-        n_hid = int(rng.integers(1, 4))
-        # dyadic grid: every product, sum and selection below is exact in float64
-        params = LmmParams(
-            rng.integers(1, 2048, 2 * n_pix) / 1024.0,
-            rng.integers(-2048, 2048, (2 * n_pix, n_hid)) / 1024.0,
-            rng.integers(-2048, 2048, (n_hid, 2)) / 1024.0,
-        )
-        x = rng.integers(0, 1025, n_pix) / 1024.0
-        target = forward(params, x).predicted
-        gap = (forward(params, x).logits[target]
-               - forward(params, np.full(n_pix, 0.5)).logits[target])
-        imap = shapley_sampling(params, x, permutations=1, seed=int(rng.integers(1 << 16)))
-        assert imap.scores.sum() == gap
+    check_shapley_efficiency(trials=100, seed=104)
     report(10, "Shapley per-permutation telescoping identity exact on 100 cases")
 
 
 def test_c11_serialization(tmp_path):
-    rng = np.random.default_rng(105)
-    small = random_params(rng, 3, 4, 2)
-    small.temperature = 0.71875
-    path = tmp_path / "model.lmmp"
-    save_model(small, path)
-    back = load_model(path)
-    assert np.array_equal(back.scales, small.scales)
-    assert np.array_equal(back.minplus_weights, small.minplus_weights)
-    assert np.array_equal(back.maxplus_weights, small.maxplus_weights)
-    assert back.temperature == small.temperature
-
+    check_model_roundtrip(seed=105)
     full = LmmParams(np.ones(2 * 784), np.zeros((2 * 784, 25)), np.zeros((25, 2)))
     full_path = tmp_path / "full.lmmp"
     save_model(full, full_path)

@@ -50,6 +50,17 @@ def trained_model(tiny_archive, tmp_path_factory):
     return out
 
 
+def command_args(command, model, archive, out):
+    """Shortest valid argument list of a subcommand on the tiny archive."""
+    if command == "train":
+        return ["train", "--data", archive, "--h1", "4", "--epochs", "1", "--out", out]
+    if command == "explain":
+        return ["explain", "--model", model, "--data", archive, "--index", "0",
+                "--method", "shapley", "--permutations", "2", "--out", out]
+    return ["metrics", "--model", model, "--data", archive, "--methods", "fragility",
+            "--steps", "2", "--m", "1", "--timing-n", "1", "--out", out]
+
+
 def strip_timing(text):
     return "\n".join(line for line in text.splitlines()
                      if not line.startswith("seconds_per_image."))
@@ -233,6 +244,20 @@ class TestUsageAndSelftest:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "explain", "metrics"])
+    def test_negative_seed_is_usage_error(self, trained_model, tiny_archive, tmp_path, command):
+        args = command_args(command, trained_model, tiny_archive, str(tmp_path / "out"))
+        assert run(args + ["--seed", "-1"]) == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--k0", "nan"), ("train", "--k0", "inf"), ("train", "--lr0", "nan"),
+        ("train", "--lr0", "inf"), ("train", "--lr-decay", "nan"), ("train", "--k-min", "nan"),
+        ("metrics", "--sigma", "nan")])
+    def test_non_finite_flag_is_usage_error(self, trained_model, tiny_archive, tmp_path,
+                                            command, flag, value):
+        args = command_args(command, trained_model, tiny_archive, str(tmp_path / "out"))
+        assert run(args + [flag, value]) == 1
 
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == 0

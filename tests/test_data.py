@@ -7,6 +7,7 @@ import pytest
 
 from lmmx import (DataError, Dataset, FormatError, ImportanceMap, LmmError, LmmParams,
                   ParameterError, export_map, load_model, load_npz_dataset, save_model, synth_dataset)
+from lmmx.selftest import check_model_roundtrip
 
 
 def write_archive(path, n=(6, 4, 4), side=5, compressed=False, **overrides):
@@ -158,21 +159,8 @@ class TestDatasetValidation:
 
 
 class TestModelFiles:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        params = LmmParams(
-            rng.uniform(0.5, 2, 6),
-            rng.normal(0, 1, (6, 4)),
-            rng.normal(0, 1, (4, 3)),
-            temperature=0.73125,
-        )
-        path = tmp_path / "model.lmmp"
-        save_model(params, path)
-        back = load_model(path)
-        assert np.array_equal(back.scales, params.scales)
-        assert np.array_equal(back.minplus_weights, params.minplus_weights)
-        assert np.array_equal(back.maxplus_weights, params.maxplus_weights)
-        assert back.temperature == params.temperature
+    def test_roundtrip_bit_exact(self):
+        check_model_roundtrip(seed=3)
 
     def test_file_size_for_full_network(self, tmp_path):
         params = LmmParams(np.ones(1568), np.zeros((1568, 25)), np.zeros((25, 2)))

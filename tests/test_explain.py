@@ -1,16 +1,15 @@
-"""Fragility formulas, the flip oracle, integrated gradients, Shapley sampling."""
+"""Fragility formulas and their references, the flip oracle, integrated gradients, Shapley sampling."""
 
 import numpy as np
 import pytest
 
 from lmmx import (ImportanceMap, LmmParams, MedoidSet, NeuronClassing, NumericError,
-                  ParameterError, UnsupportedConfigError, extended_sensitivity, forward,
-                  fragility_bruteforce_flip, init_params, integrated_gradients,
-                  pixel_fragility, sensitivity, shapley_sampling, slack)
+                  ParameterError, UnsupportedConfigError, forward, init_params,
+                  integrated_gradients, pixel_fragility, shapley_sampling)
 
-from lmmx.oracles import exact_shapley, path_integral_attribution, walk_deltas
-
-from test_network import random_params
+from lmmx.oracles import (exact_shapley, extended_sensitivity, fragility_bruteforce_flip,
+                          path_integral_attribution, sensitivity, slack, walk_deltas)
+from lmmx.selftest import check_fragility_formulas, check_shapley_efficiency, random_params
 
 
 @pytest.fixture
@@ -41,39 +40,6 @@ class TestSensitivity:
                     assert abs(sensitivity(params, trace, x, i // 2, h)) <= 1e-12
         assert hits > 50
 
-    def test_interval_scan(self):
-        # inside the induced interval both branch terms stay above the activation
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            params = random_params(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), 2)
-            x = rng.uniform(0, 1, params.n_pixels)
-            trace = forward(params, x)
-            p = int(rng.integers(0, params.n_pixels))
-            h = int(rng.integers(0, params.n_hidden))
-            g = trace.hidden[h]
-            w1p = params.minplus_weights[2 * p, h]
-            w1m = params.minplus_weights[2 * p + 1, h]
-            kp = params.scales[2 * p]
-            km = params.scales[2 * p + 1]
-            v_lo = (g - w1p) / kp - x[p]
-            v_hi = (w1m - g) / km - x[p]
-            assert v_lo <= 1e-12 and v_hi >= -1e-12
-            assert abs(sensitivity(params, trace, x, p, h) - min(-v_lo, v_hi)) <= 1e-12
-            if v_hi - v_lo <= 1e-9:
-                continue
-            shrink = 1e-9 * (v_hi - v_lo)
-            vs = np.linspace(v_lo + shrink, v_hi - shrink, 10_000)
-            plus_terms = kp * (x[p] + vs) + w1p
-            minus_terms = -km * (x[p] + vs) + w1m
-            assert np.all(plus_terms >= g - 1e-12)
-            assert np.all(minus_terms >= g - 1e-12)
-            # when some other branch holds the minimum, the activation is pinned
-            if trace.hidden_argmin[h] not in (2 * p, 2 * p + 1):
-                others = np.delete(trace.linear + params.minplus_weights[:, h],
-                                   [2 * p, 2 * p + 1])
-                g_scan = np.minimum(others.min(), np.minimum(plus_terms, minus_terms))
-                assert np.all(g_scan == g)
-
 
 class TestSlack:
     def test_winner_has_zero_slack(self):
@@ -90,14 +56,6 @@ class TestSlack:
     def test_hand_example(self, two_medoid_net):
         params, x, trace = two_medoid_net
         assert abs(slack(params, trace, 1, 0) - 0.2) <= 1e-12
-
-    def test_nonnegative_for_predicted_class(self):
-        rng = np.random.default_rng(33)
-        for _ in range(300):
-            params = random_params(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)), 2)
-            trace = forward(params, rng.uniform(0, 1, params.n_pixels))
-            for h in range(params.n_hidden):
-                assert slack(params, trace, h, trace.predicted) >= 0.0
 
 
 class TestExtendedSensitivity:
@@ -120,18 +78,6 @@ class TestExtendedSensitivity:
     def test_hand_example(self, two_medoid_net):
         params, x, trace = two_medoid_net
         assert abs(extended_sensitivity(params, trace, x, 0, 1, 0) - 0.2) <= 1e-12
-
-    def test_dominates_sensitivity(self):
-        rng = np.random.default_rng(35)
-        for _ in range(300):
-            params = random_params(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2)
-            x = rng.uniform(0, 1, params.n_pixels)
-            trace = forward(params, x)
-            c = trace.predicted
-            for p in range(params.n_pixels):
-                for h in range(params.n_hidden):
-                    assert extended_sensitivity(params, trace, x, p, h, c) >= \
-                        sensitivity(params, trace, x, p, h)
 
 
 class TestNeuronClassing:
@@ -157,21 +103,7 @@ class TestPixelFragility:
         assert abs(fmap.scores[0] - 0.2) <= 1e-12
 
     def test_matches_per_neuron_recompute_exactly(self):
-        rng = np.random.default_rng(36)
-        for _ in range(200):
-            params = random_params(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), 2)
-            x = rng.uniform(0, 1, params.n_pixels)
-            trace = forward(params, x)
-            c = trace.predicted
-            fmap = pixel_fragility(params, x)
-            _, opposite = NeuronClassing.from_params(params).split(c)
-            for p in range(params.n_pixels):
-                if opposite.size:
-                    expected = min(extended_sensitivity(params, trace, x, p, h, c)
-                                   for h in opposite)
-                    assert fmap.scores[p] == expected
-                else:
-                    assert fmap.scores[p] == np.inf
+        check_fragility_formulas(trials=200, seed=36)
 
     def test_empty_opposite_set_gives_infinity(self):
         params = LmmParams(np.ones(2), np.zeros((2, 2)),
@@ -307,15 +239,7 @@ class TestShapleySampling:
             assert np.array_equal(got.scores, deltas)
 
     def test_efficiency_identity(self):
-        rng = np.random.default_rng(44)
-        for _ in range(30):
-            params = random_params(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)), 2)
-            x = rng.uniform(0, 1, params.n_pixels)
-            target = forward(params, x).predicted
-            gap = (forward(params, x).logits[target]
-                   - forward(params, np.full(params.n_pixels, 0.5)).logits[target])
-            total = shapley_sampling(params, x, permutations=3, seed=7).scores.sum()
-            assert abs(total - gap) <= 1e-12
+        check_shapley_efficiency(trials=30, seed=44)
 
     def test_deterministic(self):
         rng = np.random.default_rng(45)

@@ -10,7 +10,8 @@ from lmmx import (DataError, Dataset, DimensionError, MedoidSet, ParameterError,
                   init_params, nearest_medoid_predict, select_medoids)
 from lmmx.medoids import _BLOCK, _allocate_per_class, _greedy_kmedoids
 
-from lmmx.oracles import brute_greedy_kmedoids, chebyshev_nearest
+from lmmx.oracles import brute_greedy_kmedoids
+from lmmx.selftest import check_init_equivalence
 
 
 def tiny_train():
@@ -198,16 +199,7 @@ class TestNearestMedoid:
 
 class TestInitEquivalence:
     def test_matches_nearest_medoid_oracle(self):
-        rng = np.random.default_rng(9)
-        for n_pix in (2, 8):
-            for _ in range(100):
-                med = random_medoids(rng, int(rng.integers(2, 7)), n_pix)
-                k0 = float(rng.choice([0.1, 1.0, 10.0]))
-                params = init_params(med, k0)
-                for _ in range(3):
-                    x = rng.uniform(0, 1, n_pix)
-                    assert forward(params, x).predicted == chebyshev_nearest(
-                        med.vectors, med.labels, x)
+        check_init_equivalence(trials=100, seed=9)
 
     def test_logit_formula_at_init(self):
         # z_d = max over medoids h of (-k0 * chebyshev(x, medoid_h) + W2[h, d])

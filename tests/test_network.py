@@ -11,14 +11,7 @@ from lmmx import (DimensionError, LmmParams, NumericError, ParameterError, batch
 from lmmx import network
 from lmmx.network import softmax_rows, tropical_pass
 from lmmx.oracles import brute_forward
-
-
-def random_params(rng, n_pix, n_hid, n_cls, lo=0.2, hi=2.0):
-    return LmmParams(
-        rng.uniform(lo, hi, 2 * n_pix),
-        rng.normal(0.0, 1.0, (2 * n_pix, n_hid)),
-        rng.normal(0.0, 1.0, (n_hid, n_cls)),
-    )
+from lmmx.selftest import check_forward_oracle, dyadic_params, random_params
 
 
 class TestLinearLayer:
@@ -106,47 +99,14 @@ class TestForward:
         assert trace.predicted == 0
 
     def test_bruteforce_equivalence(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            params = random_params(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)),
-                                   int(rng.integers(2, 4)))
-            x = rng.uniform(-1, 2, params.n_pixels)
-            trace = forward(params, x)
-            lin, hidden, argmins, logits, argmaxes = brute_forward(
-                params.scales, params.minplus_weights, params.maxplus_weights, x)
-            assert np.max(np.abs(trace.linear - lin)) <= 1e-12
-            assert np.max(np.abs(trace.hidden - hidden)) <= 1e-12
-            assert np.max(np.abs(trace.logits - logits)) <= 1e-12
-            assert np.array_equal(trace.hidden_argmin, argmins)
-            assert np.array_equal(trace.logit_argmax, argmaxes)
-
-    def test_single_active_path(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            params = random_params(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)),
-                                   int(rng.integers(2, 4)))
-            x = rng.uniform(0, 1, params.n_pixels)
-            trace = forward(params, x)
-            for h in range(params.n_hidden):
-                i = trace.hidden_argmin[h]
-                assert trace.hidden[h] == trace.linear[i] + params.minplus_weights[i, h]
-                assert np.all(trace.hidden[h] <= trace.linear + params.minplus_weights[:, h])
-            for d in range(params.n_classes):
-                h = trace.logit_argmax[d]
-                assert trace.logits[d] == trace.hidden[h] + params.maxplus_weights[h, d]
-                assert np.all(trace.logits[d] >= trace.hidden + params.maxplus_weights[:, d])
-            assert abs(trace.probs.sum() - 1.0) <= 1e-12
+        check_forward_oracle(trials=300, seed=2)
 
     def test_shift_covariance(self):
         # dyadic-grid weights keep every addition exact, so the shift is exact
         rng = np.random.default_rng(4)
         for _ in range(50):
-            n_pix, n_hid, n_cls = 3, 4, 2
-            params = LmmParams(
-                rng.integers(1, 2048, 2 * n_pix) / 1024.0,
-                rng.integers(-2048, 2048, (2 * n_pix, n_hid)) / 1024.0,
-                rng.integers(-2048, 2048, (n_hid, n_cls)) / 1024.0,
-            )
+            n_pix, n_cls = 3, 2
+            params = dyadic_params(rng, n_pix, 4, n_cls)
             x = rng.integers(0, 1025, n_pix) / 1024.0
             d = int(rng.integers(0, n_cls))
             beta = float(rng.choice([0.5, 1.0, 2.0, -0.25]))

@@ -10,9 +10,10 @@ from lmmx import (CalibrationError, Dataset, DimensionError, LmmParams, NumericE
                   forward, subgradient, synth_dataset, train)
 from lmmx.training import _apply_batch
 
-from lmmx.oracles import brute_forward, fd_gradients
+from lmmx.oracles import brute_forward
+from lmmx.selftest import check_gradient_oracle, random_params
 
-from test_network import random_params, tie_heavy_nets
+from test_network import tie_heavy_nets
 
 
 def flat_params(n_pix=1, n_hid=1, n_cls=2, scale=1.0):
@@ -106,37 +107,8 @@ class TestSparseSubgradient:
         with pytest.raises(DimensionError):
             subgradient(params, np.zeros((0, 1)), [])
 
-    def margins(self, params, x):
-        trace = forward(params, x)
-        pre_hidden = trace.linear[:, None] + params.minplus_weights
-        hid = min(np.partition(pre_hidden[:, h], 1)[1] - trace.hidden[h]
-                  for h in range(params.n_hidden))
-        if params.n_hidden == 1:
-            out = np.inf
-        else:
-            out = min(trace.logits[d] - np.partition(trace.hidden + params.maxplus_weights[:, d], -2)[-2]
-                      for d in range(params.n_classes))
-        return min(hid, out)
-
     def test_matches_finite_differences(self):
-        rng = np.random.default_rng(22)
-        checked = 0
-        while checked < 150:
-            params = random_params(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                                   int(rng.integers(2, 4)))
-            x = rng.uniform(0, 1, params.n_pixels)
-            y = int(rng.integers(0, params.n_classes))
-            if self.margins(params, x) <= 1e-3:
-                continue
-            checked += 1
-            dense = subgradient(params, x[None], [y])[1:]
-            fd = fd_gradients(params, x, y)
-            scale = max(1.0, max(np.max(np.abs(g), initial=0.0) for g in dense))
-            for got, ref in zip(dense, fd):
-                # exact cancellations leave float residue below FD resolution
-                nz = np.abs(got) > 1e-12 * scale
-                assert np.allclose(got[nz], ref[nz], rtol=1e-5, atol=0)
-                assert np.max(np.abs(ref[~nz]), initial=0.0) < 1e-7 * scale
+        check_gradient_oracle(trials=150, seed=22)
 
 
 class TestTrainLoop:
@@ -257,8 +229,10 @@ class TestTrainLoop:
             TrainConfig(epochs=-1)
         with pytest.raises(ParameterError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ParameterError):
-            TrainConfig(lr0=0.0)
+        for bad in ({"lr0": 0.0}, {"lr0": np.nan}, {"lr_decay": np.inf}, {"k_min": np.nan},
+                    {"seed": -1}):
+            with pytest.raises(ParameterError):
+                TrainConfig(**bad)
 
 
 class TestCalibration:
