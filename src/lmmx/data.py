@@ -30,6 +30,7 @@ MODEL_VERSION = 1
 _HEADER = struct.Struct("<4sHIIHd")  # magic, version, P, H1, C, temperature
 
 _SPLITS = ("train", "val", "test")
+PIXEL_LEVELS = 255  # a uint8 pixel k loads as k / PIXEL_LEVELS
 
 # What zipfile and numpy raise on a damaged archive: bad headers, members that fail to
 # inflate (zlib.error, EOFError) or claim an unsupported method, version or encryption.
@@ -111,7 +112,7 @@ def load_npz_dataset(path) -> dict[str, Dataset]:
             raise FormatError(
                 f"members '{split}_images' and '{split}_labels' disagree on sample count"
             )
-        flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+        flat = images.reshape(images.shape[0], -1).astype(np.float64) / PIXEL_LEVELS
         out[split] = Dataset(flat, labels.reshape(-1).astype(np.int64), split=split)
     return out
 

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import Dataset
+from .data import PIXEL_LEVELS, Dataset
 from .errors import DataError, DimensionError, ParameterError
 from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
-_BLOCK = 128  # rows/columns per distance block and cost sweep (measured best)
+_BLOCK = 128  # rows per float distance block (measured best)
+_ROWS, _COLS = 16, 64  # uint8 distance block shape (measured best)
+_SWEEP_BYTES = 1024  # bytes per matrix row in one block of the cost sweep
 
 
 @dataclass
@@ -83,31 +85,60 @@ def _allocate_per_class(counts: np.ndarray, n_medoids: int) -> np.ndarray:
     return alloc
 
 
-def _greedy_kmedoids(points: np.ndarray, quota: int) -> list[int]:
-    """Greedy PAM build step under the Chebyshev distance.
+def _chebyshev_matrix(points: np.ndarray) -> np.ndarray:
+    """All pairwise Chebyshev distances of ``points`` (rows in [0, 1]).
 
-    Repeatedly adds the point minimizing the summed distance from every
-    class member to its nearest chosen medoid.  Ties go to the lowest
-    index.  Needs one n x n distance matrix plus (n, _BLOCK) buffers.
-
-    The matrix is built from upper-triangle row blocks, each written with
-    its transpose: the Chebyshev distance is exactly symmetric (|a - b|
-    equals |b - a| in IEEE arithmetic and max is order-free), so it equals
-    the full ``cdist(points, points)`` bit for bit at about half the work.
-    Costs are summed over axis 0 of column blocks at least two wide, which
-    adds rows 0..n-1 in order just as the full-matrix sum does; summing
-    along rows instead would be pairwise and change the bits.
+    Points on the loader's grid (every entry k / PIXEL_LEVELS, as in every
+    archive ``load_npz_dataset`` reads) give an exact uint8 matrix in whole
+    pixel levels, from (_ROWS, _COLS) blocks of max(a, b) - min(a, b).
+    Other points give the float64 ``cdist`` matrix from _BLOCK-row blocks.
+    Both fill the upper triangle and write each block with its transpose:
+    the distance is exactly symmetric (|a - b| equals |b - a| and max is
+    order-free), so the float matrix equals the full ``cdist(points,
+    points)`` bit for bit at about half the work.
     """
     n = points.shape[0]
+    levels = np.rint(points * PIXEL_LEVELS)
+    if np.array_equal(levels / PIXEL_LEVELS, points):
+        units = levels.astype(np.uint8)
+        dist = np.empty((n, n), np.uint8)
+        for i0 in range(0, n, _ROWS):
+            a = units[i0:i0 + _ROWS, None]
+            for j0 in range(i0, n, _COLS):
+                b = units[None, j0:j0 + _COLS]
+                block = (np.maximum(a, b) - np.minimum(a, b)).max(axis=2)
+                dist[i0:i0 + _ROWS, j0:j0 + _COLS] = block
+                dist[j0:j0 + _COLS, i0:i0 + _ROWS] = block.T
+        return dist
     dist = np.empty((n, n))
     for i0 in range(0, n, _BLOCK):
         block = cdist(points[i0:i0 + _BLOCK], points[i0:], "chebyshev")
         dist[i0:i0 + _BLOCK, i0:] = block
         dist[i0:, i0:i0 + _BLOCK] = block.T
-    width = min(n, _BLOCK)
-    buf = np.empty((n, width))
+    return dist
+
+
+def _greedy_kmedoids(points: np.ndarray, quota: int) -> list[int]:
+    """Greedy PAM build step under the Chebyshev distance.
+
+    Repeatedly adds the point minimizing the summed distance from every
+    class member to its nearest chosen medoid.  Ties go to the lowest
+    index.  Needs the n x n ``_chebyshev_matrix`` plus an (n, width) buffer
+    of _SWEEP_BYTES per row.
+
+    On the pixel grid every cost is a whole number of levels below 2**53,
+    so its float64 sum is exact in any order and equal costs are true ties.
+    Off the grid the order matters: costs are summed over axis 0 of column
+    blocks at least two wide, which adds rows 0..n-1 in order just as the
+    full-matrix sum does; summing along rows instead would be pairwise and
+    change the bits.
+    """
+    dist = _chebyshev_matrix(points)
+    n = dist.shape[0]
+    width = min(n, _SWEEP_BYTES // dist.itemsize)
+    buf = np.empty((n, width), dist.dtype)
     costs = np.empty(n)
-    nearest = np.full(n, np.inf)
+    nearest = np.full(n, dist.max(), dist.dtype)  # no medoid yet: nothing lies farther
     chosen: list[int] = []
     for _ in range(quota):
         for j0 in range(0, n, width):

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .data import PIXEL_LEVELS
 from .errors import ParameterError
 from .network import batch_predict, forward
 
@@ -57,14 +58,23 @@ def chebyshev_nearest(medoid_vectors, medoid_labels, x):
 
 
 def brute_greedy_kmedoids(points, quota):
-    """Greedy PAM build picks from the full distance matrix, lowest index on ties."""
-    dist = cdist(points, points, "chebyshev")
-    nearest = np.full(points.shape[0], np.inf)
+    """Greedy PAM build picks from the full distance matrix, lowest index on ties.
+
+    Points on the loader's k / PIXEL_LEVELS grid are measured in whole
+    levels with int64 distances and sums, so equal costs are exact ties;
+    other points use float ``cdist``.
+    """
+    levels = np.rint(points * PIXEL_LEVELS)
+    if np.array_equal(levels / PIXEL_LEVELS, points):
+        units = levels.astype(np.int64)
+        dist = np.abs(units[:, None, :] - units[None, :, :]).max(axis=2)
+    else:
+        dist = cdist(points, points, "chebyshev")
+    nearest = dist.max(axis=1)  # no medoid yet: nothing in a row lies farther
     chosen = []
     for _ in range(quota):
         costs = np.minimum(dist, nearest[:, None]).sum(axis=0)
-        costs[chosen] = np.inf
-        best = int(np.argmin(costs))
+        best = min((c for c in range(len(costs)) if c not in chosen), key=lambda c: (costs[c], c))
         chosen.append(best)
         nearest = np.minimum(nearest, dist[:, best])
     return chosen

@@ -48,6 +48,12 @@ def dyadic_params(rng, n_pix, n_hid, n_cls, levels=1024) -> LmmParams:
     )
 
 
+def _check(ok, what: str) -> None:
+    """Raise ``AssertionError(what)`` unless ``ok``; unlike ``assert`` it survives ``python -O``."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _winner_margin(params: LmmParams, trace: ForwardTrace) -> float:
     """Smallest lead of a winner over its runner-up in either tropical layer.
 
@@ -81,17 +87,22 @@ def check_forward_oracle(trials: int = 200, seed: int = 0) -> None:
                 params.scales, params.minplus_weights, params.maxplus_weights, x)
             for got, want in ((trace.linear, linear), (trace.hidden, hidden),
                               (trace.logits, logits)):
-                assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.array_equal(trace.hidden_argmin, argmins)
-            assert np.array_equal(trace.logit_argmax, argmaxes)
+                _check(np.max(np.abs(got - want)) <= 1e-12,
+                       "forward deviates from brute_forward by more than 1e-12")
+            _check(np.array_equal(trace.hidden_argmin, argmins),
+                   "hidden argmins differ from brute_forward")
+            _check(np.array_equal(trace.logit_argmax, argmaxes),
+                   "logit argmaxes differ from brute_forward")
             # single active path: each recorded winner attains its value and dominates
             pre_hidden = trace.linear[:, None] + params.minplus_weights
-            assert np.array_equal(trace.hidden, pre_hidden[trace.hidden_argmin, np.arange(n_hid)])
-            assert np.all(trace.hidden <= pre_hidden)
+            _check(np.array_equal(trace.hidden, pre_hidden[trace.hidden_argmin, np.arange(n_hid)]),
+                   "a hidden winner does not attain its activation")
+            _check(np.all(trace.hidden <= pre_hidden), "a hidden winner is not the minimum")
             pre_logits = trace.hidden[:, None] + params.maxplus_weights
-            assert np.array_equal(trace.logits, pre_logits[trace.logit_argmax, np.arange(n_cls)])
-            assert np.all(trace.logits >= pre_logits)
-            assert abs(trace.probs.sum() - 1.0) <= 1e-12
+            _check(np.array_equal(trace.logits, pre_logits[trace.logit_argmax, np.arange(n_cls)]),
+                   "a logit winner does not attain its logit")
+            _check(np.all(trace.logits >= pre_logits), "a logit winner is not the maximum")
+            _check(abs(trace.probs.sum() - 1.0) <= 1e-12, "probabilities do not sum to 1")
 
 
 def check_init_equivalence(trials: int = 200, seed: int = 1) -> None:
@@ -109,11 +120,14 @@ def check_init_equivalence(trials: int = 200, seed: int = 1) -> None:
             medoids = MedoidSet(rng.uniform(0, 1, (n_med, n_pix)), labels, np.arange(n_med))
             inputs = rng.uniform(0, 1, (trials // n_sets, n_pix))
             nearest = [chebyshev_nearest(medoids.vectors, medoids.labels, x) for x in inputs]
-            assert [nearest_medoid_predict(medoids, x) for x in inputs] == nearest
+            _check([nearest_medoid_predict(medoids, x) for x in inputs] == nearest,
+                   "nearest_medoid_predict differs from the Chebyshev rule")
             for k0 in (0.1, 1.0, 10.0):
                 params = init_params(medoids, k0)
-                assert np.array_equal(np.argmax(batch_logits(params, inputs), axis=1), nearest)
-                assert [forward(params, x).predicted for x in inputs] == nearest
+                _check(np.array_equal(np.argmax(batch_logits(params, inputs), axis=1), nearest),
+                       "batch_logits at init differs from the nearest medoid")
+                _check([forward(params, x).predicted for x in inputs] == nearest,
+                       "forward at init differs from the nearest medoid")
 
 
 def check_gradient_oracle(trials: int = 60, seed: int = 2) -> None:
@@ -138,8 +152,10 @@ def check_gradient_oracle(trials: int = 60, seed: int = 2) -> None:
         scale = max(1.0, max(np.max(np.abs(g)) for g in dense))
         for got, ref in zip(dense, fd_gradients(params, x, y)):
             nz = np.abs(got) > 1e-12 * scale
-            assert np.all(np.abs(got[nz] - ref[nz]) <= 1e-5 * np.abs(got[nz]))
-            assert np.all(np.abs(ref[~nz]) < 1e-7 * scale)
+            _check(np.all(np.abs(got[nz] - ref[nz]) <= 1e-5 * np.abs(got[nz])),
+                   "subgradient differs from finite differences")
+            _check(np.all(np.abs(ref[~nz]) < 1e-7 * scale),
+                   "subgradient is zero where finite differences are not")
 
 
 def check_fragility_formulas(trials: int = 200, seed: int = 3) -> None:
@@ -159,14 +175,16 @@ def check_fragility_formulas(trials: int = 200, seed: int = 3) -> None:
         trace = forward(params, x)
         c = trace.predicted
         pixels, neurons = range(params.n_pixels), range(params.n_hidden)
-        assert all(slack(params, trace, h, c) >= 0.0 for h in neurons)
+        _check(all(slack(params, trace, h, c) >= 0.0 for h in neurons),
+               "negative slack toward the predicted class")
         ext = np.array([[extended_sensitivity(params, trace, x, p, h, c) for h in neurons]
                         for p in pixels])
         sens = np.array([[sensitivity(params, trace, x, p, h) for h in neurons] for p in pixels])
-        assert np.all(ext >= sens)
+        _check(np.all(ext >= sens), "extended sensitivity below sensitivity")
         _, opposite = NeuronClassing.from_params(params).split(c)
         expected = ext[:, opposite].min(axis=1) if opposite.size else np.full(len(pixels), np.inf)
-        assert np.array_equal(pixel_fragility(params, x).scores, expected)
+        _check(np.array_equal(pixel_fragility(params, x).scores, expected),
+               "pixel_fragility differs from the per-entry formulas")
 
         p, h = int(rng.integers(0, params.n_pixels)), int(rng.integers(0, params.n_hidden))
         g = trace.hidden[h]
@@ -174,19 +192,22 @@ def check_fragility_formulas(trials: int = 200, seed: int = 3) -> None:
         kp, km = params.scales[2 * p], params.scales[2 * p + 1]
         v_lo = (g - w1p) / kp - x[p]
         v_hi = (w1m - g) / km - x[p]
-        assert v_lo <= 1e-12 and v_hi >= -1e-12
-        assert abs(sens[p, h] - min(-v_lo, v_hi)) <= 1e-12
+        _check(v_lo <= 1e-12 and v_hi >= -1e-12, "the change interval does not contain zero")
+        _check(abs(sens[p, h] - min(-v_lo, v_hi)) <= 1e-12,
+               "sensitivity is not the nearer end of the interval")
         if v_hi - v_lo <= 1e-9:
             continue
         shrink = 1e-9 * (v_hi - v_lo)
         vs = np.linspace(v_lo + shrink, v_hi - shrink, 10_000)
         plus_terms = kp * (x[p] + vs) + w1p
         minus_terms = -km * (x[p] + vs) + w1m
-        assert np.all(plus_terms >= g - 1e-12) and np.all(minus_terms >= g - 1e-12)
+        _check(np.all(plus_terms >= g - 1e-12) and np.all(minus_terms >= g - 1e-12),
+               "a branch term drops below the activation inside the interval")
         # while another branch holds the minimum, the activation stays pinned
         if trace.hidden_argmin[h] not in (2 * p, 2 * p + 1):
             others = np.delete(trace.linear + params.minplus_weights[:, h], [2 * p, 2 * p + 1])
-            assert np.all(np.minimum(others.min(), np.minimum(plus_terms, minus_terms)) == g)
+            _check(np.all(np.minimum(others.min(), np.minimum(plus_terms, minus_terms)) == g),
+                   "the activation moves while another branch holds the minimum")
 
 
 def _logit_gap(params: LmmParams, x) -> float:
@@ -213,11 +234,12 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
         for permutations in (1, 1, 1, 4):
             imap = shapley_sampling(params, x, permutations=permutations,
                                     seed=int(rng.integers(1 << 16)))
-            assert imap.scores.sum() == gap
+            _check(imap.scores.sum() == gap, "dyadic Shapley credits do not telescope exactly")
         params = random_params(rng, n_pix, n_hid, 2)
         x = rng.uniform(0, 1, n_pix)
         imap = shapley_sampling(params, x, permutations=3, seed=int(rng.integers(1 << 16)))
-        assert abs(imap.scores.sum() - _logit_gap(params, x)) <= 1e-12
+        _check(abs(imap.scores.sum() - _logit_gap(params, x)) <= 1e-12,
+               "Shapley credits miss the logit gap by more than 1e-12")
 
 
 def check_model_roundtrip(seed: int = 5) -> None:
@@ -231,7 +253,8 @@ def check_model_roundtrip(seed: int = 5) -> None:
             save_model(params, path)
             back = load_model(path)
             for field in ("scales", "minplus_weights", "maxplus_weights", "temperature"):
-                assert np.array_equal(getattr(back, field), getattr(params, field))
+                _check(np.array_equal(getattr(back, field), getattr(params, field)),
+                       "model round trip is not bit-exact")
 
 
 SUITES = (

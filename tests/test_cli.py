@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a tiny archive: subcommands, exit codes, determinism."""
 
+import os
 import struct
 import subprocess
 import sys
@@ -7,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+import lmmx
 from lmmx.cli import run
-from lmmx.data import _HEADER, load_model
+from lmmx.data import _HEADER, load_model, load_npz_dataset
+from lmmx.medoids import _chebyshev_matrix
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +235,47 @@ class TestMetrics:
         assert code == 1
 
 
+class TestDeterminism:
+    def test_train_then_metrics_repeat_byte_for_byte(self, tiny_archive, tmp_path):
+        # the tiny archive is uint8, so the greedy build takes the exact pixel-level path
+        assert _chebyshev_matrix(load_npz_dataset(tiny_archive)["train"].images).dtype == np.uint8
+        runs = []
+        for name in ("a", "b"):
+            model, report = tmp_path / f"{name}.lmmp", tmp_path / f"{name}.txt"
+            assert run(["train", "--data", tiny_archive, "--h1", "4",
+                        "--strategy", "greedy-kmedoids", "--epochs", "3", "--batch", "16",
+                        "--seed", "7", "--out", str(model)]) == 0
+            assert run(["metrics", "--model", str(model), "--data", tiny_archive,
+                        "--methods", "fragility,intgrad,shapley", "--steps", "4", "--m", "2",
+                        "--permutations", "5", "--seed", "5", "--timing-n", "1",
+                        "--out", str(report)]) == 0
+            runs.append((model.read_bytes(), strip_timing(report.read_text())))
+        assert runs[0] == runs[1]
+
+
+# Perturbs the forward oracle, then expects both the check and ``lmmx selftest`` to fail.
+_PERTURBED_SELFTEST = """
+import sys
+import lmmx.selftest as selftest
+from lmmx.cli import run
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+exact = selftest.brute_forward
+
+def off_by_one(*args):
+    linear, hidden, argmins, logits, argmaxes = exact(*args)
+    return linear, hidden, argmins, logits + 1.0, argmaxes
+
+selftest.brute_forward = off_by_one
+try:
+    selftest.check_forward_oracle(trials=2)
+except AssertionError:
+    sys.exit(run(["selftest"]))
+sys.exit("check_forward_oracle accepted a perturbed oracle")
+"""
+
+
 class TestUsageAndSelftest:
     def test_unknown_flag(self):
         assert run(["train", "--bogus", "x"]) == 1
@@ -263,6 +307,15 @@ class TestUsageAndSelftest:
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == 6
+
+    def test_perturbed_oracle_fails_under_python_optimize(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lmmx.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", _PERTURBED_SELFTEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "selftest forward-vs-bruteforce: FAIL" in proc.stdout
 
     def test_console_entry_point_under_a_minute(self):
         import time

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from lmmx import (DataError, Dataset, DimensionError, MedoidSet, ParameterError, forward,
-                  init_params, nearest_medoid_predict, select_medoids)
-from lmmx.medoids import _BLOCK, _allocate_per_class, _greedy_kmedoids
+                  init_params, nearest_medoid_predict, select_medoids, synth_dataset)
+from lmmx.data import PIXEL_LEVELS
+from lmmx.medoids import (_BLOCK, _COLS, _ROWS, _SWEEP_BYTES, _allocate_per_class,
+                          _chebyshev_matrix, _greedy_kmedoids)
 
 from lmmx.oracles import brute_greedy_kmedoids
 from lmmx.selftest import check_init_equivalence
@@ -124,30 +126,75 @@ class TestSelectMedoids:
 
 @st.composite
 def tied_points(draw):
-    """Duplicated rows on a coarse k/255 grid, so greedy costs tie often.
+    """Duplicated rows on the k/255 grid, coarse or fine, so greedy costs tie often.
 
-    Sizes include the block edges of the distance build and the cost sweep.
+    Sizes include the block edges of the uint8 distance build.
     """
-    n = draw(st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300]) | st.integers(1, 40))
+    n = draw(st.sampled_from([1, 2, _ROWS + 1, _COLS - 1, _COLS + 1, _ROWS + _COLS + 1, 300])
+             | st.integers(1, 40))
     n_pix = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([3, PIXEL_LEVELS]) | st.integers(1, PIXEL_LEVELS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    distinct = rng.integers(0, 4, (draw(st.integers(1, 6)), n_pix)) / 255.0
+    distinct = rng.integers(0, top + 1, (draw(st.integers(1, 6)), n_pix)) / PIXEL_LEVELS
     points = distinct[rng.integers(0, distinct.shape[0], n)]
     return points, draw(st.integers(1, n))
+
+
+# candidates 2, 5, 6 and 7 all cost 340 levels; in float64 sums of k/255
+# distances, rounding made candidate 5 look cheaper
+EXACT_TIE = np.array([[227], [7], [78], [27], [27], [60], [78], [78]]) / PIXEL_LEVELS
+
+
+def grid_points(rng, n, n_pix=5):
+    return rng.integers(0, PIXEL_LEVELS + 1, (n, n_pix)) / PIXEL_LEVELS
+
+
+class TestChebyshevMatrix:
+    @pytest.mark.parametrize("n", [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, _COLS - 1, _COLS,
+                                   _COLS + 1, _ROWS + _COLS + 1])
+    def test_grid_levels_match_cdist(self, n):
+        rng = np.random.default_rng(n)
+        points = grid_points(rng, n)
+        points[0, 0], points[-1, 0] = 0.0, 1.0  # the full 255-level span
+        dist = _chebyshev_matrix(points)
+        assert dist.dtype == np.uint8
+        expected = np.rint(cdist(points, points, "chebyshev") * PIXEL_LEVELS)
+        assert np.array_equal(dist, expected)
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(0).uniform(0, 1, (_BLOCK + 3, 4)),
+        synth_dataset(16, 70, [np.full(16, 0.3), np.full(16, 0.7)], 0.1, seed=1).images,
+        np.array([[0.5 / PIXEL_LEVELS]]),
+    ], ids=["uniform", "synth", "half-level"])
+    def test_off_grid_keeps_float_cdist(self, points):
+        dist = _chebyshev_matrix(points)
+        assert dist.dtype == np.float64
+        assert np.array_equal(dist, cdist(points, points, "chebyshev"))
+        quota = min(len(points), 9)
+        assert _greedy_kmedoids(points, quota) == brute_greedy_kmedoids(points, quota)
 
 
 class TestGreedyKMedoids:
     @settings(max_examples=150, deadline=None)
     @given(tied_points())
+    @example((EXACT_TIE, 2))
     def test_matches_full_matrix_reference_on_ties(self, case):
         points, quota = case
         assert _greedy_kmedoids(points, quota) == brute_greedy_kmedoids(points, quota)
 
     @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
     def test_matches_reference_across_block_edges(self, n):
-        rng = np.random.default_rng(n)
-        points = rng.integers(0, 256, (n, 5)) / 255.0
+        points = grid_points(np.random.default_rng(n), n)
         assert _greedy_kmedoids(points, n) == brute_greedy_kmedoids(points, n)
+
+    @pytest.mark.parametrize("n", [_SWEEP_BYTES - 1, _SWEEP_BYTES, _SWEEP_BYTES + 1])
+    def test_matches_reference_across_sweep_edges(self, n):
+        points = grid_points(np.random.default_rng(n), n, n_pix=3)
+        assert _greedy_kmedoids(points, 4) == brute_greedy_kmedoids(points, 4)
+
+    def test_exact_cost_tie_goes_to_lowest_index(self):
+        assert brute_greedy_kmedoids(EXACT_TIE, 2) == [2, 3]
+        assert _greedy_kmedoids(EXACT_TIE, 2) == [2, 3]
 
 
 class TestInitParams:
