@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError, UnsupportedConfigError
-from .network import ForwardTrace, LmmParams, forward, linear_layer, tropical_pass
+from .network import ForwardTrace, LmmParams, PixelWalk, forward, pixel_mins, tropical_pass
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
 DESCENDING = "descending"   # larger |score| = more important (attributions)
@@ -146,6 +146,21 @@ def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50,
     return ImportanceMap(diff * mean_grad, DESCENDING, "intgrad", image_index)
 
 
+def contenders(start: np.ndarray, end: np.ndarray, out_bias: np.ndarray) -> np.ndarray:
+    """Neurons that can attain max_h(g_h + out_bias_h) on a walk between two inputs.
+
+    ``start`` and ``end`` are the inputs' ``pixel_mins`` (H1, P).  Every
+    state of a walk holds each pixel at one of its two values, so g_h lies
+    between min(start, end) and min_p max(start, end) over neuron h's row,
+    and rounding is monotone: a neuron whose upper bound plus its bias
+    falls strictly below the largest lower bound plus bias is strictly
+    below the max in every state.  Ties keep the neuron.
+    """
+    upper = np.maximum(start, end).min(axis=1) + out_bias
+    lower = np.minimum(start, end).min(axis=1) + out_bias
+    return np.nonzero(upper >= lower.max())[0]
+
+
 def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 200,
                      seed: int = 0, image_index: int = -1) -> ImportanceMap:
     """Monte-Carlo Shapley values of the predicted logit.
@@ -156,10 +171,9 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
     credits over permutations, so each permutation's credits telescope to
     z_c(x) - z_c(baseline).
 
-    Walks are evaluated in O(P * H1) per permutation: with only one pixel
-    state per position, the hidden-layer minimum over a prefix-flipped
-    state splits into a running minimum over flipped pixels and one over
-    still-baseline pixels.
+    Each permutation is one ``PixelWalk`` in O(P * H1), over only the
+    ``contenders`` for the predicted logit: the maps are bit-equal to
+    walking every neuron.
     """
     if permutations < 1:
         raise ParameterError("permutations must be >= 1")
@@ -168,24 +182,20 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
     x = np.asarray(x, dtype=np.float64)
     baseline = _fill_baseline(params, baseline)
     target = forward(params, x).predicted
-    n_pix, n_hid = params.n_pixels, params.n_hidden
+    n_pix = params.n_pixels
 
-    def per_pixel_mins(values: np.ndarray) -> np.ndarray:
-        pre = linear_layer(params, values)[:, None] + params.minplus_weights
-        return np.minimum(pre[0::2, :], pre[1::2, :])             # (P, H1)
-
-    at_base = per_pixel_mins(baseline)
-    at_image = per_pixel_mins(x)
+    at_base = pixel_mins(params, baseline)
+    at_image = pixel_mins(params, x)
     out_bias = params.maxplus_weights[:, target]
+    keep = contenders(at_base, at_image, out_bias)
+    at_base, at_image, out_bias = at_base[keep], at_image[keep], out_bias[keep, None]
 
     rng = np.random.default_rng(seed)
-    inf_row = np.full((1, n_hid), np.inf)
+    walk = PixelWalk(keep.size, n_pix)
     scores = np.zeros(n_pix)
     for _ in range(permutations):
         perm = rng.permutation(n_pix)
-        flipped_prefix = np.vstack([inf_row, np.minimum.accumulate(at_image[perm], axis=0)])
-        base_suffix = np.vstack([np.minimum.accumulate(at_base[perm][::-1], axis=0)[::-1], inf_row])
-        hidden = np.minimum(flipped_prefix, base_suffix)          # (P + 1, H1)
-        walk = np.max(hidden + out_bias[None, :], axis=1)         # (P + 1,)
-        scores[perm] += np.diff(walk)
+        hidden = walk.hidden(at_base, at_image, perm)             # (H, P + 1)
+        logit = np.max(np.add(hidden, out_bias, out=hidden), axis=0)
+        scores[perm] += np.diff(logit)
     return ImportanceMap(scores / permutations, DESCENDING, "shapley", image_index)

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, ParameterError
-from .network import LmmParams, batch_logits, batch_predict, softmax_rows
+from .errors import DataError, DimensionError, NumericError, ParameterError
+# batch_logits is unused here, but benchmarks/spans.py wraps it under this name
+from .network import (LmmParams, PixelWalk, batch_logits, batch_predict,  # noqa: F401
+                      pixel_mins, softmax_rows)
 
 
 @dataclass
@@ -103,18 +105,28 @@ def _map_images(fn, n_images: int, workers: int) -> list:
 
 def fidelity(params: LmmParams, explainer, data: Dataset, fill: float = 0.5,
              steps: int = 28, workers: int = 1) -> float:
-    """Mean calibrated predicted-class probability under ranked deletion."""
+    """Mean calibrated predicted-class probability under ranked deletion.
+
+    Deleting pixels in ranking order is a ``PixelWalk`` from the image to
+    the fill, read at the cuts k * P // steps for k = 1..steps; the logits
+    are bit-equal to ``batch_logits`` on the partially filled images.
+    """
     if steps < 1:
         raise ParameterError("steps must be >= 1")
+    if not np.isfinite(fill):
+        raise NumericError("fill must be finite")
     n_pix = data.n_pixels
+    at_fill = pixel_mins(params, np.full(n_pix, float(fill)))
+    states = np.arange(steps + 1) * n_pix // steps          # the clean image, then each cut
 
     def per_image(i: int) -> np.ndarray:
         x = data.images[i]
         rank = explainer(params, x).ranking()
-        batch = np.repeat(x[None, :], steps + 1, axis=0)
-        for k in range(1, steps + 1):
-            batch[k, rank[:(k * n_pix) // steps]] = fill
-        logits = batch_logits(params, batch)
+        if rank.shape != (n_pix,):
+            raise DimensionError(f"explainer ranked {rank.size} pixels, expected {n_pix}")
+        walk = PixelWalk(params.n_hidden, n_pix)
+        hidden = walk.hidden(pixel_mins(params, x), at_fill, rank)[:, states]   # (H1, steps + 1)
+        logits = np.max(hidden.T[:, :, None] + params.maxplus_weights, axis=1)
         target = int(np.argmax(logits[0]))
         probs = softmax_rows(logits[1:], params.temperature)
         return probs[:, target]

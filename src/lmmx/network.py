@@ -12,7 +12,8 @@ Because both tropical layers are pure selections, every logit is determined
 by exactly one hidden neuron and every hidden activation by exactly one
 linear branch.  ``tropical_pass`` records those winners for a block of
 rows, and ``forward`` is its one-row case, so downstream code can walk the
-active path.
+active path.  ``PixelWalk`` evaluates every state of a pixel-by-pixel walk
+between two inputs at once, for Shapley sampling and deletion fidelity.
 """
 
 from __future__ import annotations
@@ -174,6 +175,51 @@ def tropical_pass(params: LmmParams, images: np.ndarray) -> TropicalPass:
     logit_argmax = np.argmax(pre_logits, axis=1)
     logits = pre_logits[row, logit_argmax, np.arange(params.n_classes)]
     return TropicalPass(lin, hidden, hidden_argmin, logits, logit_argmax)
+
+
+def pixel_mins(params: LmmParams, x) -> np.ndarray:
+    """Per-pixel min-plus terms of one input, neuron-major (H1, P).
+
+    Entry (h, p) is min(lin[2p] + W1[2p, h], lin[2p+1] + W1[2p+1, h]): the
+    sums ``tropical_pass`` reduces, so a min over any of them is bit-equal
+    to a hidden activation.
+    """
+    pre = linear_layer(params, x) + params.minplus_weights.T       # (H1, 2P)
+    return np.minimum(pre[:, 0::2], pre[:, 1::2])
+
+
+class PixelWalk:
+    """Hidden activations along walks that move pixels one at a time between two inputs.
+
+    A walk along the pixel order ``order`` passes through P + 1 states:
+    state k holds pixels order[:k] at the end input's values and the rest at
+    the start input's.  Neuron h's activation in state k is then the min of
+    a running min of the end input's ``pixel_mins`` over order[:k] and one
+    of the start input's over order[k:].  The rows passed in may be any
+    subset of neurons; the (H, P + 1) buffers are reused from walk to walk.
+    """
+
+    def __init__(self, n_hidden: int, n_pixels: int):
+        self._moved = np.empty((n_hidden, n_pixels + 1))
+        self._moved[:, 0] = np.inf
+        self._kept = np.empty((n_hidden, n_pixels + 1))
+        self._kept[:, n_pixels] = np.inf
+        self._hidden = np.empty((n_hidden, n_pixels + 1))
+
+    def hidden(self, start: np.ndarray, end: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """Activations (H, P + 1) of every state; overwritten by the next walk.
+
+        ``start`` and ``end`` are (H, P) rows of ``pixel_mins``.  They hold no
+        NaN (finite weights and inputs), where ``fmin`` equals ``minimum``;
+        its running min measured about 1.5x faster.
+        """
+        moved = self._moved[:, 1:]
+        np.take(end, order, axis=1, out=moved)
+        np.fmin.accumulate(moved, axis=1, out=moved)
+        kept = self._kept[:, -2::-1]                    # state P - 1 first
+        np.take(start, order[::-1], axis=1, out=kept)
+        np.fmin.accumulate(kept, axis=1, out=kept)
+        return np.minimum(self._moved, self._kept, out=self._hidden)
 
 
 def forward(params: LmmParams, x) -> ForwardTrace:

@@ -18,9 +18,9 @@ import numpy as np
 
 from .data import load_model, save_model
 from .errors import LmmError
-from .explain import NeuronClassing, pixel_fragility, shapley_sampling
+from .explain import NeuronClassing, contenders, pixel_fragility, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
-from .network import ForwardTrace, LmmParams, batch_logits, forward
+from .network import ForwardTrace, LmmParams, batch_logits, forward, pixel_mins
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
                       sensitivity, slack)
 from .training import subgradient
@@ -221,16 +221,32 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
     """Shapley credits telescope to the predicted logit's gap from the baseline.
 
     On dyadic nets and inputs every float operation is exact, so each single
-    permutation and a four-permutation mean sum to the gap exactly; on a
-    standard-normal net of the same shape a three-permutation mean sums to it
-    within 1e-12.
+    permutation and a four-permutation mean sum to the gap exactly.  Every
+    other trial's net is ``init_params`` of dyadic medoids of both classes,
+    whose cross-class max-plus biases (-k0) keep other-class neurons below
+    the predicted logit throughout: there ``contenders`` must drop a neuron
+    from the walks, which must still telescope exactly.  On a
+    standard-normal net of the same shape a three-permutation mean sums to
+    the gap within 1e-12.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for trial in range(trials):
         n_pix, n_hid = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-        params = dyadic_params(rng, n_pix, n_hid, 2)
+        cross_class = trial % 2 == 1
+        if cross_class:
+            labels = np.concatenate([[0, 1], rng.integers(0, 2, n_hid)])
+            medoids = MedoidSet(rng.integers(0, 5, (labels.size, n_pix)) / 4.0, labels,
+                                np.arange(labels.size))
+            params = init_params(medoids, float(rng.choice([0.5, 1.0, 2.0])))
+        else:
+            params = dyadic_params(rng, n_pix, n_hid, 2)
         x = rng.integers(0, 1025, n_pix) / 1024.0
         gap = _logit_gap(params, x)
+        if cross_class:
+            out_bias = params.maxplus_weights[:, forward(params, x).predicted]
+            kept = contenders(pixel_mins(params, np.full(n_pix, 0.5)), pixel_mins(params, x),
+                              out_bias)
+            _check(kept.size < params.n_hidden, "no neuron pruned on a cross-class net")
         for permutations in (1, 1, 1, 4):
             imap = shapley_sampling(params, x, permutations=permutations,
                                     seed=int(rng.integers(1 << 16)))

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmmx import (ImportanceMap, LmmParams, MedoidSet, NeuronClassing, NumericError,
                   ParameterError, UnsupportedConfigError, forward, init_params,
                   integrated_gradients, pixel_fragility, shapley_sampling)
-
+from lmmx.explain import contenders
+from lmmx.network import pixel_mins
 from lmmx.oracles import (exact_shapley, extended_sensitivity, fragility_bruteforce_flip,
                           path_integral_attribution, sensitivity, slack, walk_deltas)
 from lmmx.selftest import check_fragility_formulas, check_shapley_efficiency, random_params
+
+from strategies import walk_nets
 
 
 @pytest.fixture
@@ -240,6 +245,58 @@ class TestShapleySampling:
 
     def test_efficiency_identity(self):
         check_shapley_efficiency(trials=30, seed=44)
+
+    def test_threshold_tie_keeps_the_neuron(self):
+        # Neuron 0 is pinned at -x0 = -0.5 (pixel 0 never moves), so its upper
+        # bound equals the pruning threshold; neuron 1 (= x1 - 0.75) crosses it.
+        # Dropping neuron 0 would make the baseline logit -0.75 instead of -0.5.
+        w1 = np.array([[0.0, 10.0], [0.0, 10.0], [10.0, 0.0], [10.0, 10.0]])
+        params = LmmParams(np.ones(4), w1, np.array([[0.0, -2.0], [-0.75, -2.0]]))
+        x, baseline = np.array([0.5, 1.0]), np.array([0.5, 0.0])
+        assert forward(params, x).predicted == 0
+        start, end = pixel_mins(params, baseline), pixel_mins(params, x)
+        out_bias = params.maxplus_weights[:, 0]
+        upper = np.maximum(start, end).min(axis=1) + out_bias
+        lower = np.minimum(start, end).min(axis=1) + out_bias
+        assert upper[0] == lower.max() == -0.5
+        got = shapley_sampling(params, x, baseline=baseline, permutations=3, seed=1)
+        assert np.array_equal(got.scores, [0.0, 0.75])
+        assert contenders(start, end, out_bias).tolist() == [0, 1]
+
+    def test_all_but_one_neuron_pruned(self):
+        # one class-0 medoid among class-1 medoids: at init every class-1
+        # neuron sits at least k0 below the class-0 logit on every walk
+        vectors = np.array([[0.25, 0.75, 0.5], [1.0, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        params = init_params(MedoidSet(vectors, np.array([0, 1, 1, 1]), np.arange(4)), 2.0)
+        x = np.array([0.375, 0.5, 0.25])
+        baseline = np.full(3, 0.5)
+        assert forward(params, x).predicted == 0
+        assert contenders(pixel_mins(params, baseline), pixel_mins(params, x),
+                          params.maxplus_weights[:, 0]).tolist() == [0]
+        for seed in range(6):
+            perm = np.random.default_rng(seed).permutation(3)
+            deltas = walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights,
+                                 x, baseline, 0, perm)
+            assert np.array_equal(shapley_sampling(params, x, permutations=1, seed=seed).scores,
+                                  deltas)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pruned_walks_match_direct_evaluation_on_ties(self, data):
+        # tie-heavy dyadic nets: duplicated neurons, pixels equal to the
+        # baseline, and max-plus biases wide enough that neurons get pruned
+        params, (x, baseline) = data.draw(walk_nets())
+        target = forward(params, x).predicted
+        seed = data.draw(st.integers(0, 1 << 16))
+        permutations = data.draw(st.integers(1, 4))
+        perms = np.random.default_rng(seed)
+        expected = np.zeros(params.n_pixels)
+        for _ in range(permutations):
+            expected += walk_deltas(params.scales, params.minplus_weights,
+                                    params.maxplus_weights, x, baseline, target,
+                                    perms.permutation(params.n_pixels))
+        got = shapley_sampling(params, x, baseline=baseline, permutations=permutations, seed=seed)
+        assert np.array_equal(got.scores, expected / permutations)
 
     def test_deterministic(self):
         rng = np.random.default_rng(45)

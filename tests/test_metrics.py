@@ -4,12 +4,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmmx import (ImportanceMap, LmmParams, confusion_matrix, fidelity,
-                  integrated_gradients, pixel_fragility, shapley_sampling, stability,
-                  synth_dataset, timing)
+from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, NumericError,
+                  confusion_matrix, fidelity, integrated_gradients, pixel_fragility,
+                  shapley_sampling, stability, synth_dataset, timing)
 from lmmx.metrics import MetricsReport, accuracy_from_confusion, compute_report
+from lmmx.oracles import deletion_fidelity
+from lmmx.selftest import random_params
 
+from strategies import walk_nets
 
 
 def constant_model(margin=10.0):
@@ -95,6 +100,54 @@ class TestFidelity:
         a = fidelity(params, explainer, test, steps=4, workers=1)
         b = fidelity(params, explainer, test, steps=4, workers=3)
         assert a == b
+
+
+class TestFidelityWalk:
+    """``fidelity`` reads a pixel walk; the reference re-scores every filled image."""
+
+    # steps > P repeats cuts (k * P // steps), the case np.minimum.reduceat
+    # would get wrong: it mis-handles equal consecutive indices
+    @pytest.mark.parametrize("steps", [1, 28, 49, 101])
+    def test_equals_direct_evaluation(self, steps):
+        rng = np.random.default_rng(46)
+        data = synth_dataset(49, 3, rng.uniform(0.2, 0.8, (2, 49)), 0.1, seed=steps)
+        for n_cls in (2, 3):
+            params = random_params(rng, 49, 6, n_cls)
+            params.temperature = 0.7
+            explainers = [random_ranking_explainer(steps),
+                          lambda p, x: integrated_gradients(p, x, steps=10)]
+            if n_cls == 2:
+                explainers.append(lambda p, x: pixel_fragility(p, x))
+            for explainer in explainers:
+                assert fidelity(params, explainer, data, fill=0.25, steps=steps) == \
+                    deletion_fidelity(params, explainer, data, 0.25, steps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_direct_evaluation_on_ties(self, data):
+        # tie-heavy dyadic nets; images and fill on the same grid
+        params, rows = data.draw(walk_nets(n_rows=3))
+        images = Dataset(rows, np.zeros(3, dtype=np.int64))
+        n_pix = params.n_pixels
+        fill = data.draw(st.integers(0, 4)) / 4.0
+        steps = data.draw(st.integers(1, 2 * n_pix + 3))
+        explainer = random_ranking_explainer(data.draw(st.integers(0, 99)))
+        assert fidelity(params, explainer, images, fill=fill, steps=steps) == \
+            deletion_fidelity(params, explainer, images, fill, steps)
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fill_rejected(self, fill, synth_model):
+        params = synth_model["params"]
+        test = synth_model["task"]["test"]
+        with pytest.raises(NumericError):
+            fidelity(params, lambda p, x: pixel_fragility(p, x), test, fill=fill)
+
+    def test_short_ranking_rejected(self, synth_model):
+        params = synth_model["params"]
+        test = synth_model["task"]["test"]
+        explainer = lambda p, x: ImportanceMap(np.zeros(len(x) - 1), "ascending", "short")
+        with pytest.raises(DimensionError):
+            fidelity(params, explainer, test)
 
 
 class TestStability:
