@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all lmmx modules."""
+"""Exception hierarchy shared by all lmmx modules, and their count check."""
+
+import numbers
 
 
 class LmmError(Exception):
@@ -31,3 +33,10 @@ class CalibrationError(LmmError):
 
 class UnsupportedConfigError(LmmError):
     """The operation is not defined for this network configuration."""
+
+
+def require_count(value, name: str) -> int:
+    """``value`` as an int, if it is an integer >= 1; otherwise a ParameterError."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1")
+    return int(value)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, UnsupportedConfigError
-from .network import ForwardTrace, LmmParams, PixelWalk, forward, pixel_mins, tropical_pass
+from .errors import (DimensionError, NumericError, ParameterError, UnsupportedConfigError,
+                     require_count)
+from .network import ForwardTrace, LmmParams, PixelWalk, forward, linear_layer, pixel_mins
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
 DESCENDING = "descending"   # larger |score| = more important (attributions)
@@ -126,35 +127,63 @@ def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50,
     the predicted class, concentrated on that branch's pixel (lowest-index
     winners at kinks).  A midpoint rule with ``steps`` points approximates
     the path integral.
+
+    Only the branches that can win are evaluated along the path.  The
+    points t increase and rounding is monotone, so each min-plus sum
+    lin_i + W1[i, h] lies between its values at the path's two ends.  Those
+    bounds drop the neurons that are not ``contenders`` and, for each kept
+    neuron, every branch whose lower bound exceeds the neuron's upper
+    bound.  The remaining rows keep ``linear_layer``'s float operations and
+    ascending branch order, so the winners, lowest index on ties, are
+    ``tropical_pass``'s bit for bit.
     """
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
+    steps = require_count(steps, "steps")
     x = np.asarray(x, dtype=np.float64)
     baseline = _fill_baseline(params, baseline)
     target = forward(params, x).predicted
     diff = x - baseline
 
     ts = (np.arange(steps) + 0.5) / steps
-    points = baseline[None, :] + ts[:, None] * diff[None, :]
-    active = tropical_pass(params, points)
-    h_star = active.logit_argmax[:, target]                           # (steps,)
-    branch = active.hidden_argmin[np.arange(steps), h_star]
-    grad = np.where(branch % 2 == 0, params.scales[branch], -params.scales[branch])
+    slope = np.where(np.arange(2 * params.n_pixels) % 2 == 0, params.scales, -params.scales)
+    w1 = params.minplus_weights
+    ends = linear_layer(params, baseline + ts[[0, -1], None] * diff)        # (2, 2P)
+    # adding W1 is monotone, so these are the smaller and larger end sums
+    lower = ends.min(axis=0) + w1.T                                        # (H1, 2P)
+    upper = ends.max(axis=0) + w1.T
+    keep = contenders(lower, upper, params.maxplus_weights[:, target])
+    candidate = lower[keep] <= upper[keep].min(axis=1, keepdims=True)       # (K, 2P)
+    used = np.flatnonzero(candidate.any(axis=0))
+    candidate, w1 = candidate[:, used], w1[used]
+    lin = slope[used, None] * (baseline[used // 2, None] + diff[used // 2, None] * ts)
+    cols = np.arange(steps)
+    hidden = np.empty((keep.size, steps))
+    winners = np.empty((keep.size, steps), dtype=np.intp)                 # rows of lin
+    for j, h in enumerate(keep):
+        rows = np.flatnonzero(candidate[j])
+        sums = lin[rows] + w1[rows, h, None]
+        best = np.argmin(sums, axis=0)
+        hidden[j] = sums[best, cols]
+        winners[j] = rows[best]
+    h_star = np.argmax(hidden + params.maxplus_weights[keep, target, None], axis=0)
+    branch = used[winners[h_star, cols]]
     mean_grad = np.zeros(params.n_pixels)
-    np.add.at(mean_grad, branch // 2, grad)
+    np.add.at(mean_grad, branch // 2, slope[branch])
     mean_grad /= steps
     return ImportanceMap(diff * mean_grad, DESCENDING, "intgrad", image_index)
 
 
 def contenders(start: np.ndarray, end: np.ndarray, out_bias: np.ndarray) -> np.ndarray:
-    """Neurons that can attain max_h(g_h + out_bias_h) on a walk between two inputs.
+    """Neurons that can attain max_h(g_h + out_bias_h) anywhere between two ends.
 
-    ``start`` and ``end`` are the inputs' ``pixel_mins`` (H1, P).  Every
-    state of a walk holds each pixel at one of its two values, so g_h lies
-    between min(start, end) and min_p max(start, end) over neuron h's row,
-    and rounding is monotone: a neuron whose upper bound plus its bias
-    falls strictly below the largest lower bound plus bias is strictly
-    below the max in every state.  Ties keep the neuron.
+    ``start`` and ``end`` are (H1, n) rows of min-plus terms, g_h is the min
+    of neuron h's row, and each term may take any value that lies between
+    its ``start`` and ``end`` values: a Shapley walk holds each pixel at one
+    of its two ``pixel_mins``, and each branch sum moves monotonically along
+    the integrated-gradients path.  So g_h lies between min(start, end) and
+    min max(start, end) over its row, and rounding is monotone: a neuron
+    whose upper bound plus its bias falls strictly below the largest lower
+    bound plus bias is strictly below the max everywhere.  Ties keep the
+    neuron.
     """
     upper = np.maximum(start, end).min(axis=1) + out_bias
     lower = np.minimum(start, end).min(axis=1) + out_bias
@@ -175,8 +204,7 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
     ``contenders`` for the predicted logit: the maps are bit-equal to
     walking every neuron.
     """
-    if permutations < 1:
-        raise ParameterError("permutations must be >= 1")
+    permutations = require_count(permutations, "permutations")
     if seed < 0:
         raise ParameterError("seed must be >= 0")
     x = np.asarray(x, dtype=np.float64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionError, NumericError, ParameterError
+from .errors import DataError, DimensionError, NumericError, ParameterError, require_count
 # batch_logits is unused here, but benchmarks/spans.py wraps it under this name
 from .network import (LmmParams, PixelWalk, batch_logits, batch_predict,  # noqa: F401
                       pixel_mins, softmax_rows)
@@ -111,8 +111,7 @@ def fidelity(params: LmmParams, explainer, data: Dataset, fill: float = 0.5,
     the fill, read at the cuts k * P // steps for k = 1..steps; the logits
     are bit-equal to ``batch_logits`` on the partially filled images.
     """
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
+    steps = require_count(steps, "steps")
     if not np.isfinite(fill):
         raise NumericError("fill must be finite")
     n_pix = data.n_pixels
@@ -154,8 +153,7 @@ def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
     """Mean ratio of explanation change to input change under noise."""
     if not 0 < sigma < np.inf:  # false for NaN too
         raise ParameterError("sigma must be finite and > 0")
-    if m < 1:
-        raise ParameterError("m must be >= 1")
+    m = require_count(m, "m")
     if seed < 0:
         raise ParameterError("seed must be >= 0")
     n_pix = data.n_pixels
@@ -183,8 +181,7 @@ def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
 
 def timing(params: LmmParams, explainer, data: Dataset, n: int) -> float:
     """Mean wall-clock seconds per importance map, single-threaded."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = require_count(n, "n")
     n = min(n, data.n_samples)
     start = time.perf_counter()
     for i in range(n):

@@ -158,7 +158,12 @@ def deletion_fidelity(params, explainer, data, fill, steps):
 
 
 def path_integral_attribution(params, x, baseline, target, steps):
-    """Midpoint-rule line integral of the active-path derivative."""
+    """Midpoint-rule line integral of the active-path derivative.
+
+    One ``forward`` per path point, accumulated in path order and divided
+    as diff * (acc / steps), the library's grouping, so the two agree bit
+    for bit.
+    """
     n_pix = len(x)
     diff = x - baseline
     acc = np.zeros(n_pix)
@@ -169,7 +174,7 @@ def path_integral_attribution(params, x, baseline, target, steps):
         branch = trace.hidden_argmin[h_star]
         slope = params.scales[branch] if branch % 2 == 0 else -params.scales[branch]
         acc[branch // 2] += slope
-    return diff * acc / steps
+    return diff * (acc / steps)
 
 
 def sensitivity(params, trace, x, pixel, neuron):

@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the walk tests (Shapley, deletion fidelity, PixelWalk)."""
+"""Hypothesis strategies shared by the walk and path tests (Shapley, deletion fidelity,
+PixelWalk, integrated gradients)."""
 
 import numpy as np
 from hypothesis import strategies as st

@@ -162,7 +162,7 @@ class TestIntegratedGradients:
         params, x, trace = two_medoid_net
         oracle = path_integral_attribution(params, x, np.full(1, 0.5), trace.predicted, 10_000)
         got = integrated_gradients(params, x, steps=10_000)
-        np.testing.assert_allclose(got.scores, oracle, rtol=0, atol=1e-12)
+        assert got.scores.tobytes() == oracle.tobytes()
 
     def test_matches_oracle_on_random_nets(self):
         rng = np.random.default_rng(39)
@@ -173,7 +173,52 @@ class TestIntegratedGradients:
             oracle = path_integral_attribution(params, x, np.full(params.n_pixels, 0.5),
                                                target, 777)
             got = integrated_gradients(params, x, steps=777)
-            np.testing.assert_allclose(got.scores, oracle, rtol=0, atol=1e-12)
+            assert got.scores.tobytes() == oracle.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pruned_path_matches_oracle_on_ties(self, data):
+        # tie-heavy dyadic nets: duplicated neurons and branches, pixels equal
+        # to the baseline, and max-plus biases wide enough to prune neurons
+        params, (x, baseline) = data.draw(walk_nets())
+        steps = data.draw(st.integers(1, 70))
+        target = forward(params, x).predicted
+        oracle = path_integral_attribution(params, x, baseline, target, steps)
+        got = integrated_gradients(params, x, baseline=baseline, steps=steps)
+        assert got.scores.tobytes() == oracle.tobytes()
+
+    def test_branch_at_the_neuron_bound_is_kept(self):
+        # Branch 0 (pixel 0, which never moves) is pinned at 0.875, the
+        # neuron's upper bound, set by branch 2 at the path's last point;
+        # there the two tie and branch 0 wins by index.  Dropping it would
+        # credit pixel 1 with both points: 0.5 instead of 0.25.
+        w1 = np.array([[0.375], [10.0], [0.0], [10.0]])
+        params = LmmParams(np.ones(4), w1, np.array([[0.0, -1.0]]))
+        x, baseline = np.array([0.5, 1.0]), np.array([0.5, 0.5])
+        got = integrated_gradients(params, x, baseline=baseline, steps=2)
+        assert np.array_equal(got.scores, [0.0, 0.25])
+        oracle = path_integral_attribution(params, x, baseline, 0, 2)
+        assert got.scores.tobytes() == oracle.tobytes()
+
+    def test_neuron_at_the_threshold_is_kept(self):
+        # Neuron 0 is pinned at 0.5 (pixel 0 never moves), so its upper bound
+        # equals the pruning threshold, neuron 1's lower bound at the first
+        # point; there the two tie and neuron 0 wins by index.  Dropping it
+        # would credit pixel 1 with both points: 0.5 instead of 0.25.
+        w1 = np.array([[0.0, 10.0], [10.0, 10.0], [10.0, -0.125], [10.0, 10.0]])
+        params = LmmParams(np.ones(4), w1, np.array([[0.0, -5.0], [0.0, -5.0]]))
+        x, baseline = np.array([0.5, 1.0]), np.array([0.5, 0.5])
+        assert forward(params, x).predicted == 0
+        got = integrated_gradients(params, x, baseline=baseline, steps=2)
+        assert np.array_equal(got.scores, [0.0, 0.25])
+        oracle = path_integral_attribution(params, x, baseline, 0, 2)
+        assert got.scores.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("steps", [0, 2.5, 3.0, "50"])
+    def test_steps_must_be_a_positive_integer(self, steps):
+        params = random_params(np.random.default_rng(38), 3, 3, 2)
+        with pytest.raises(ParameterError):
+            integrated_gradients(params, np.full(3, 0.25), steps=steps)
 
     def test_completeness_on_kink_free_paths(self):
         rng = np.random.default_rng(40)
@@ -297,6 +342,12 @@ class TestShapleySampling:
                                     perms.permutation(params.n_pixels))
         got = shapley_sampling(params, x, baseline=baseline, permutations=permutations, seed=seed)
         assert np.array_equal(got.scores, expected / permutations)
+
+    @pytest.mark.parametrize("permutations", [0, 2.5])
+    def test_permutations_must_be_a_positive_integer(self, permutations):
+        params = random_params(np.random.default_rng(41), 3, 3, 2)
+        with pytest.raises(ParameterError):
+            shapley_sampling(params, np.full(3, 0.25), permutations=permutations)
 
     def test_deterministic(self):
         rng = np.random.default_rng(45)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, NumericError,
+from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, NumericError, ParameterError,
                   confusion_matrix, fidelity, integrated_gradients, pixel_fragility,
                   shapley_sampling, stability, synth_dataset, timing)
 from lmmx.metrics import MetricsReport, accuracy_from_confusion, compute_report
@@ -142,6 +142,12 @@ class TestFidelityWalk:
         with pytest.raises(NumericError):
             fidelity(params, lambda p, x: pixel_fragility(p, x), test, fill=fill)
 
+    @pytest.mark.parametrize("steps", [0, 2.5])
+    def test_steps_must_be_a_positive_integer(self, steps, synth_model):
+        test = synth_model["task"]["test"]
+        with pytest.raises(ParameterError):
+            fidelity(synth_model["params"], lambda p, x: pixel_fragility(p, x), test, steps=steps)
+
     def test_short_ranking_rejected(self, synth_model):
         params = synth_model["params"]
         test = synth_model["task"]["test"]
@@ -189,6 +195,12 @@ class TestStability:
         b = stability(params, explainer, test, m=3, seed=2, workers=4)
         assert a == b
 
+    @pytest.mark.parametrize("m", [0, 2.5])
+    def test_m_must_be_a_positive_integer(self, m, synth_model):
+        test = synth_model["task"]["test"]
+        with pytest.raises(ParameterError):
+            stability(synth_model["params"], lambda p, x: pixel_fragility(p, x), test, m=m)
+
     def test_positive_for_input_dependent_maps(self, synth_model):
         params = synth_model["params"]
         test = synth_model["task"]["test"]
@@ -202,6 +214,12 @@ class TestTiming:
         test = synth_model["task"]["test"]
         seconds = timing(params, lambda p, x: pixel_fragility(p, x), test, n=1)
         assert seconds > 0.0
+
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_n_must_be_a_positive_integer(self, n, synth_model):
+        test = synth_model["task"]["test"]
+        with pytest.raises(ParameterError):
+            timing(synth_model["params"], lambda p, x: pixel_fragility(p, x), test, n=n)
 
     def test_fragility_faster_than_shapley(self, synth_model):
         params = synth_model["params"]
