@@ -53,7 +53,7 @@ for name in ("train", "test"):
           f"{accuracy_from_confusion(confusion):.4f}")
 
 for index in (0, 1, 3, 176):
-    imap = pixel_fragility(params, splits["test"].images[index], image_index=index)
+    imap = pixel_fragility(params, splits["test"].images[index])
     out = f"fragility_test{index}.pgm"
     export_map(imap, out, "pgm")
     print(f"fragility map for test[{index}] -> {out}")

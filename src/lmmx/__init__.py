@@ -11,8 +11,7 @@ explainers (:mod:`lmmx.explain`), explanation-quality metrics
 from .data import Dataset, export_map, load_model, load_npz_dataset, save_model, synth_dataset
 from .errors import (CalibrationError, DataError, DimensionError, FormatError, LmmError,
                      NumericError, ParameterError, UnsupportedConfigError)
-from .explain import (ImportanceMap, NeuronClassing, integrated_gradients, pixel_fragility,
-                      shapley_sampling)
+from .explain import ImportanceMap, integrated_gradients, pixel_fragility, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict, select_medoids
 from .metrics import (MetricsReport, compute_report, confusion_matrix, fidelity,
                       stability, timing)
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationError", "DataError", "Dataset", "DimensionError", "FormatError",
     "ForwardTrace", "ImportanceMap", "LmmError", "LmmParams", "MedoidSet",
-    "MetricsReport", "NeuronClassing", "NumericError", "ParameterError",
+    "MetricsReport", "NumericError", "ParameterError",
     "SCALE_FLOOR", "TrainConfig", "UnsupportedConfigError",
     "batch_logits", "batch_predict", "calibrate_temperature", "compute_report",
     "confusion_matrix", "cross_entropy", "export_map", "fidelity", "forward",

@@ -1,9 +1,11 @@
 """Command-line interface wiring the library into reproducible runs.
 
 Subcommands: ``train``, ``evaluate``, ``explain``, ``metrics`` and
-``selftest``.  Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 numeric error.  Every run is fully determined by its flags and seed
-(timing figures in metrics reports excepted, being wall-clock).
+``selftest``.  Exit codes: 0 success, 1 usage error, 2 data/format error
+or a path that cannot be read or written, 3 numeric error; each
+``LmmError`` class names its own.  Every run is fully determined by its
+flags and seed (timing figures in metrics reports excepted, being
+wall-clock).
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import argparse
 import sys
 
 from .data import export_map, load_model, load_npz_dataset, save_model
-from .errors import (CalibrationError, DataError, DimensionError, FormatError,
-                     NumericError, ParameterError, UnsupportedConfigError)
+from .errors import LmmError, ParameterError
 from .explain import integrated_gradients, pixel_fragility, shapley_sampling
 from .medoids import STRATEGIES, init_params, select_medoids
 from .metrics import compute_report, confusion_matrix, accuracy_from_confusion
@@ -50,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr0", type=float, default=0.05)
     p.add_argument("--lr-decay", type=float, default=1e-3)
     p.add_argument("--k-min", type=float, default=1e-6)
-    p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", type=float, default=0.8, help="calibration confidence target")
     p.add_argument("--out", required=True, help="output model file (.lmmp)")
@@ -97,8 +97,7 @@ def _cmd_train(args) -> int:
     medoids = select_medoids(splits["train"], args.h1, args.strategy, args.seed)
     params = init_params(medoids, args.k0)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr0=args.lr0,
-                         lr_decay=args.lr_decay, seed=args.seed, k_min=args.k_min,
-                         shuffle=not args.no_shuffle)
+                         lr_decay=args.lr_decay, seed=args.seed, k_min=args.k_min)
     params, history = train(params, splits["train"], splits["val"], config)
     temperature = calibrate_temperature(params, splits["val"], args.target)
     save_model(params, args.out)
@@ -128,7 +127,6 @@ def _cmd_explain(args) -> int:
                              f"(size {data.n_samples})")
     explainer = _make_explainer(args.method, args.seed, args.ig_steps, args.permutations)
     imap = explainer(params, data.images[args.index])
-    imap.image_index = args.index
     export_map(imap, args.out, "pgm")
     print(f"{args.method} map for {args.split}[{args.index}] written to {args.out}")
     if args.csv:
@@ -174,18 +172,12 @@ def run(argv) -> int:
         if args.command == "selftest":
             return 0 if run_selftest() else 3
         return _HANDLERS[args.command](args)
-    except (ParameterError, UnsupportedConfigError) as exc:
+    except LmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, FormatError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        return exc.exit_code
+    except OSError as exc:  # unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def main() -> None:

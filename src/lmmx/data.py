@@ -184,13 +184,6 @@ def load_model(path) -> LmmParams:
         raise FormatError(f"model file holds invalid parameters: {exc}") from exc
 
 
-def _importance_key(scores: np.ndarray, ordering: str) -> np.ndarray:
-    """Key where larger always means more important."""
-    if ordering == "ascending":
-        return -scores
-    return np.abs(scores)
-
-
 def export_map(imap, path, fmt: str) -> None:
     """Export an importance map as a PGM heatmap or a CSV of raw scores.
 
@@ -211,7 +204,7 @@ def export_map(imap, path, fmt: str) -> None:
     side = math.isqrt(scores.size)
     if side * side != scores.size:
         raise ParameterError(f"PGM export needs a square pixel count, got {scores.size}")
-    key = _importance_key(scores, imap.ordering)
+    key = imap.importance()
     finite = np.isfinite(key)
     out = np.zeros(scores.size, dtype=np.uint8)
     if finite.any():

@@ -37,51 +37,38 @@ class ImportanceMap:
     scores: np.ndarray
     ordering: str            # ASCENDING or DESCENDING
     method: str
-    image_index: int = -1
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.ordering not in (ASCENDING, DESCENDING):
             raise ParameterError(f"unknown ordering '{self.ordering}'")
 
-    def ranking(self) -> np.ndarray:
-        """Pixel indices from most to least important, ties by pixel index.
+    def importance(self) -> np.ndarray:
+        """Per-pixel key where larger means more important.
 
-        Descending maps rank by absolute attribution.
+        Ascending maps negate their scores; descending maps rank by
+        absolute attribution.
         """
-        key = self.scores if self.ordering == ASCENDING else -np.abs(self.scores)
-        return np.argsort(key, kind="stable")
+        return -self.scores if self.ordering == ASCENDING else np.abs(self.scores)
+
+    def ranking(self) -> np.ndarray:
+        """Pixel indices from most to least important, ties by pixel index."""
+        return np.argsort(-self.importance(), kind="stable")
 
 
-@dataclass
-class NeuronClassing:
-    """Each hidden neuron typed by the class of its largest max-plus bias."""
+def extended_sensitivity_matrix(params: LmmParams, trace: ForwardTrace, x, neurons: np.ndarray,
+                                own: np.ndarray) -> np.ndarray:
+    """Extended sensitivities of every pixel against ``neurons``, shape (P, len(neurons)).
 
-    class_of_neuron: np.ndarray  # (H1,) int
-
-    @classmethod
-    def from_params(cls, params: LmmParams) -> "NeuronClassing":
-        return cls(np.argmax(params.maxplus_weights, axis=1))
-
-    def split(self, predicted: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neurons typed to ``predicted``, neurons typed to other classes)."""
-        same = np.nonzero(self.class_of_neuron == predicted)[0]
-        other = np.nonzero(self.class_of_neuron != predicted)[0]
-        return same, other
-
-
-def extended_sensitivity_matrix(params: LmmParams, trace: ForwardTrace, x) -> np.ndarray:
-    """Extended sensitivities for all (pixel, neuron) pairs, shape (P, H1).
-
-    Performs the same arithmetic as the per-entry reference
+    ``own`` is the (H1,) class of every neuron.  Performs the same
+    arithmetic as the per-entry reference
     ``lmmx.oracles.extended_sensitivity``, just vectorized.
     """
     x = np.asarray(x, dtype=np.float64)
-    own = np.argmax(params.maxplus_weights, axis=1)
-    g = trace.hidden
-    s = trace.logits[trace.predicted] - (g + params.maxplus_weights[np.arange(params.n_hidden), own])
-    w1_plus = params.minplus_weights[0::2, :]    # (P, H1)
-    w1_minus = params.minplus_weights[1::2, :]
+    g = trace.hidden[neurons]
+    s = trace.logits[trace.predicted] - (g + params.maxplus_weights[neurons, own[neurons]])
+    w1_plus = params.minplus_weights[0::2, neurons]    # (P, len(neurons))
+    w1_minus = params.minplus_weights[1::2, neurons]
     k_plus = params.scales[0::2][:, None]
     k_minus = params.scales[1::2][:, None]
     term_plus = x[:, None] - ((g - s)[None, :] - w1_plus) / k_plus
@@ -89,22 +76,25 @@ def extended_sensitivity_matrix(params: LmmParams, trace: ForwardTrace, x) -> np
     return np.minimum(term_plus, term_minus)
 
 
-def pixel_fragility(params: LmmParams, x, image_index: int = -1) -> ImportanceMap:
+def pixel_fragility(params: LmmParams, x) -> ImportanceMap:
     """Per-pixel flip margins: min extended sensitivity over opposite neurons.
 
-    Small values flag pixels whose change can flip the binary decision; a
-    pixel scores +inf when no neuron is typed to the opposite class.
+    Each neuron is typed to the class of its largest max-plus bias, lowest
+    index on ties; only the neurons typed to the other class than the
+    predicted one are evaluated.  Small values flag pixels whose change can
+    flip the binary decision; a pixel scores +inf when no neuron is typed
+    to the opposite class.
     """
     if params.n_classes != 2:
         raise UnsupportedConfigError("pixel fragility is defined for binary classifiers only")
     trace = forward(params, x)
-    _, opposite = NeuronClassing.from_params(params).split(trace.predicted)
-    sbar = extended_sensitivity_matrix(params, trace, x)
+    own = np.argmax(params.maxplus_weights, axis=1)
+    opposite = np.flatnonzero(own != trace.predicted)
     if opposite.size == 0:
         scores = np.full(params.n_pixels, np.inf)
     else:
-        scores = np.min(sbar[:, opposite], axis=1)
-    return ImportanceMap(scores, ASCENDING, "fragility", image_index)
+        scores = extended_sensitivity_matrix(params, trace, x, opposite, own).min(axis=1)
+    return ImportanceMap(scores, ASCENDING, "fragility")
 
 
 def _fill_baseline(params: LmmParams, baseline) -> np.ndarray:
@@ -118,8 +108,7 @@ def _fill_baseline(params: LmmParams, baseline) -> np.ndarray:
     return baseline
 
 
-def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50,
-                         image_index: int = -1) -> ImportanceMap:
+def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50) -> ImportanceMap:
     """Integrated gradients of the predicted logit along a straight path.
 
     The derivative at each path point follows the active path: it is the
@@ -169,7 +158,7 @@ def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50,
     mean_grad = np.zeros(params.n_pixels)
     np.add.at(mean_grad, branch // 2, slope[branch])
     mean_grad /= steps
-    return ImportanceMap(diff * mean_grad, DESCENDING, "intgrad", image_index)
+    return ImportanceMap(diff * mean_grad, DESCENDING, "intgrad")
 
 
 def contenders(start: np.ndarray, end: np.ndarray, out_bias: np.ndarray) -> np.ndarray:
@@ -191,7 +180,7 @@ def contenders(start: np.ndarray, end: np.ndarray, out_bias: np.ndarray) -> np.n
 
 
 def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 200,
-                     seed: int = 0, image_index: int = -1) -> ImportanceMap:
+                     seed: int = 0) -> ImportanceMap:
     """Monte-Carlo Shapley values of the predicted logit.
 
     For each sampled pixel permutation, pixels are flipped one by one from
@@ -205,8 +194,7 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
     walking every neuron.
     """
     permutations = require_count(permutations, "permutations")
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
+    seed = require_count(seed, "seed", 0)
     x = np.asarray(x, dtype=np.float64)
     baseline = _fill_baseline(params, baseline)
     target = forward(params, x).predicted
@@ -226,4 +214,4 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
         hidden = walk.hidden(at_base, at_image, perm)             # (H, P + 1)
         logit = np.max(np.add(hidden, out_bias, out=hidden), axis=0)
         scores[perm] += np.diff(logit)
-    return ImportanceMap(scores / permutations, DESCENDING, "shapley", image_index)
+    return ImportanceMap(scores / permutations, DESCENDING, "shapley")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import PIXEL_LEVELS, Dataset
-from .errors import DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError, require_count
 from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
@@ -164,8 +164,8 @@ def select_medoids(train: Dataset, n_medoids: int, strategy: str = "greedy-kmedo
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy '{strategy}' (expected one of {STRATEGIES})")
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
+    n_medoids = require_count(n_medoids, "n_medoids")
+    seed = require_count(seed, "seed", 0)
     n_classes = int(train.labels.max()) + 1
     counts = np.bincount(train.labels, minlength=n_classes)
     if np.any(counts == 0):

@@ -154,8 +154,7 @@ def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
     if not 0 < sigma < np.inf:  # false for NaN too
         raise ParameterError("sigma must be finite and > 0")
     m = require_count(m, "m")
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
+    seed = require_count(seed, "seed", 0)
     n_pix = data.n_pixels
     # one independent, index-keyed stream per image so the schedule cannot
     # change the draws

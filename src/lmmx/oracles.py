@@ -194,6 +194,12 @@ def sensitivity(params, trace, x, pixel, neuron):
                      (w1_minus - g) / k_minus - x[pixel]))
 
 
+def neuron_class(params, neuron):
+    """d(h): the class of neuron h's largest max-plus bias, lowest index on ties."""
+    row = params.maxplus_weights[neuron]
+    return max(range(len(row)), key=lambda d: (row[d], -d))
+
+
 def slack(params, trace, neuron, predicted):
     """Gap z_c - (g_h + W2[h, d(h)]); non-negative when c is the argmax class.
 
@@ -201,7 +207,7 @@ def slack(params, trace, neuron, predicted):
     max defining the logits already dominated, so the subtraction cannot
     round below zero.
     """
-    own = int(np.argmax(params.maxplus_weights[neuron]))
+    own = neuron_class(params, neuron)
     return float(trace.logits[predicted]
                  - (trace.hidden[neuron] + params.maxplus_weights[neuron, own]))
 

@@ -18,11 +18,11 @@ import numpy as np
 
 from .data import load_model, save_model
 from .errors import LmmError
-from .explain import NeuronClassing, contenders, pixel_fragility, shapley_sampling
+from .explain import contenders, pixel_fragility, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
 from .network import ForwardTrace, LmmParams, batch_logits, forward, pixel_mins
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
-                      sensitivity, slack)
+                      neuron_class, sensitivity, slack)
 from .training import subgradient
 
 
@@ -181,8 +181,8 @@ def check_fragility_formulas(trials: int = 200, seed: int = 3) -> None:
                         for p in pixels])
         sens = np.array([[sensitivity(params, trace, x, p, h) for h in neurons] for p in pixels])
         _check(np.all(ext >= sens), "extended sensitivity below sensitivity")
-        _, opposite = NeuronClassing.from_params(params).split(c)
-        expected = ext[:, opposite].min(axis=1) if opposite.size else np.full(len(pixels), np.inf)
+        opposite = [h for h in neurons if neuron_class(params, h) != c]
+        expected = ext[:, opposite].min(axis=1) if opposite else np.full(len(pixels), np.inf)
         _check(np.array_equal(pixel_fragility(params, x).scores, expected),
                "pixel_fragility differs from the per-entry formulas")
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import CalibrationError, DataError, DimensionError, NumericError, ParameterError
+from .errors import (CalibrationError, DataError, DimensionError, NumericError, ParameterError,
+                     require_count)
 from .network import LmmParams, batch_logits, forward, softmax_rows, tropical_pass
 
 
@@ -33,20 +34,16 @@ class TrainConfig:
     lr_decay: float = 1e-3
     seed: int = 0
     k_min: float = 1e-6
-    shuffle: bool = True
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ParameterError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
+        self.epochs = require_count(self.epochs, "epochs", 0)
+        self.batch_size = require_count(self.batch_size, "batch_size")
+        self.seed = require_count(self.seed, "seed", 0)
         # NaN fails every comparison, so these bounds reject it too
         if not 0 < self.lr0 < np.inf:
             raise ParameterError("lr0 must be finite and > 0")
         if not 0 <= self.lr_decay < np.inf:
             raise ParameterError("lr_decay must be finite and >= 0")
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
         if not 0 < self.k_min < np.inf:
             raise ParameterError("k_min must be finite and > 0")
 
@@ -143,7 +140,7 @@ def train(params: LmmParams, train_data: Dataset, val_data: Dataset,
     step = 0
     n = train_data.n_samples
     for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]

@@ -64,6 +64,13 @@ def command_args(command, model, archive, out):
             "--steps", "2", "--m", "1", "--timing-n", "1", "--out", out]
 
 
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lmmx.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def strip_timing(text):
     return "\n".join(line for line in text.splitlines()
                      if not line.startswith("seconds_per_image."))
@@ -303,17 +310,25 @@ class TestUsageAndSelftest:
         args = command_args(command, trained_model, tiny_archive, str(tmp_path / "out"))
         assert run(args + [flag, value]) == 1
 
+    @pytest.mark.parametrize("command, flag", [("train", "--out"), ("metrics", "--out"),
+                                               ("metrics", "--model")])
+    def test_directory_path_is_data_error(self, trained_model, tiny_archive, tmp_path,
+                                          command, flag):
+        args = command_args(command, trained_model, tiny_archive, str(tmp_path / "out"))
+        args[args.index(flag) + 1] = str(tmp_path)
+        proc = subprocess.run([sys.executable, "-m", "lmmx.cli", *args], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == 6
 
     def test_perturbed_oracle_fails_under_python_optimize(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(lmmx.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", _PERTURBED_SELFTEST], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-O", "-c", _PERTURBED_SELFTEST],
+                              env=package_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3, proc.stderr
         assert "selftest forward-vs-bruteforce: FAIL" in proc.stdout
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmmx import (ImportanceMap, LmmParams, MedoidSet, NeuronClassing, NumericError,
-                  ParameterError, UnsupportedConfigError, forward, init_params,
-                  integrated_gradients, pixel_fragility, shapley_sampling)
+from lmmx import (ImportanceMap, LmmParams, MedoidSet, NumericError, ParameterError,
+                  UnsupportedConfigError, forward, init_params, integrated_gradients,
+                  pixel_fragility, shapley_sampling)
 from lmmx.explain import contenders
 from lmmx.network import pixel_mins
 from lmmx.oracles import (exact_shapley, extended_sensitivity, fragility_bruteforce_flip,
-                          path_integral_attribution, sensitivity, slack, walk_deltas)
+                          neuron_class, path_integral_attribution, sensitivity, slack,
+                          walk_deltas)
 from lmmx.selftest import check_fragility_formulas, check_shapley_efficiency, random_params
 
 from strategies import walk_nets
@@ -85,21 +86,6 @@ class TestExtendedSensitivity:
         assert abs(extended_sensitivity(params, trace, x, 0, 1, 0) - 0.2) <= 1e-12
 
 
-class TestNeuronClassing:
-    def test_lowest_index_tie(self):
-        params = LmmParams(np.ones(2), np.zeros((2, 2)),
-                           np.array([[1.0, 1.0], [0.0, 2.0]]))
-        classing = NeuronClassing.from_params(params)
-        assert classing.class_of_neuron.tolist() == [0, 1]
-
-    def test_partition(self):
-        params = LmmParams(np.ones(2), np.zeros((2, 3)),
-                           np.array([[3.0, 0.0], [0.0, 3.0], [2.0, 1.0]]))
-        same, other = NeuronClassing.from_params(params).split(0)
-        assert same.tolist() == [0, 2] and other.tolist() == [1]
-        assert len(set(same) | set(other)) == 3
-
-
 class TestPixelFragility:
     def test_hand_example(self, two_medoid_net):
         params, x, _ = two_medoid_net
@@ -109,6 +95,42 @@ class TestPixelFragility:
 
     def test_matches_per_neuron_recompute_exactly(self):
         check_fragility_formulas(trials=200, seed=36)
+
+    @staticmethod
+    def least_extended_sensitivity(params, x, neurons):
+        trace = forward(params, x)
+        return np.array([min(extended_sensitivity(params, trace, x, p, h, trace.predicted)
+                             for h in neurons) for p in range(params.n_pixels)])
+
+    def test_tied_neuron_is_typed_to_class_0(self):
+        # neuron 0's max-plus biases tie, so it is typed to class 0 and scores
+        # against a class-1 prediction only: both maps read 0.5, where typing
+        # it to class 1 would give 1.0 and 0.0
+        params = LmmParams(np.ones(2), np.array([[1.0, -1.0, 2.0], [1.0, 1.5, -0.5]]),
+                           np.array([[1.0, 1.0], [0.0, 2.0], [2.0, 0.0]]))
+        for x, predicted, opposite in ((0.75, 1, [0, 2]), (0.25, 0, [1])):
+            x = np.array([x])
+            assert forward(params, x).predicted == predicted
+            scores = pixel_fragility(params, x).scores
+            assert np.array_equal(scores, self.least_extended_sensitivity(params, x, opposite))
+
+    def test_same_and_opposite_sets_partition_the_neurons(self):
+        # a class-0 prediction scores exactly the neurons typed 1, a class-1
+        # prediction exactly the rest
+        rng = np.random.default_rng(35)
+        nets = 0
+        while nets < 20:
+            params = random_params(rng, 3, 4, 2)
+            xs = rng.uniform(0, 1, (20, 3))
+            if len({forward(params, x).predicted for x in xs}) < 2:
+                continue
+            nets += 1
+            typed_1 = [h for h in range(4) if neuron_class(params, h) == 1]
+            rest = [h for h in range(4) if h not in typed_1]
+            for x in xs:
+                opposite = typed_1 if forward(params, x).predicted == 0 else rest
+                assert np.array_equal(pixel_fragility(params, x).scores,
+                                      self.least_extended_sensitivity(params, x, opposite))
 
     def test_empty_opposite_set_gives_infinity(self):
         params = LmmParams(np.ones(2), np.zeros((2, 2)),

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from lmmx import (CalibrationError, Dataset, DimensionError, LmmParams, NumericError,
                   ParameterError, TrainConfig, batch_logits, calibrate_temperature, cross_entropy,
-                  forward, subgradient, synth_dataset, train)
+                  forward, pixel_fragility, select_medoids, shapley_sampling, stability,
+                  subgradient, synth_dataset, train)
 from lmmx.training import _apply_batch
 
 from lmmx.oracles import brute_forward
@@ -233,6 +234,28 @@ class TestTrainLoop:
                     {"seed": -1}):
             with pytest.raises(ParameterError):
                 TrainConfig(**bad)
+
+
+# each entry point checks its counts and seeds itself, before numpy or the
+# training loop would fail on them with a bare TypeError
+NON_INTEGRAL_ARGUMENTS = {
+    "TrainConfig-epochs": lambda data, params: TrainConfig(epochs=1.5),
+    "TrainConfig-batch_size": lambda data, params: TrainConfig(batch_size=2.5),
+    "TrainConfig-seed": lambda data, params: TrainConfig(seed=2.5),
+    "select_medoids-n_medoids": lambda data, params: select_medoids(data, 4.5),
+    "select_medoids-seed": lambda data, params: select_medoids(data, 2, seed=2.5),
+    "shapley_sampling-seed": lambda data, params: shapley_sampling(
+        params, data.images[0], permutations=2, seed=2.5),
+    "stability-seed": lambda data, params: stability(params, pixel_fragility, data, m=1,
+                                                     seed=2.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGRAL_ARGUMENTS.values(), ids=NON_INTEGRAL_ARGUMENTS)
+def test_non_integral_counts_and_seeds_are_parameter_errors(call):
+    train_data, _ = two_cluster_task(seed=6, n=20)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call(train_data, random_params(np.random.default_rng(25), 1, 2, 2))
 
 
 class TestCalibration:
