@@ -17,7 +17,7 @@ from .metrics import (MetricsReport, compute_report, confusion_matrix, fidelity,
                       stability, timing)
 from .network import (SCALE_FLOOR, ForwardTrace, LmmParams, batch_logits, batch_predict,
                       forward, linear_layer)
-from .training import TrainConfig, calibrate_temperature, cross_entropy, subgradient, train
+from .training import TrainConfig, calibrate_temperature, subgradient, train
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "MetricsReport", "NumericError", "ParameterError",
     "SCALE_FLOOR", "TrainConfig", "UnsupportedConfigError",
     "batch_logits", "batch_predict", "calibrate_temperature", "compute_report",
-    "confusion_matrix", "cross_entropy", "export_map", "fidelity", "forward",
+    "confusion_matrix", "export_map", "fidelity", "forward",
     "init_params", "integrated_gradients", "linear_layer", "load_model", "load_npz_dataset",
     "nearest_medoid_predict", "pixel_fragility", "save_model", "select_medoids",
     "shapley_sampling", "stability", "subgradient", "synth_dataset", "timing", "train",

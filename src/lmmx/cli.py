@@ -11,6 +11,7 @@ wall-clock).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .data import export_map, load_model, load_npz_dataset, save_model
@@ -85,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permutations", type=int, default=200)
     p.add_argument("--timing-n", type=int, default=20, help="images per timing measurement")
     p.add_argument("--limit", type=int, default=0, help="cap images per split (0 = all)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for metric loops")
     p.add_argument("--out", required=True, help="report file (key/value lines)")
 
     sub.add_parser("selftest", help="run the brute-force oracle suites at small scale")
@@ -144,8 +144,7 @@ def _cmd_metrics(args) -> int:
     explainers = {name: _make_explainer(name, args.seed, args.ig_steps, args.permutations)
                   for name in names}
     report = compute_report(params, data, explainers, steps=args.steps, sigma=args.sigma,
-                            m=args.m, seed=args.seed, timing_images=args.timing_n,
-                            workers=max(1, args.threads))
+                            m=args.m, seed=args.seed, timing_images=args.timing_n)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.key_value_lines()) + "\n")
     print(report.format_table())
@@ -171,6 +170,11 @@ def run(argv) -> int:
     try:
         if args.command == "selftest":
             return 0 if run_selftest() else 3
+        if hasattr(args, "out"):  # fail on an unwritable --out before any work
+            existed = os.path.lexists(args.out)
+            open(args.out, "a", encoding="utf-8").close()  # append mode truncates nothing
+            if not existed:
+                os.remove(args.out)
         return _HANDLERS[args.command](args)
     except LmmError as exc:
         print(f"error: {exc}", file=sys.stderr)

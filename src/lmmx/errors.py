@@ -1,9 +1,10 @@
-"""Exception hierarchy shared by all lmmx modules, and their count check.
+"""Exception hierarchy shared by all lmmx modules, and their argument checks.
 
 Each class names the CLI exit code it maps to: 1 usage, 2 data/format,
 3 numeric.
 """
 
+import math
 import numbers
 
 
@@ -64,3 +65,13 @@ def require_count(value, name: str, floor: int = 1) -> int:
     if not isinstance(value, numbers.Integral) or value < floor:
         raise ParameterError(f"{name} must be an integer >= {floor}")
     return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """``value`` as a float, if it is a finite real number; otherwise a ParameterError.
+
+    Callers check their own range.  ``bool`` is a real type, so True counts as 1.0.
+    """
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite real number")
+    return float(value)

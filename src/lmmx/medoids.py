@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import PIXEL_LEVELS, Dataset
-from .errors import DataError, DimensionError, ParameterError, require_count
+from .errors import DataError, DimensionError, ParameterError, require_count, require_real
 from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
@@ -195,14 +195,15 @@ def init_params(medoids: MedoidSet, k0: float = 1.0) -> LmmParams:
     the negated linear image of medoid h, and the max-plus bias is +k0 for
     the medoid's own class and -k0 otherwise.
     """
-    if not SCALE_FLOOR <= k0 < np.inf:  # false for NaN too
-        raise ParameterError(f"k0 must be finite and >= {SCALE_FLOOR}")
+    k0 = require_real(k0, "k0")
+    if k0 < SCALE_FLOOR:
+        raise ParameterError(f"k0 must be >= {SCALE_FLOOR}")
     n_pix = medoids.vectors.shape[1]
     n_hid = medoids.n_medoids
     n_cls = medoids.n_classes
-    w2 = np.full((n_hid, n_cls), -float(k0))
-    w2[np.arange(n_hid), medoids.labels] = float(k0)
-    params = LmmParams(np.full(2 * n_pix, float(k0)), np.zeros((2 * n_pix, n_hid)), w2)
+    w2 = np.full((n_hid, n_cls), -k0)
+    w2[np.arange(n_hid), medoids.labels] = k0
+    params = LmmParams(np.full(2 * n_pix, k0), np.zeros((2 * n_pix, n_hid)), w2)
     params.minplus_weights = -linear_layer(params, medoids.vectors).T
     return params
 

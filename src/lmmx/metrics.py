@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionError, NumericError, ParameterError, require_count
+from .errors import DataError, DimensionError, ParameterError, require_count, require_real
 # batch_logits is unused here, but benchmarks/spans.py wraps it under this name
 from .network import (LmmParams, PixelWalk, batch_logits, batch_predict,  # noqa: F401
                       pixel_mins, softmax_rows)
@@ -37,12 +37,6 @@ class MetricsReport:
     fidelity: dict = field(default_factory=dict)
     stability: dict = field(default_factory=dict)
     seconds_per_image: dict = field(default_factory=dict)
-
-    def methods(self) -> list[str]:
-        names = list(self.fidelity)
-        for extra in (self.stability, self.seconds_per_image):
-            names += [m for m in extra if m not in names]
-        return names
 
     def key_value_lines(self) -> list[str]:
         """Machine-readable ``metric.method = value`` lines."""
@@ -64,14 +58,12 @@ class MetricsReport:
                 "confusion (rows true, cols predicted):"]
         for row in self.confusion:
             rows.append("  " + "  ".join(f"{int(v):6d}" for v in row))
-        methods = self.methods()
-        if methods:
-            width = max(len(m) for m in methods)
+        if self.fidelity:  # compute_report fills the three tables with the same methods
+            width = max(len(m) for m in self.fidelity)
             rows.append(f"  {'method'.ljust(width)}  {'fidelity':>9}  {'stability':>9}  {'s/image':>9}")
-            for m in methods:
-                cells = [self.fidelity.get(m), self.stability.get(m), self.seconds_per_image.get(m)]
-                text = "  ".join("      ---" if v is None else f"{v:9.4f}" for v in cells)
-                rows.append(f"  {m.ljust(width)}  {text}")
+            for m in self.fidelity:
+                cells = (self.fidelity[m], self.stability[m], self.seconds_per_image[m])
+                rows.append(f"  {m.ljust(width)}  " + "  ".join(f"{v:9.4f}" for v in cells))
         return "\n".join(rows)
 
 
@@ -112,10 +104,9 @@ def fidelity(params: LmmParams, explainer, data: Dataset, fill: float = 0.5,
     are bit-equal to ``batch_logits`` on the partially filled images.
     """
     steps = require_count(steps, "steps")
-    if not np.isfinite(fill):
-        raise NumericError("fill must be finite")
+    fill = require_real(fill, "fill")
     n_pix = data.n_pixels
-    at_fill = pixel_mins(params, np.full(n_pix, float(fill)))
+    at_fill = pixel_mins(params, np.full(n_pix, fill))
     states = np.arange(steps + 1) * n_pix // steps          # the clean image, then each cut
 
     def per_image(i: int) -> np.ndarray:
@@ -151,8 +142,9 @@ def _unit_map(scores: np.ndarray) -> np.ndarray:
 def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
               m: int = 10, seed: int = 0, workers: int = 1) -> float:
     """Mean ratio of explanation change to input change under noise."""
-    if not 0 < sigma < np.inf:  # false for NaN too
-        raise ParameterError("sigma must be finite and > 0")
+    sigma = require_real(sigma, "sigma")
+    if sigma <= 0:
+        raise ParameterError("sigma must be > 0")
     m = require_count(m, "m")
     seed = require_count(seed, "seed", 0)
     n_pix = data.n_pixels

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError, require_real
 
 # Positive floor for the linear scales.  Keeping every scale at or above this
 # value fixes the sign pattern of the linear layer (plus branch strictly
@@ -81,9 +81,9 @@ class LmmParams:
             raise ParameterError("need at least 2 classes")
         if np.any(self.scales < SCALE_FLOOR):
             raise ParameterError(f"all scales must be >= {SCALE_FLOOR}")
-        self.temperature = float(self.temperature)
-        if not np.isfinite(self.temperature) or self.temperature <= 0:
-            raise ParameterError("temperature must be a positive real")
+        self.temperature = require_real(self.temperature, "temperature")
+        if self.temperature <= 0:
+            raise ParameterError("temperature must be > 0")
 
     @property
     def n_pixels(self) -> int:

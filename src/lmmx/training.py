@@ -15,8 +15,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (CalibrationError, DataError, DimensionError, NumericError, ParameterError,
-                     require_count)
-from .network import LmmParams, batch_logits, forward, softmax_rows, tropical_pass
+                     require_count, require_real)
+# forward is unused here, but benchmarks/spans.py wraps it under this name
+from .network import LmmParams, batch_logits, forward, softmax_rows, tropical_pass  # noqa: F401
 
 
 @dataclass
@@ -39,23 +40,12 @@ class TrainConfig:
         self.epochs = require_count(self.epochs, "epochs", 0)
         self.batch_size = require_count(self.batch_size, "batch_size")
         self.seed = require_count(self.seed, "seed", 0)
-        # NaN fails every comparison, so these bounds reject it too
-        if not 0 < self.lr0 < np.inf:
-            raise ParameterError("lr0 must be finite and > 0")
-        if not 0 <= self.lr_decay < np.inf:
-            raise ParameterError("lr_decay must be finite and >= 0")
-        if not 0 < self.k_min < np.inf:
-            raise ParameterError("k_min must be finite and > 0")
-
-
-def cross_entropy(params: LmmParams, x, y: int) -> float:
-    """Negative log-probability of class y at temperature 1."""
-    y = int(y)
-    if not 0 <= y < params.n_classes:
-        raise ParameterError(f"label {y} outside 0..{params.n_classes - 1}")
-    z = forward(params, x).logits
-    m = np.max(z)
-    return float(m + np.log(np.sum(np.exp(z - m))) - z[y])
+        self.lr0 = require_real(self.lr0, "lr0")
+        self.lr_decay = require_real(self.lr_decay, "lr_decay")
+        self.k_min = require_real(self.k_min, "k_min")
+        if self.lr0 <= 0 or self.lr_decay < 0 or self.k_min <= 0:
+            raise ParameterError(f"need lr0 > 0, lr_decay >= 0 and k_min > 0, got {self.lr0}, "
+                                 f"{self.lr_decay} and {self.k_min}")
 
 
 def subgradient(params: LmmParams, images, labels) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -123,7 +113,8 @@ def train(params: LmmParams, train_data: Dataset, val_data: Dataset,
 
     Returns the parameters with the highest validation accuracy seen
     (the initial ones included) and a history dict with per-epoch
-    ``train_loss``, ``train_accuracy`` and ``val_accuracy`` lists.
+    ``train_loss`` (the mean of the epoch's minibatch losses) and
+    ``val_accuracy`` lists; the validation split is the only one evaluated.
     """
     for name, data in (("train", train_data), ("val", val_data)):
         if data.n_pixels != params.n_pixels:
@@ -134,7 +125,7 @@ def train(params: LmmParams, train_data: Dataset, val_data: Dataset,
     params = params.copy()
     best = params.copy()
     best_acc = _accuracy(params, val_data)
-    history = {"train_loss": [], "train_accuracy": [], "val_accuracy": []}
+    history = {"train_loss": [], "val_accuracy": []}
 
     rng = np.random.default_rng(config.seed)
     step = 0
@@ -153,7 +144,6 @@ def train(params: LmmParams, train_data: Dataset, val_data: Dataset,
             loss_sum += loss * rows.size
             step += 1
         history["train_loss"].append(loss_sum / n)
-        history["train_accuracy"].append(_accuracy(params, train_data))
         val_acc = _accuracy(params, val_data)
         history["val_accuracy"].append(val_acc)
         if val_acc > best_acc:
@@ -169,15 +159,14 @@ def calibrate_temperature(params: LmmParams, data: Dataset, target: float = 0.8)
     [-20, 20] is valid; the result is stored in ``params.temperature``.
     """
     n_cls = params.n_classes
+    target = require_real(target, "target")
     if not 1.0 / n_cls < target < 1.0:
         raise ParameterError(f"target must lie in (1/{n_cls}, 1), got {target}")
     logits = batch_logits(params, data.images)
-    predicted = np.argmax(logits, axis=1)
-    rows = np.arange(logits.shape[0])
 
     def mean_confidence(log_t: float) -> float:
-        probs = softmax_rows(logits, float(np.exp(log_t)))
-        return float(np.mean(probs[rows, predicted]))
+        # softmax is monotone, so the row max is the predicted class's probability
+        return float(np.mean(np.max(softmax_rows(logits, float(np.exp(log_t))), axis=1)))
 
     lo, hi = -20.0, 20.0
     tol = 1e-4

@@ -213,18 +213,6 @@ class TestMetrics:
         assert "stability.intgrad = " in reports[0]
         assert "accuracy = " in reports[0]
 
-    def test_threads_flag_changes_nothing(self, trained_model, tiny_archive, tmp_path):
-        outs = []
-        for threads in ("1", "3"):
-            out = tmp_path / f"t{threads}.txt"
-            code = run(["metrics", "--model", trained_model, "--data", tiny_archive,
-                        "--methods", "fragility", "--steps", "4", "--m", "2",
-                        "--seed", "3", "--timing-n", "1", "--threads", threads,
-                        "--out", str(out)])
-            assert code == 0
-            outs.append(strip_timing(out.read_text()))
-        assert outs[0] == outs[1]
-
     def test_limit_caps_images(self, trained_model, tiny_archive, tmp_path):
         out = tmp_path / "lim.txt"
         code = run(["metrics", "--model", trained_model, "--data", tiny_archive,
@@ -320,6 +308,31 @@ class TestUsageAndSelftest:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    @pytest.mark.parametrize("command", ["train", "metrics"])
+    def test_unwritable_out_fails_before_any_work(self, trained_model, tiny_archive, tmp_path,
+                                                  monkeypatch, capsys, command, where):
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before --out was checked")
+
+        monkeypatch.setattr("lmmx.cli.select_medoids", no_work)
+        monkeypatch.setattr("lmmx.cli.compute_report", no_work)
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "out"
+        assert run(command_args(command, trained_model, tiny_archive, str(out))) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_failed_run_leaves_out_as_it_was(self, trained_model, tiny_archive, tmp_path):
+        args = command_args("metrics", trained_model, tiny_archive, "")
+        args[args.index("--model") + 1] = str(tmp_path)   # fails after the --out check
+        kept = tmp_path / "kept.txt"
+        kept.write_text("old report\n")
+        fresh = tmp_path / "fresh.txt"
+        for out in (kept, fresh):
+            args[args.index("--out") + 1] = str(out)
+            assert run(args) == 2
+        assert kept.read_text() == "old report\n"
+        assert not fresh.exists()
 
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, NumericError, ParameterError,
+from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, ParameterError,
                   confusion_matrix, fidelity, integrated_gradients, pixel_fragility,
                   shapley_sampling, stability, synth_dataset, timing)
 from lmmx.metrics import MetricsReport, accuracy_from_confusion, compute_report
@@ -139,7 +139,7 @@ class TestFidelityWalk:
     def test_non_finite_fill_rejected(self, fill, synth_model):
         params = synth_model["params"]
         test = synth_model["task"]["test"]
-        with pytest.raises(NumericError):
+        with pytest.raises(ParameterError, match="finite"):
             fidelity(params, lambda p, x: pixel_fragility(p, x), test, fill=fill)
 
     @pytest.mark.parametrize("steps", [0, 2.5])

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lmmx.training
 from lmmx import (CalibrationError, Dataset, DimensionError, LmmParams, NumericError,
-                  ParameterError, TrainConfig, batch_logits, calibrate_temperature, cross_entropy,
-                  forward, pixel_fragility, select_medoids, shapley_sampling, stability,
-                  subgradient, synth_dataset, train)
+                  ParameterError, TrainConfig, batch_logits, calibrate_temperature, fidelity,
+                  forward, init_params, pixel_fragility, select_medoids, shapley_sampling,
+                  stability, subgradient, synth_dataset, train)
+from lmmx.metrics import accuracy_from_confusion, confusion_matrix
 from lmmx.training import _apply_batch
 
 from lmmx.oracles import brute_forward
@@ -29,36 +31,27 @@ def two_cluster_task(seed, n=200):
 
 
 def medoid_init_1d():
-    from lmmx import MedoidSet, init_params
+    from lmmx import MedoidSet
     med = MedoidSet(np.array([[0.1], [0.9]]), np.array([0, 1]), np.array([0, 1]))
     return init_params(med, 1.0)
 
 
-class TestCrossEntropy:
-    def test_uniform_two_classes(self):
-        params = flat_params()
-        assert abs(cross_entropy(params, np.array([0.0]), 0) - np.log(2)) <= 1e-12
-
-    def test_uniform_three_classes(self):
-        params = flat_params(n_cls=3)
-        assert abs(cross_entropy(params, np.array([0.0]), 2) - np.log(3)) <= 1e-12
-
-    def test_confident_correct_limit(self):
-        params = flat_params()
-        params.maxplus_weights[0] = [60.0, -60.0]
-        assert cross_entropy(params, np.array([0.0]), 0) == 0.0
-
-    def test_ignores_calibrated_temperature(self):
-        params = flat_params()
-        params.temperature = 5.0
-        assert abs(cross_entropy(params, np.array([0.0]), 0) - np.log(2)) <= 1e-12
-
-    def test_label_validation(self):
-        with pytest.raises(ParameterError):
-            cross_entropy(flat_params(), np.array([0.0]), 2)
-
-
 class TestSparseSubgradient:
+    # the loss is taken at temperature 1, so a calibrated temperature leaves it unchanged
+    @pytest.mark.parametrize("n_cls, label, w2, temperature, expected, tol", [
+        (2, 0, [0.0, 0.0], 1.0, np.log(2), 1e-12),
+        (3, 2, [0.0, 0.0, 0.0], 1.0, np.log(3), 1e-12),
+        (2, 0, [60.0, -60.0], 1.0, 0.0, 0.0),
+        (2, 0, [0.0, 0.0], 5.0, np.log(2), 1e-12),
+    ], ids=["uniform_two_classes", "uniform_three_classes", "confident_correct_limit",
+            "ignores_calibrated_temperature"])
+    def test_returned_loss(self, n_cls, label, w2, temperature, expected, tol):
+        params = flat_params(n_cls=n_cls)
+        params.maxplus_weights[0] = w2
+        params.temperature = temperature
+        loss = subgradient(params, np.array([[0.0]]), [label])[0]
+        assert abs(loss - expected) <= tol
+
     def test_hand_worked_example(self):
         params = flat_params()
         x = np.array([0.5])
@@ -115,9 +108,23 @@ class TestSparseSubgradient:
 class TestTrainLoop:
     def test_separable_task_reaches_full_accuracy(self):
         train_data, val_data = two_cluster_task(seed=0)
-        params, history = train(medoid_init_1d(), train_data, val_data,
-                                TrainConfig(epochs=20, batch_size=32, lr0=0.05, seed=0))
-        assert max(history["train_accuracy"]) == 1.0
+        params, _ = train(medoid_init_1d(), train_data, val_data,
+                          TrainConfig(epochs=20, batch_size=32, lr0=0.05, seed=0))
+        assert accuracy_from_confusion(confusion_matrix(params, train_data)) == 1.0
+
+    def test_evaluates_only_the_validation_split(self, monkeypatch):
+        train_data, val_data = two_cluster_task(seed=7)
+        rows = []
+
+        def recorder(params, images):
+            rows.append(images)
+            return batch_logits(params, images)
+
+        monkeypatch.setattr(lmmx.training, "batch_logits", recorder)
+        epochs = 3
+        train(medoid_init_1d(), train_data, val_data, TrainConfig(epochs=epochs, seed=0))
+        assert len(rows) == epochs + 1   # the initial parameters, then once per epoch
+        assert all(np.array_equal(images, val_data.images) for images in rows)
 
     def test_zero_epochs_is_noop(self):
         train_data, val_data = two_cluster_task(seed=1)
@@ -255,6 +262,32 @@ NON_INTEGRAL_ARGUMENTS = {
 def test_non_integral_counts_and_seeds_are_parameter_errors(call):
     train_data, _ = two_cluster_task(seed=6, n=20)
     with pytest.raises(ParameterError, match="must be an integer"):
+        call(train_data, random_params(np.random.default_rng(25), 1, 2, 2))
+
+
+# strings and None reach the range checks as non-numbers; each real argument
+# is checked for a finite number first
+NON_NUMERIC_REALS = {
+    "TrainConfig-lr0": lambda data, params: TrainConfig(lr0="0.1"),
+    "TrainConfig-lr_decay": lambda data, params: TrainConfig(lr_decay=None),
+    "TrainConfig-k_min": lambda data, params: TrainConfig(k_min="1"),
+    "init_params-k0-None": lambda data, params: init_params(select_medoids(data, 2), None),
+    "init_params-k0-str": lambda data, params: init_params(select_medoids(data, 2), "1"),
+    "stability-sigma": lambda data, params: stability(params, pixel_fragility, data, sigma="0.1",
+                                                      m=1),
+    "fidelity-fill-str": lambda data, params: fidelity(params, pixel_fragility, data, fill="0.5"),
+    "fidelity-fill-None": lambda data, params: fidelity(params, pixel_fragility, data, fill=None),
+    "calibrate_temperature-target-str": lambda data, params: calibrate_temperature(params, data,
+                                                                                   "0.8"),
+    "calibrate_temperature-target-None": lambda data, params: calibrate_temperature(params, data,
+                                                                                    None),
+}
+
+
+@pytest.mark.parametrize("call", NON_NUMERIC_REALS.values(), ids=NON_NUMERIC_REALS)
+def test_non_numeric_reals_are_parameter_errors(call):
+    train_data, _ = two_cluster_task(seed=6, n=20)
+    with pytest.raises(ParameterError, match="must be a finite real number"):
         call(train_data, random_params(np.random.default_rng(25), 1, 2, 2))
 
 
