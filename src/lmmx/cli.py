@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr0", type=float, default=0.05)
     p.add_argument("--lr-decay", type=float, default=1e-3)
-    p.add_argument("--k-min", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", type=float, default=0.8, help="calibration confidence target")
     p.add_argument("--out", required=True, help="output model file (.lmmp)")
@@ -97,7 +96,7 @@ def _cmd_train(args) -> int:
     medoids = select_medoids(splits["train"], args.h1, args.strategy, args.seed)
     params = init_params(medoids, args.k0)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr0=args.lr0,
-                         lr_decay=args.lr_decay, seed=args.seed, k_min=args.k_min)
+                         lr_decay=args.lr_decay, seed=args.seed)
     params, history = train(params, splits["train"], splits["val"], config)
     temperature = calibrate_temperature(params, splits["val"], args.target)
     save_model(params, args.out)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError, LmmError, ParameterError
+from .errors import (DataError, DimensionError, FormatError, LmmError, ParameterError,
+                     require_count, require_real)
 from .network import LmmParams
 
 MODEL_MAGIC = b"LMMP"
@@ -120,6 +121,11 @@ def load_npz_dataset(path) -> dict[str, Dataset]:
 def synth_dataset(n_pixels: int, n_per_class: int, centers, noise_sigma: float,
                   seed: int, split: str = "synthetic") -> Dataset:
     """Gaussian blobs around per-class centers, clipped to [0, 1]."""
+    n_per_class = require_count(n_per_class, "n_per_class")
+    noise_sigma = require_real(noise_sigma, "noise_sigma")
+    if noise_sigma < 0:
+        raise ParameterError("noise_sigma must be >= 0")
+    seed = require_count(seed, "seed", 0)
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != n_pixels:
         raise DimensionError(f"centers must have shape (C, {n_pixels}), got {centers.shape}")

@@ -11,9 +11,10 @@ class: how far the pixel must move before an opposite-class neuron can
 reach the winning activation level.
 
 Two model-agnostic baselines are provided for comparison: integrated
-gradients along a straight path from a gray baseline (the per-point
-derivative follows the active path), and a Monte-Carlo permutation
-estimator of Shapley values.
+gradients along a straight path from the gray image (every pixel at
+``GRAY``; the per-point derivative follows the active path), and a
+Monte-Carlo permutation estimator of Shapley values against the same gray
+image.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionError, NumericError, ParameterError, UnsupportedConfigError,
-                     require_count)
-from .network import ForwardTrace, LmmParams, PixelWalk, forward, linear_layer, pixel_mins
+from .errors import ParameterError, UnsupportedConfigError, require_count
+from .network import LmmParams, PixelWalk, forward, linear_layer, pixel_mins
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
 DESCENDING = "descending"   # larger |score| = more important (attributions)
+
+# The one reference image: every pixel of the attribution baseline (intgrad,
+# Shapley) and of the deletion fill (lmmx.metrics.fidelity) is this gray.
+GRAY = 0.5
 
 
 @dataclass
@@ -36,7 +40,6 @@ class ImportanceMap:
 
     scores: np.ndarray
     ordering: str            # ASCENDING or DESCENDING
-    method: str
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -56,26 +59,6 @@ class ImportanceMap:
         return np.argsort(-self.importance(), kind="stable")
 
 
-def extended_sensitivity_matrix(params: LmmParams, trace: ForwardTrace, x, neurons: np.ndarray,
-                                own: np.ndarray) -> np.ndarray:
-    """Extended sensitivities of every pixel against ``neurons``, shape (P, len(neurons)).
-
-    ``own`` is the (H1,) class of every neuron.  Performs the same
-    arithmetic as the per-entry reference
-    ``lmmx.oracles.extended_sensitivity``, just vectorized.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    g = trace.hidden[neurons]
-    s = trace.logits[trace.predicted] - (g + params.maxplus_weights[neurons, own[neurons]])
-    w1_plus = params.minplus_weights[0::2, neurons]    # (P, len(neurons))
-    w1_minus = params.minplus_weights[1::2, neurons]
-    k_plus = params.scales[0::2][:, None]
-    k_minus = params.scales[1::2][:, None]
-    term_plus = x[:, None] - ((g - s)[None, :] - w1_plus) / k_plus
-    term_minus = (s[None, :] + w1_minus - g[None, :]) / k_minus - x[:, None]
-    return np.minimum(term_plus, term_minus)
-
-
 def pixel_fragility(params: LmmParams, x) -> ImportanceMap:
     """Per-pixel flip margins: min extended sensitivity over opposite neurons.
 
@@ -83,33 +66,31 @@ def pixel_fragility(params: LmmParams, x) -> ImportanceMap:
     index on ties; only the neurons typed to the other class than the
     predicted one are evaluated.  Small values flag pixels whose change can
     flip the binary decision; a pixel scores +inf when no neuron is typed
-    to the opposite class.
+    to the opposite class.  The (P, neurons) extended sensitivities perform
+    the same arithmetic as the per-entry reference
+    ``lmmx.oracles.extended_sensitivity``, just vectorized.
     """
     if params.n_classes != 2:
         raise UnsupportedConfigError("pixel fragility is defined for binary classifiers only")
+    x = np.asarray(x, dtype=np.float64)
     trace = forward(params, x)
     own = np.argmax(params.maxplus_weights, axis=1)
     opposite = np.flatnonzero(own != trace.predicted)
     if opposite.size == 0:
-        scores = np.full(params.n_pixels, np.inf)
-    else:
-        scores = extended_sensitivity_matrix(params, trace, x, opposite, own).min(axis=1)
-    return ImportanceMap(scores, ASCENDING, "fragility")
+        return ImportanceMap(np.full(params.n_pixels, np.inf), ASCENDING)
+    g = trace.hidden[opposite]
+    s = trace.logits[trace.predicted] - (g + params.maxplus_weights[opposite, own[opposite]])
+    w1_plus = params.minplus_weights[0::2, opposite]    # (P, len(opposite))
+    w1_minus = params.minplus_weights[1::2, opposite]
+    k_plus = params.scales[0::2][:, None]
+    k_minus = params.scales[1::2][:, None]
+    term_plus = x[:, None] - ((g - s)[None, :] - w1_plus) / k_plus
+    term_minus = (s[None, :] + w1_minus - g[None, :]) / k_minus - x[:, None]
+    return ImportanceMap(np.minimum(term_plus, term_minus).min(axis=1), ASCENDING)
 
 
-def _fill_baseline(params: LmmParams, baseline) -> np.ndarray:
-    if baseline is None:
-        return np.full(params.n_pixels, 0.5)
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if baseline.shape != (params.n_pixels,):
-        raise DimensionError(f"baseline must have length {params.n_pixels}")
-    if not np.all(np.isfinite(baseline)):
-        raise NumericError("baseline contains non-finite values")
-    return baseline
-
-
-def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50) -> ImportanceMap:
-    """Integrated gradients of the predicted logit along a straight path.
+def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap:
+    """Integrated gradients of the predicted logit along a straight path from gray.
 
     The derivative at each path point follows the active path: it is the
     signed scale of the winning linear branch feeding the winning neuron of
@@ -128,7 +109,7 @@ def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50) -
     """
     steps = require_count(steps, "steps")
     x = np.asarray(x, dtype=np.float64)
-    baseline = _fill_baseline(params, baseline)
+    baseline = np.full(params.n_pixels, GRAY)
     target = forward(params, x).predicted
     diff = x - baseline
 
@@ -158,7 +139,7 @@ def integrated_gradients(params: LmmParams, x, baseline=None, steps: int = 50) -
     mean_grad = np.zeros(params.n_pixels)
     np.add.at(mean_grad, branch // 2, slope[branch])
     mean_grad /= steps
-    return ImportanceMap(diff * mean_grad, DESCENDING, "intgrad")
+    return ImportanceMap(diff * mean_grad, DESCENDING)
 
 
 def contenders(start: np.ndarray, end: np.ndarray, out_bias: np.ndarray) -> np.ndarray:
@@ -179,15 +160,15 @@ def contenders(start: np.ndarray, end: np.ndarray, out_bias: np.ndarray) -> np.n
     return np.nonzero(upper >= lower.max())[0]
 
 
-def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 200,
+def shapley_sampling(params: LmmParams, x, permutations: int = 200,
                      seed: int = 0) -> ImportanceMap:
-    """Monte-Carlo Shapley values of the predicted logit.
+    """Monte-Carlo Shapley values of the predicted logit against the gray image.
 
     For each sampled pixel permutation, pixels are flipped one by one from
-    the baseline value to the image value and each pixel is credited with
-    the change of the predicted-class logit it causes; scores average the
-    credits over permutations, so each permutation's credits telescope to
-    z_c(x) - z_c(baseline).
+    ``GRAY`` to the image value and each pixel is credited with the change
+    of the predicted-class logit it causes; scores average the credits over
+    permutations, so each permutation's credits telescope to
+    z_c(x) - z_c(gray image).
 
     Each permutation is one ``PixelWalk`` in O(P * H1), over only the
     ``contenders`` for the predicted logit: the maps are bit-equal to
@@ -196,11 +177,10 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
     x = np.asarray(x, dtype=np.float64)
-    baseline = _fill_baseline(params, baseline)
     target = forward(params, x).predicted
     n_pix = params.n_pixels
 
-    at_base = pixel_mins(params, baseline)
+    at_base = pixel_mins(params, np.full(n_pix, GRAY))
     at_image = pixel_mins(params, x)
     out_bias = params.maxplus_weights[:, target]
     keep = contenders(at_base, at_image, out_bias)
@@ -214,4 +194,4 @@ def shapley_sampling(params: LmmParams, x, baseline=None, permutations: int = 20
         hidden = walk.hidden(at_base, at_image, perm)             # (H, P + 1)
         logit = np.max(np.add(hidden, out_bias, out=hidden), axis=0)
         scores[perm] += np.diff(logit)
-    return ImportanceMap(scores / permutations, DESCENDING, "shapley")
+    return ImportanceMap(scores / permutations, DESCENDING)

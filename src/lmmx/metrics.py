@@ -3,10 +3,11 @@
 Explainers are passed as callables ``(params, x) -> ImportanceMap``.
 
 Deletion fidelity follows the clean image's predicted class: pixels are
-replaced by a fill value in ranking order, ``steps`` equal increments, and
-the calibrated predicted-class probability is averaged over images and
-increments.  Lower is better; a value near the calibration target means
-the ranking never found the decisive pixels.
+replaced by gray (``lmmx.explain.GRAY``, the attributions' baseline) in
+ranking order, ``steps`` equal increments, and the calibrated
+predicted-class probability is averaged over images and increments.
+Lower is better; a value near the calibration target means the ranking
+never found the decisive pixels.
 
 Stability is a normalized local Lipschitz ratio: the mean, over Gaussian
 input perturbations, of the change of the unit-normalized importance map
@@ -23,6 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError, ParameterError, require_count, require_real
+from .explain import GRAY
 # batch_logits is unused here, but benchmarks/spans.py wraps it under this name
 from .network import (LmmParams, PixelWalk, batch_logits, batch_predict,  # noqa: F401
                       pixel_mins, softmax_rows)
@@ -87,7 +89,7 @@ def _map_images(fn, n_images: int, workers: int) -> list:
     """Apply a pure per-image function, optionally on a small thread pool.
 
     Results are collected by image index, so the outcome does not depend
-    on the schedule.
+    on the schedule.  ``workers`` is a count its callers have checked.
     """
     if workers <= 1:
         return [fn(i) for i in range(n_images)]
@@ -95,18 +97,18 @@ def _map_images(fn, n_images: int, workers: int) -> list:
         return list(pool.map(fn, range(n_images)))
 
 
-def fidelity(params: LmmParams, explainer, data: Dataset, fill: float = 0.5,
-             steps: int = 28, workers: int = 1) -> float:
+def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28,
+             workers: int = 1) -> float:
     """Mean calibrated predicted-class probability under ranked deletion.
 
     Deleting pixels in ranking order is a ``PixelWalk`` from the image to
-    the fill, read at the cuts k * P // steps for k = 1..steps; the logits
-    are bit-equal to ``batch_logits`` on the partially filled images.
+    the gray image, read at the cuts k * P // steps for k = 1..steps; the
+    logits are bit-equal to ``batch_logits`` on the partially grayed images.
     """
     steps = require_count(steps, "steps")
-    fill = require_real(fill, "fill")
+    workers = require_count(workers, "workers")
     n_pix = data.n_pixels
-    at_fill = pixel_mins(params, np.full(n_pix, fill))
+    at_gray = pixel_mins(params, np.full(n_pix, GRAY))
     states = np.arange(steps + 1) * n_pix // steps          # the clean image, then each cut
 
     def per_image(i: int) -> np.ndarray:
@@ -115,7 +117,7 @@ def fidelity(params: LmmParams, explainer, data: Dataset, fill: float = 0.5,
         if rank.shape != (n_pix,):
             raise DimensionError(f"explainer ranked {rank.size} pixels, expected {n_pix}")
         walk = PixelWalk(params.n_hidden, n_pix)
-        hidden = walk.hidden(pixel_mins(params, x), at_fill, rank)[:, states]   # (H1, steps + 1)
+        hidden = walk.hidden(pixel_mins(params, x), at_gray, rank)[:, states]   # (H1, steps + 1)
         logits = np.max(hidden.T[:, :, None] + params.maxplus_weights, axis=1)
         target = int(np.argmax(logits[0]))
         probs = softmax_rows(logits[1:], params.temperature)
@@ -147,6 +149,7 @@ def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
         raise ParameterError("sigma must be > 0")
     m = require_count(m, "m")
     seed = require_count(seed, "seed", 0)
+    workers = require_count(workers, "workers")
     n_pix = data.n_pixels
     # one independent, index-keyed stream per image so the schedule cannot
     # change the draws
@@ -181,14 +184,14 @@ def timing(params: LmmParams, explainer, data: Dataset, n: int) -> float:
 
 
 def compute_report(params: LmmParams, data: Dataset, explainers: dict,
-                   fill: float = 0.5, steps: int = 28, sigma: float = 0.05,
-                   m: int = 10, seed: int = 0, timing_images: int = 20,
-                   workers: int = 1) -> MetricsReport:
+                   steps: int = 28, sigma: float = 0.05, m: int = 10, seed: int = 0,
+                   timing_images: int = 20, workers: int = 1) -> MetricsReport:
     """Run every metric for every explainer over one dataset split."""
+    workers = require_count(workers, "workers")
     confusion = confusion_matrix(params, data)
     report = MetricsReport(confusion, accuracy_from_confusion(confusion))
     for name, explainer in explainers.items():
-        report.fidelity[name] = fidelity(params, explainer, data, fill, steps, workers)
+        report.fidelity[name] = fidelity(params, explainer, data, steps, workers)
         report.stability[name] = stability(params, explainer, data, sigma, m, seed, workers)
         report.seconds_per_image[name] = timing(params, explainer, data, timing_images)
     return report

@@ -252,6 +252,7 @@ def batch_predict(params: LmmParams, images: np.ndarray) -> np.ndarray:
 
 def softmax_rows(z, temperature: float) -> np.ndarray:
     """Tempered softmax of logits (C,) or rows (N, C) over the last axis, max-subtracted."""
+    temperature = require_real(temperature, "temperature")
     if temperature <= 0:
         raise ParameterError("temperature must be > 0")
     z = np.asarray(z, dtype=np.float64) / temperature

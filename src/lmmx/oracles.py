@@ -215,7 +215,7 @@ def slack(params, trace, neuron, predicted):
 def extended_sensitivity(params, trace, x, pixel, neuron, predicted):
     """Sensitivity with the neuron's slack granted toward the winning logit.
 
-    The per-entry reference for ``lmmx.explain.extended_sensitivity_matrix``.
+    The per-entry reference for ``lmmx.explain.pixel_fragility``.
     """
     x = np.asarray(x, dtype=np.float64)
     g = float(trace.hidden[neuron])

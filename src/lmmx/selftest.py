@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import load_model, save_model
 from .errors import LmmError
-from .explain import contenders, pixel_fragility, shapley_sampling
+from .explain import GRAY, contenders, pixel_fragility, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
 from .network import ForwardTrace, LmmParams, batch_logits, forward, pixel_mins
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
@@ -211,10 +211,10 @@ def check_fragility_formulas(trials: int = 200, seed: int = 3) -> None:
 
 
 def _logit_gap(params: LmmParams, x) -> float:
-    """z_c(x) - z_c(baseline) for the predicted class c and the 0.5 gray baseline."""
+    """z_c(x) - z_c(gray image) for the predicted class c: the Shapley baseline's gap."""
     trace = forward(params, x)
     target = trace.predicted
-    return trace.logits[target] - forward(params, np.full(x.size, 0.5)).logits[target]
+    return trace.logits[target] - forward(params, np.full(x.size, GRAY)).logits[target]
 
 
 def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
@@ -244,7 +244,7 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
         gap = _logit_gap(params, x)
         if cross_class:
             out_bias = params.maxplus_weights[:, forward(params, x).predicted]
-            kept = contenders(pixel_mins(params, np.full(n_pix, 0.5)), pixel_mins(params, x),
+            kept = contenders(pixel_mins(params, np.full(n_pix, GRAY)), pixel_mins(params, x),
                               out_bias)
             _check(kept.size < params.n_hidden, "no neuron pruned on a cross-class net")
         for permutations in (1, 1, 1, 4):
@@ -283,8 +283,8 @@ SUITES = (
 )
 
 
-def run_selftest(verbose: bool = True) -> bool:
-    """Run every oracle suite; returns True when all pass."""
+def run_selftest() -> bool:
+    """Run every oracle suite, printing one status line each; returns True when all pass."""
     ok = True
     for name, suite in SUITES:
         try:
@@ -293,6 +293,5 @@ def run_selftest(verbose: bool = True) -> bool:
         except (AssertionError, LmmError) as exc:
             status = f"FAIL ({exc})"
             ok = False
-        if verbose:
-            print(f"selftest {name}: {status}", flush=True)
+        print(f"selftest {name}: {status}", flush=True)
     return ok

@@ -17,7 +17,8 @@ from .data import Dataset
 from .errors import (CalibrationError, DataError, DimensionError, NumericError, ParameterError,
                      require_count, require_real)
 # forward is unused here, but benchmarks/spans.py wraps it under this name
-from .network import LmmParams, batch_logits, forward, softmax_rows, tropical_pass  # noqa: F401
+from .network import (SCALE_FLOOR, LmmParams, batch_logits, forward,  # noqa: F401
+                      softmax_rows, tropical_pass)
 
 
 @dataclass
@@ -25,8 +26,8 @@ class TrainConfig:
     """Knobs of the subgradient loop.
 
     The step size follows eta_t = lr0 / sqrt(1 + lr_decay * t) with t the
-    global update counter.  ``k_min`` is the positive floor the linear
-    scales are clamped to after every update.
+    global update counter.  After every update the linear scales are
+    clamped to ``SCALE_FLOOR``, the floor every ``LmmParams`` enforces.
     """
 
     epochs: int = 100
@@ -34,7 +35,6 @@ class TrainConfig:
     lr0: float = 0.05
     lr_decay: float = 1e-3
     seed: int = 0
-    k_min: float = 1e-6
 
     def __post_init__(self):
         self.epochs = require_count(self.epochs, "epochs", 0)
@@ -42,10 +42,9 @@ class TrainConfig:
         self.seed = require_count(self.seed, "seed", 0)
         self.lr0 = require_real(self.lr0, "lr0")
         self.lr_decay = require_real(self.lr_decay, "lr_decay")
-        self.k_min = require_real(self.k_min, "k_min")
-        if self.lr0 <= 0 or self.lr_decay < 0 or self.k_min <= 0:
-            raise ParameterError(f"need lr0 > 0, lr_decay >= 0 and k_min > 0, got {self.lr0}, "
-                                 f"{self.lr_decay} and {self.k_min}")
+        if self.lr0 <= 0 or self.lr_decay < 0:
+            raise ParameterError(f"need lr0 > 0 and lr_decay >= 0, got {self.lr0} and "
+                                 f"{self.lr_decay}")
 
 
 def subgradient(params: LmmParams, images, labels) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -91,14 +90,13 @@ def subgradient(params: LmmParams, images, labels) -> tuple[float, np.ndarray, n
     return loss, g_scales, g_w1, g_w2
 
 
-def _apply_batch(params: LmmParams, images: np.ndarray, labels: np.ndarray,
-                 lr: float, k_min: float) -> float:
+def _apply_batch(params: LmmParams, images: np.ndarray, labels: np.ndarray, lr: float) -> float:
     """One subgradient step on a minibatch; returns the batch mean loss."""
     loss, g_scales, g_w1, g_w2 = subgradient(params, images, labels)
     params.maxplus_weights -= lr * g_w2
     params.minplus_weights -= lr * g_w1
     params.scales -= lr * g_scales
-    np.maximum(params.scales, k_min, out=params.scales)
+    np.maximum(params.scales, SCALE_FLOOR, out=params.scales)
     return loss
 
 
@@ -138,7 +136,7 @@ def train(params: LmmParams, train_data: Dataset, val_data: Dataset,
             lr = config.lr0 / np.sqrt(1.0 + config.lr_decay * step)
             try:
                 loss = _apply_batch(params, train_data.images[rows],
-                                    train_data.labels[rows], lr, config.k_min)
+                                    train_data.labels[rows], lr)
             except NumericError as exc:
                 raise NumericError(f"{exc} (epoch {epoch}, batch {start // config.batch_size})") from exc
             loss_sum += loss * rows.size

@@ -98,7 +98,7 @@ def test_c09_fidelity_ordering(pneumonia_model, pneumonia_splits):
         "intgrad": lambda p, x: integrated_gradients(p, x, steps=50),
         "shapley": lambda p, x: shapley_sampling(p, x, permutations=200, seed=0),
     }
-    values = {name: fidelity(params, fn, test, fill=0.5, steps=28)
+    values = {name: fidelity(params, fn, test, steps=28)
               for name, fn in explainers.items()}
     assert values["fragility"] < values["intgrad"]
     assert values["shapley"] < values["intgrad"]

@@ -291,8 +291,7 @@ class TestUsageAndSelftest:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--k0", "nan"), ("train", "--k0", "inf"), ("train", "--lr0", "nan"),
-        ("train", "--lr0", "inf"), ("train", "--lr-decay", "nan"), ("train", "--k-min", "nan"),
-        ("metrics", "--sigma", "nan")])
+        ("train", "--lr0", "inf"), ("train", "--lr-decay", "nan"), ("metrics", "--sigma", "nan")])
     def test_non_finite_flag_is_usage_error(self, trained_model, tiny_archive, tmp_path,
                                             command, flag, value):
         args = command_args(command, trained_model, tiny_archive, str(tmp_path / "out"))

@@ -222,7 +222,7 @@ class TestExportMap:
         return w, h, np.frombuffer(pixels, dtype=np.uint8)
 
     def test_constant_map_is_midgray(self, tmp_path):
-        imap = ImportanceMap(np.full(9, 2.5), "ascending", "fragility")
+        imap = ImportanceMap(np.full(9, 2.5), "ascending")
         path = tmp_path / "map.pgm"
         export_map(imap, path, "pgm")
         w, h, pix = self.read_pgm(path)
@@ -232,7 +232,7 @@ class TestExportMap:
     def test_ascending_minimum_is_brightest(self, tmp_path):
         scores = np.full(9, 4.0)
         scores[4] = 0.5  # most fragile pixel
-        imap = ImportanceMap(scores, "ascending", "fragility")
+        imap = ImportanceMap(scores, "ascending")
         path = tmp_path / "map.pgm"
         export_map(imap, path, "pgm")
         _, _, pix = self.read_pgm(path)
@@ -240,7 +240,7 @@ class TestExportMap:
         assert np.all(pix[np.arange(9) != 4] == 0)
 
     def test_descending_uses_magnitude(self, tmp_path):
-        imap = ImportanceMap(np.array([-5.0, 3.0, 0.0, 1.0]), "descending", "shapley")
+        imap = ImportanceMap(np.array([-5.0, 3.0, 0.0, 1.0]), "descending")
         path = tmp_path / "map.pgm"
         export_map(imap, path, "pgm")
         _, _, pix = self.read_pgm(path)
@@ -248,7 +248,7 @@ class TestExportMap:
 
     def test_infinite_scores_map_to_zero(self, tmp_path):
         scores = np.array([np.inf, 1.0, 2.0, np.inf])
-        imap = ImportanceMap(scores, "ascending", "fragility")
+        imap = ImportanceMap(scores, "ascending")
         path = tmp_path / "map.pgm"
         export_map(imap, path, "pgm")
         _, _, pix = self.read_pgm(path)
@@ -256,12 +256,12 @@ class TestExportMap:
         assert pix[1] == 255 and pix[2] == 0
 
     def test_non_square_rejected(self, tmp_path):
-        imap = ImportanceMap(np.zeros(10), "ascending", "fragility")
+        imap = ImportanceMap(np.zeros(10), "ascending")
         with pytest.raises(ParameterError):
             export_map(imap, tmp_path / "map.pgm", "pgm")
 
     def test_unknown_format_rejected(self, tmp_path):
-        imap = ImportanceMap(np.zeros(4), "ascending", "fragility")
+        imap = ImportanceMap(np.zeros(4), "ascending")
         with pytest.raises(ParameterError):
             export_map(imap, tmp_path / "map.bin", "png")
 
@@ -269,7 +269,7 @@ class TestExportMap:
         rng = np.random.default_rng(5)
         scores = rng.normal(0, 1, 7)
         scores[3] = np.inf
-        imap = ImportanceMap(scores, "ascending", "fragility")
+        imap = ImportanceMap(scores, "ascending")
         path = tmp_path / "map.csv"
         export_map(imap, path, "csv")
         lines = path.read_text().strip().split("\n")

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmmx import (ImportanceMap, LmmParams, MedoidSet, NumericError, ParameterError,
-                  UnsupportedConfigError, forward, init_params, integrated_gradients,
-                  pixel_fragility, shapley_sampling)
-from lmmx.explain import contenders
+from lmmx import (ImportanceMap, LmmParams, MedoidSet, ParameterError, UnsupportedConfigError,
+                  forward, init_params, integrated_gradients, pixel_fragility, shapley_sampling)
+from lmmx.explain import GRAY, contenders
 from lmmx.network import pixel_mins
 from lmmx.oracles import (exact_shapley, extended_sensitivity, fragility_bruteforce_flip,
                           neuron_class, path_integral_attribution, sensitivity, slack,
@@ -170,19 +169,13 @@ class TestIntegratedGradients:
     def test_zero_at_baseline(self):
         rng = np.random.default_rng(38)
         params = random_params(rng, 3, 3, 2)
-        imap = integrated_gradients(params, np.full(3, 0.5))
+        imap = integrated_gradients(params, np.full(3, GRAY))
         assert np.array_equal(imap.scores, np.zeros(3))
         assert imap.ordering == "descending"
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_baseline_rejected(self, bad):
-        params = random_params(np.random.default_rng(38), 3, 3, 2)
-        with pytest.raises(NumericError):
-            integrated_gradients(params, np.full(3, 0.25), baseline=[0.5, bad, 0.5])
-
     def test_matches_line_integral_oracle(self, two_medoid_net):
         params, x, trace = two_medoid_net
-        oracle = path_integral_attribution(params, x, np.full(1, 0.5), trace.predicted, 10_000)
+        oracle = path_integral_attribution(params, x, np.full(1, GRAY), trace.predicted, 10_000)
         got = integrated_gradients(params, x, steps=10_000)
         assert got.scores.tobytes() == oracle.tobytes()
 
@@ -192,7 +185,7 @@ class TestIntegratedGradients:
             params = random_params(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2)
             x = rng.uniform(0, 1, params.n_pixels)
             target = forward(params, x).predicted
-            oracle = path_integral_attribution(params, x, np.full(params.n_pixels, 0.5),
+            oracle = path_integral_attribution(params, x, np.full(params.n_pixels, GRAY),
                                                target, 777)
             got = integrated_gradients(params, x, steps=777)
             assert got.scores.tobytes() == oracle.tobytes()
@@ -202,11 +195,11 @@ class TestIntegratedGradients:
     def test_pruned_path_matches_oracle_on_ties(self, data):
         # tie-heavy dyadic nets: duplicated neurons and branches, pixels equal
         # to the baseline, and max-plus biases wide enough to prune neurons
-        params, (x, baseline) = data.draw(walk_nets())
+        params, (x,) = data.draw(walk_nets(n_rows=1))
         steps = data.draw(st.integers(1, 70))
         target = forward(params, x).predicted
-        oracle = path_integral_attribution(params, x, baseline, target, steps)
-        got = integrated_gradients(params, x, baseline=baseline, steps=steps)
+        oracle = path_integral_attribution(params, x, np.full(params.n_pixels, GRAY), target, steps)
+        got = integrated_gradients(params, x, steps=steps)
         assert got.scores.tobytes() == oracle.tobytes()
 
     def test_branch_at_the_neuron_bound_is_kept(self):
@@ -216,10 +209,10 @@ class TestIntegratedGradients:
         # credit pixel 1 with both points: 0.5 instead of 0.25.
         w1 = np.array([[0.375], [10.0], [0.0], [10.0]])
         params = LmmParams(np.ones(4), w1, np.array([[0.0, -1.0]]))
-        x, baseline = np.array([0.5, 1.0]), np.array([0.5, 0.5])
-        got = integrated_gradients(params, x, baseline=baseline, steps=2)
+        x = np.array([0.5, 1.0])
+        got = integrated_gradients(params, x, steps=2)
         assert np.array_equal(got.scores, [0.0, 0.25])
-        oracle = path_integral_attribution(params, x, baseline, 0, 2)
+        oracle = path_integral_attribution(params, x, np.full(2, GRAY), 0, 2)
         assert got.scores.tobytes() == oracle.tobytes()
 
     def test_neuron_at_the_threshold_is_kept(self):
@@ -229,11 +222,11 @@ class TestIntegratedGradients:
         # would credit pixel 1 with both points: 0.5 instead of 0.25.
         w1 = np.array([[0.0, 10.0], [10.0, 10.0], [10.0, -0.125], [10.0, 10.0]])
         params = LmmParams(np.ones(4), w1, np.array([[0.0, -5.0], [0.0, -5.0]]))
-        x, baseline = np.array([0.5, 1.0]), np.array([0.5, 0.5])
+        x = np.array([0.5, 1.0])
         assert forward(params, x).predicted == 0
-        got = integrated_gradients(params, x, baseline=baseline, steps=2)
+        got = integrated_gradients(params, x, steps=2)
         assert np.array_equal(got.scores, [0.0, 0.25])
-        oracle = path_integral_attribution(params, x, baseline, 0, 2)
+        oracle = path_integral_attribution(params, x, np.full(2, GRAY), 0, 2)
         assert got.scores.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("steps", [0, 2.5, 3.0, "50"])
@@ -248,7 +241,7 @@ class TestIntegratedGradients:
         while checked < 30:
             params = random_params(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2)
             x = rng.uniform(0, 1, params.n_pixels)
-            baseline = np.full(params.n_pixels, 0.5)
+            baseline = np.full(params.n_pixels, GRAY)
             target = forward(params, x).predicted
             # keep only paths whose active pair never switches
             pairs = set()
@@ -268,20 +261,14 @@ class TestShapleySampling:
     def test_zero_at_baseline(self):
         rng = np.random.default_rng(41)
         params = random_params(rng, 3, 3, 2)
-        imap = shapley_sampling(params, np.full(3, 0.5), permutations=5, seed=0)
+        imap = shapley_sampling(params, np.full(3, GRAY), permutations=5, seed=0)
         assert np.array_equal(imap.scores, np.zeros(3))
-
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_baseline_rejected(self, bad):
-        params = random_params(np.random.default_rng(41), 3, 3, 2)
-        with pytest.raises(NumericError):
-            shapley_sampling(params, np.full(3, 0.25), baseline=[0.5, 0.5, bad], permutations=5)
 
     def test_two_pixel_exact_enumeration(self):
         rng = np.random.default_rng(42)
         params = random_params(rng, 2, 3, 2)
         x = rng.uniform(0, 1, 2)
-        baseline = np.full(2, 0.5)
+        baseline = np.full(2, GRAY)
         target = forward(params, x).predicted
         oracle = exact_shapley(params.scales, params.minplus_weights,
                                params.maxplus_weights, x, baseline, target)
@@ -301,7 +288,7 @@ class TestShapleySampling:
         for _ in range(20):
             params = random_params(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)), 2)
             x = rng.uniform(0, 1, params.n_pixels)
-            baseline = np.full(params.n_pixels, 0.5)
+            baseline = np.full(params.n_pixels, GRAY)
             target = forward(params, x).predicted
             seed = int(rng.integers(1 << 16))
             got = shapley_sampling(params, x, permutations=1, seed=seed)
@@ -315,19 +302,20 @@ class TestShapleySampling:
 
     def test_threshold_tie_keeps_the_neuron(self):
         # Neuron 0 is pinned at -x0 = -0.5 (pixel 0 never moves), so its upper
-        # bound equals the pruning threshold; neuron 1 (= x1 - 0.75) crosses it.
-        # Dropping neuron 0 would make the baseline logit -0.75 instead of -0.5.
+        # bound equals the pruning threshold; neuron 1 (= x1 - 1.25) crosses it.
+        # Dropping neuron 0 would make the gray logit -0.75 instead of -0.5 and
+        # credit pixel 1 with 0.5 instead of 0.25.
         w1 = np.array([[0.0, 10.0], [0.0, 10.0], [10.0, 0.0], [10.0, 10.0]])
-        params = LmmParams(np.ones(4), w1, np.array([[0.0, -2.0], [-0.75, -2.0]]))
-        x, baseline = np.array([0.5, 1.0]), np.array([0.5, 0.0])
+        params = LmmParams(np.ones(4), w1, np.array([[0.0, -2.0], [-1.25, -2.0]]))
+        x = np.array([0.5, 1.0])
         assert forward(params, x).predicted == 0
-        start, end = pixel_mins(params, baseline), pixel_mins(params, x)
+        start, end = pixel_mins(params, np.full(2, GRAY)), pixel_mins(params, x)
         out_bias = params.maxplus_weights[:, 0]
         upper = np.maximum(start, end).min(axis=1) + out_bias
         lower = np.minimum(start, end).min(axis=1) + out_bias
         assert upper[0] == lower.max() == -0.5
-        got = shapley_sampling(params, x, baseline=baseline, permutations=3, seed=1)
-        assert np.array_equal(got.scores, [0.0, 0.75])
+        got = shapley_sampling(params, x, permutations=3, seed=1)
+        assert np.array_equal(got.scores, [0.0, 0.25])
         assert contenders(start, end, out_bias).tolist() == [0, 1]
 
     def test_all_but_one_neuron_pruned(self):
@@ -336,7 +324,7 @@ class TestShapleySampling:
         vectors = np.array([[0.25, 0.75, 0.5], [1.0, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         params = init_params(MedoidSet(vectors, np.array([0, 1, 1, 1]), np.arange(4)), 2.0)
         x = np.array([0.375, 0.5, 0.25])
-        baseline = np.full(3, 0.5)
+        baseline = np.full(3, GRAY)
         assert forward(params, x).predicted == 0
         assert contenders(pixel_mins(params, baseline), pixel_mins(params, x),
                           params.maxplus_weights[:, 0]).tolist() == [0]
@@ -352,7 +340,8 @@ class TestShapleySampling:
     def test_pruned_walks_match_direct_evaluation_on_ties(self, data):
         # tie-heavy dyadic nets: duplicated neurons, pixels equal to the
         # baseline, and max-plus biases wide enough that neurons get pruned
-        params, (x, baseline) = data.draw(walk_nets())
+        params, (x,) = data.draw(walk_nets(n_rows=1))
+        baseline = np.full(params.n_pixels, GRAY)
         target = forward(params, x).predicted
         seed = data.draw(st.integers(0, 1 << 16))
         permutations = data.draw(st.integers(1, 4))
@@ -362,7 +351,7 @@ class TestShapleySampling:
             expected += walk_deltas(params.scales, params.minplus_weights,
                                     params.maxplus_weights, x, baseline, target,
                                     perms.permutation(params.n_pixels))
-        got = shapley_sampling(params, x, baseline=baseline, permutations=permutations, seed=seed)
+        got = shapley_sampling(params, x, permutations=permutations, seed=seed)
         assert np.array_equal(got.scores, expected / permutations)
 
     @pytest.mark.parametrize("permutations", [0, 2.5])
@@ -382,13 +371,13 @@ class TestShapleySampling:
 
 class TestImportanceMapRanking:
     def test_ascending_ranks_small_first(self):
-        imap = ImportanceMap(np.array([3.0, 1.0, 2.0, 1.0]), "ascending", "fragility")
+        imap = ImportanceMap(np.array([3.0, 1.0, 2.0, 1.0]), "ascending")
         assert imap.ranking().tolist() == [1, 3, 2, 0]
 
     def test_descending_ranks_by_magnitude(self):
-        imap = ImportanceMap(np.array([-5.0, 3.0, 0.0, 5.0]), "descending", "shapley")
+        imap = ImportanceMap(np.array([-5.0, 3.0, 0.0, 5.0]), "descending")
         assert imap.ranking().tolist() == [0, 3, 1, 2]
 
     def test_ordering_validated(self):
         with pytest.raises(ParameterError):
-            ImportanceMap(np.zeros(3), "sideways", "fragility")
+            ImportanceMap(np.zeros(3), "sideways")

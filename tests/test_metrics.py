@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, ParameterError,
                   confusion_matrix, fidelity, integrated_gradients, pixel_fragility,
                   shapley_sampling, stability, synth_dataset, timing)
+from lmmx.explain import GRAY
 from lmmx.metrics import MetricsReport, accuracy_from_confusion, compute_report
 from lmmx.oracles import deletion_fidelity
 from lmmx.selftest import random_params
@@ -27,7 +28,7 @@ def constant_model(margin=10.0):
 def random_ranking_explainer(seed):
     def explain(params, x):
         rng = np.random.default_rng(seed)
-        return ImportanceMap(rng.permutation(len(x)).astype(float), "ascending", "random")
+        return ImportanceMap(rng.permutation(len(x)).astype(float), "ascending")
     return explain
 
 
@@ -75,7 +76,7 @@ class TestFidelity:
         def oracle(params_, x):
             scores = np.arange(1, n_pix + 1, dtype=float)
             scores[5] = 0.0  # the informative pixel ranks first
-            return ImportanceMap(scores, "ascending", "oracle")
+            return ImportanceMap(scores, "ascending")
 
         oracle_fid = fidelity(params, oracle, data, steps=n_pix)
         random_fids = [fidelity(params, random_ranking_explainer(s), data, steps=n_pix)
@@ -119,28 +120,19 @@ class TestFidelityWalk:
             if n_cls == 2:
                 explainers.append(lambda p, x: pixel_fragility(p, x))
             for explainer in explainers:
-                assert fidelity(params, explainer, data, fill=0.25, steps=steps) == \
-                    deletion_fidelity(params, explainer, data, 0.25, steps)
+                assert fidelity(params, explainer, data, steps=steps) == \
+                    deletion_fidelity(params, explainer, data, GRAY, steps)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_equals_direct_evaluation_on_ties(self, data):
-        # tie-heavy dyadic nets; images and fill on the same grid
+        # tie-heavy dyadic nets; images and the gray fill on the same grid
         params, rows = data.draw(walk_nets(n_rows=3))
         images = Dataset(rows, np.zeros(3, dtype=np.int64))
-        n_pix = params.n_pixels
-        fill = data.draw(st.integers(0, 4)) / 4.0
-        steps = data.draw(st.integers(1, 2 * n_pix + 3))
+        steps = data.draw(st.integers(1, 2 * params.n_pixels + 3))
         explainer = random_ranking_explainer(data.draw(st.integers(0, 99)))
-        assert fidelity(params, explainer, images, fill=fill, steps=steps) == \
-            deletion_fidelity(params, explainer, images, fill, steps)
-
-    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
-    def test_non_finite_fill_rejected(self, fill, synth_model):
-        params = synth_model["params"]
-        test = synth_model["task"]["test"]
-        with pytest.raises(ParameterError, match="finite"):
-            fidelity(params, lambda p, x: pixel_fragility(p, x), test, fill=fill)
+        assert fidelity(params, explainer, images, steps=steps) == \
+            deletion_fidelity(params, explainer, images, GRAY, steps)
 
     @pytest.mark.parametrize("steps", [0, 2.5])
     def test_steps_must_be_a_positive_integer(self, steps, synth_model):
@@ -151,7 +143,7 @@ class TestFidelityWalk:
     def test_short_ranking_rejected(self, synth_model):
         params = synth_model["params"]
         test = synth_model["task"]["test"]
-        explainer = lambda p, x: ImportanceMap(np.zeros(len(x) - 1), "ascending", "short")
+        explainer = lambda p, x: ImportanceMap(np.zeros(len(x) - 1), "ascending")
         with pytest.raises(DimensionError):
             fidelity(params, explainer, test)
 
@@ -160,7 +152,7 @@ class TestStability:
     def test_constant_map_gives_zero(self, synth_model):
         params = synth_model["params"]
         test = synth_model["task"]["test"]
-        explainer = lambda p, x: ImportanceMap(np.full(len(x), 3.3), "ascending", "const")
+        explainer = lambda p, x: ImportanceMap(np.full(len(x), 3.3), "ascending")
         assert stability(params, explainer, test, m=4, seed=0) == 0.0
 
     def test_rescaling_invariance_is_exact(self, synth_model):
@@ -171,7 +163,7 @@ class TestStability:
 
         def rescaled(p, x):
             imap = pixel_fragility(p, x)
-            return ImportanceMap(4.0 * imap.scores, imap.ordering, imap.method)
+            return ImportanceMap(4.0 * imap.scores, imap.ordering)
 
         a = stability(params, base, test, m=4, seed=5)
         b = stability(params, rescaled, test, m=4, seed=5)
@@ -244,6 +236,23 @@ class TestReport:
         assert "stability.fragility = " in joined
         assert "seconds_per_image.fragility = " in joined
         assert "confusion.0.0 = " in joined
+
+    # nan workers once built a pool that starts no thread, so pool.map waited
+    # forever; every function checks the count before any pool exists
+    @pytest.mark.parametrize("workers", [np.nan, 2.5, "3"])
+    def test_workers_must_be_a_count(self, workers, synth_model, monkeypatch):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a thread pool was built for a bad worker count")
+
+        monkeypatch.setattr("lmmx.metrics.ThreadPoolExecutor", no_pool)
+        params, test = synth_model["params"], synth_model["task"]["test"]
+        explainer = lambda p, x: pixel_fragility(p, x)
+        for call in (lambda: fidelity(params, explainer, test, steps=2, workers=workers),
+                     lambda: stability(params, explainer, test, m=1, workers=workers),
+                     lambda: compute_report(params, test, {"fragility": explainer}, steps=2,
+                                            m=1, timing_images=1, workers=workers)):
+            with pytest.raises(ParameterError, match="workers"):
+                call()
 
     def test_table_mentions_methods(self):
         report = MetricsReport(np.array([[3, 0], [1, 2]]), 5 / 6,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmmx.training
-from lmmx import (CalibrationError, Dataset, DimensionError, LmmParams, NumericError,
-                  ParameterError, TrainConfig, batch_logits, calibrate_temperature, fidelity,
+from lmmx import (SCALE_FLOOR, CalibrationError, Dataset, DimensionError, LmmParams,
+                  NumericError, ParameterError, TrainConfig, batch_logits, calibrate_temperature,
                   forward, init_params, pixel_fragility, select_medoids, shapley_sampling,
                   stability, subgradient, synth_dataset, train)
 from lmmx.metrics import accuracy_from_confusion, confusion_matrix
@@ -147,9 +147,9 @@ class TestTrainLoop:
 
     def test_scales_stay_clamped(self):
         train_data, val_data = two_cluster_task(seed=3)
-        cfg = TrainConfig(epochs=3, batch_size=8, lr0=50.0, seed=0, k_min=1e-6)
+        cfg = TrainConfig(epochs=3, batch_size=8, lr0=50.0, seed=0)
         params, _ = train(medoid_init_1d(), train_data, val_data, cfg)
-        assert params.scales.min() >= 1e-6
+        assert params.scales.min() >= SCALE_FLOOR
 
     def test_loss_decreases_over_first_epoch(self):
         wins = 0
@@ -173,8 +173,7 @@ class TestTrainLoop:
             for start in range(0, train_data.n_samples, cfg.batch_size):
                 rows = order[start:start + cfg.batch_size]
                 lr = cfg.lr0 / np.sqrt(1.0 + cfg.lr_decay * step)
-                _apply_batch(trained, train_data.images[rows], train_data.labels[rows],
-                             lr, cfg.k_min)
+                _apply_batch(trained, train_data.images[rows], train_data.labels[rows], lr)
                 step += 1
             if full_loss(trained) < before:
                 wins += 1
@@ -212,9 +211,10 @@ class TestTrainLoop:
                 assert np.all(grad[off_path] == 0.0)
 
         stepped = params.copy()
-        _apply_batch(stepped, images, labels, 0.5, 1e-6)
+        _apply_batch(stepped, images, labels, 0.5)
         g_scales, g_w1, g_w2 = batched
-        assert np.array_equal(stepped.scales, np.maximum(params.scales - 0.5 * g_scales, 1e-6))
+        assert np.array_equal(stepped.scales,
+                              np.maximum(params.scales - 0.5 * g_scales, SCALE_FLOOR))
         assert np.array_equal(stepped.minplus_weights, params.minplus_weights - 0.5 * g_w1)
         assert np.array_equal(stepped.maxplus_weights, params.maxplus_weights - 0.5 * g_w2)
 
@@ -237,8 +237,7 @@ class TestTrainLoop:
             TrainConfig(epochs=-1)
         with pytest.raises(ParameterError):
             TrainConfig(batch_size=0)
-        for bad in ({"lr0": 0.0}, {"lr0": np.nan}, {"lr_decay": np.inf}, {"k_min": np.nan},
-                    {"seed": -1}):
+        for bad in ({"lr0": 0.0}, {"lr0": np.nan}, {"lr_decay": np.inf}, {"seed": -1}):
             with pytest.raises(ParameterError):
                 TrainConfig(**bad)
 
@@ -270,13 +269,10 @@ def test_non_integral_counts_and_seeds_are_parameter_errors(call):
 NON_NUMERIC_REALS = {
     "TrainConfig-lr0": lambda data, params: TrainConfig(lr0="0.1"),
     "TrainConfig-lr_decay": lambda data, params: TrainConfig(lr_decay=None),
-    "TrainConfig-k_min": lambda data, params: TrainConfig(k_min="1"),
     "init_params-k0-None": lambda data, params: init_params(select_medoids(data, 2), None),
     "init_params-k0-str": lambda data, params: init_params(select_medoids(data, 2), "1"),
     "stability-sigma": lambda data, params: stability(params, pixel_fragility, data, sigma="0.1",
                                                       m=1),
-    "fidelity-fill-str": lambda data, params: fidelity(params, pixel_fragility, data, fill="0.5"),
-    "fidelity-fill-None": lambda data, params: fidelity(params, pixel_fragility, data, fill=None),
     "calibrate_temperature-target-str": lambda data, params: calibrate_temperature(params, data,
                                                                                    "0.8"),
     "calibrate_temperature-target-None": lambda data, params: calibrate_temperature(params, data,
