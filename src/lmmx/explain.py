@@ -19,6 +19,7 @@ image.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +161,41 @@ def contenders(start: np.ndarray, end: np.ndarray, out_bias: np.ndarray) -> np.n
     return np.nonzero(upper >= lower.max())[0]
 
 
+# Shapley permutations are drawn and walked this many at a time, so a call
+# holds at most this many rows of P indices whatever its permutation count.
+_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=4)
+def _first_block(seed: int, n_pix: int) -> tuple[np.ndarray, dict]:
+    """The first ``_BLOCK`` draws of ``default_rng(seed).permutation(n_pix)``.
+
+    Returned read-only, with the generator state after them.  Every
+    ``shapley_sampling`` call of one ``lmmx metrics`` run uses one seed, so
+    all calls after the first read their permutations from here.  An entry
+    holds 256 * P indices, 1.6 MB at P = 784.
+    """
+    rng = np.random.default_rng(seed)
+    block = np.stack([rng.permutation(n_pix) for _ in range(_BLOCK)])
+    block.flags.writeable = False
+    return block, rng.bit_generator.state
+
+
+def _permutation_blocks(seed: int, n_pix: int, count: int):
+    """The first ``count`` draws of ``default_rng(seed).permutation(n_pix)``, in blocks.
+
+    Draws are sequential, so the first k do not depend on ``count``: the
+    memoized first block serves a prefix, and later blocks resume from the
+    state saved after it.
+    """
+    block, state = _first_block(seed, n_pix)
+    yield block[:count]
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.state = state
+    for start in range(_BLOCK, count, _BLOCK):
+        yield np.stack([rng.permutation(n_pix) for _ in range(min(_BLOCK, count - start))])
+
+
 def shapley_sampling(params: LmmParams, x, permutations: int = 200,
                      seed: int = 0) -> ImportanceMap:
     """Monte-Carlo Shapley values of the predicted logit against the gray image.
@@ -168,11 +204,18 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     ``GRAY`` to the image value and each pixel is credited with the change
     of the predicted-class logit it causes; scores average the credits over
     permutations, so each permutation's credits telescope to
-    z_c(x) - z_c(gray image).
+    z_c(x) - z_c(gray image).  The permutations are the first
+    ``permutations`` draws of ``default_rng(seed).permutation(P)``.
 
-    Each permutation is one ``PixelWalk`` in O(P * H1), over only the
-    ``contenders`` for the predicted logit: the maps are bit-equal to
-    walking every neuron.
+    Each permutation is one ``PixelWalk`` over only the ``contenders`` for
+    the predicted logit, and over only the candidate pixels of those
+    neurons.  In every walk state neuron h holds one of each pixel's two
+    ``pixel_mins``, so its activation never exceeds its bound
+    min_p max(start, end).  A pixel whose smaller term exceeds the bound of
+    every kept neuron never sets a kept neuron's min, so it is left out of
+    the walk and credited an exact +0.0; ties keep the pixel.  The other
+    pixels keep their order and the states' float operations, so the maps
+    are bit-equal to walking every neuron over every pixel.
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
@@ -185,13 +228,20 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     out_bias = params.maxplus_weights[:, target]
     keep = contenders(at_base, at_image, out_bias)
     at_base, at_image, out_bias = at_base[keep], at_image[keep], out_bias[keep, None]
+    bound = np.maximum(at_base, at_image).min(axis=1, keepdims=True)
+    used = (np.minimum(at_base, at_image) <= bound).any(axis=0)
+    cols = np.flatnonzero(used)
+    at_base, at_image = at_base[:, cols], at_image[:, cols]
+    slot = np.cumsum(used) - 1                   # pixel -> its column among ``cols``
 
-    rng = np.random.default_rng(seed)
-    walk = PixelWalk(keep.size, n_pix)
+    walk = PixelWalk(keep.size, cols.size)
+    credits = np.zeros(cols.size)
+    for block in _permutation_blocks(seed, n_pix, permutations):
+        for order in slot[block[used[block]]].reshape(len(block), cols.size):
+            hidden = walk.hidden(at_base, at_image, order)    # (H, cols + 1)
+            logit = np.max(np.add(hidden, out_bias, out=hidden), axis=0)
+            credits[order] += np.diff(logit)
     scores = np.zeros(n_pix)
-    for _ in range(permutations):
-        perm = rng.permutation(n_pix)
-        hidden = walk.hidden(at_base, at_image, perm)             # (H, P + 1)
-        logit = np.max(np.add(hidden, out_bias, out=hidden), axis=0)
-        scores[perm] += np.diff(logit)
-    return ImportanceMap(scores / permutations, DESCENDING)
+    scores[cols] = credits / permutations
+    return ImportanceMap(scores, DESCENDING)
+

@@ -22,7 +22,7 @@ from .explain import GRAY, contenders, pixel_fragility, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
 from .network import ForwardTrace, LmmParams, batch_logits, forward, pixel_mins
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
-                      neuron_class, sensitivity, slack)
+                      neuron_class, sensitivity, slack, walk_deltas)
 from .training import subgradient
 
 
@@ -221,13 +221,17 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
     """Shapley credits telescope to the predicted logit's gap from the baseline.
 
     On dyadic nets and inputs every float operation is exact, so each single
-    permutation and a four-permutation mean sum to the gap exactly.  Every
-    other trial's net is ``init_params`` of dyadic medoids of both classes,
-    whose cross-class max-plus biases (-k0) keep other-class neurons below
-    the predicted logit throughout: there ``contenders`` must drop a neuron
-    from the walks, which must still telescope exactly.  On a
-    standard-normal net of the same shape a three-permutation mean sums to
-    the gap within 1e-12.
+    permutation and a four-permutation mean sum to the gap exactly, and
+    each single-permutation map equals ``walk_deltas``' direct evaluation
+    byte for byte: a wrongly pruned pixel would still telescope, because
+    its credit moves to the next walked pixel.  Every other trial's net is
+    ``init_params`` of dyadic medoids of both classes, whose cross-class
+    max-plus biases (-k0) keep other-class neurons below the predicted
+    logit throughout: there ``contenders`` must drop a neuron from the
+    walks.  Its inputs lie on the medoids' k / 4 grid, so pixels tie with
+    the gray baseline and with the medoids, and some pixel's smaller term
+    meets a kept neuron's bound.  On a standard-normal net of the same
+    shape a three-permutation mean sums to the gap within 1e-12.
     """
     rng = np.random.default_rng(seed)
     for trial in range(trials):
@@ -240,17 +244,24 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
             params = init_params(medoids, float(rng.choice([0.5, 1.0, 2.0])))
         else:
             params = dyadic_params(rng, n_pix, n_hid, 2)
-        x = rng.integers(0, 1025, n_pix) / 1024.0
+        x = rng.integers(0, 5, n_pix) / 4.0 if cross_class else rng.integers(0, 1025, n_pix) / 1024.0
         gap = _logit_gap(params, x)
+        baseline = np.full(n_pix, GRAY)
+        target = forward(params, x).predicted
         if cross_class:
-            out_bias = params.maxplus_weights[:, forward(params, x).predicted]
-            kept = contenders(pixel_mins(params, np.full(n_pix, GRAY)), pixel_mins(params, x),
-                              out_bias)
+            kept = contenders(pixel_mins(params, baseline), pixel_mins(params, x),
+                              params.maxplus_weights[:, target])
             _check(kept.size < params.n_hidden, "no neuron pruned on a cross-class net")
         for permutations in (1, 1, 1, 4):
-            imap = shapley_sampling(params, x, permutations=permutations,
-                                    seed=int(rng.integers(1 << 16)))
+            perm_seed = int(rng.integers(1 << 16))
+            imap = shapley_sampling(params, x, permutations=permutations, seed=perm_seed)
             _check(imap.scores.sum() == gap, "dyadic Shapley credits do not telescope exactly")
+            if permutations == 1:
+                deltas = walk_deltas(params.scales, params.minplus_weights,
+                                     params.maxplus_weights, x, baseline, target,
+                                     np.random.default_rng(perm_seed).permutation(n_pix))
+                _check(imap.scores.tobytes() == deltas.tobytes(),
+                       "a Shapley map differs from direct evaluation of its walk")
         params = random_params(rng, n_pix, n_hid, 2)
         x = rng.uniform(0, 1, n_pix)
         imap = shapley_sampling(params, x, permutations=3, seed=int(rng.integers(1 << 16)))

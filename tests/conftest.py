@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from lmmx import (TrainConfig, calibrate_temperature, init_params, load_npz_dataset,
+from lmmx import (Dataset, TrainConfig, calibrate_temperature, init_params, load_npz_dataset,
                   select_medoids, synth_dataset, train)
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,6 +49,28 @@ def pneumonia_model(pneumonia_splits):
     elapsed = time.perf_counter() - start
     calibrate_temperature(params, pneumonia_splits["val"], 0.8)
     return {"params": params, "history": history, "train_seconds": elapsed}
+
+
+@pytest.fixture(scope="session")
+def gapped_task():
+    """Factory of a separable one-pixel task that the medoid init gets wrong.
+
+    ``gapped_task(seed)`` returns (train, val), 100 images per class each:
+    class 0 uniform on [0.1, 0.3], class 1 on [0.4, 1.0].  One medoid per
+    class puts the nearest-medoid boundary midway between them, near 0.45,
+    so the init misclassifies the class-1 images below it on both splits;
+    only training can move the boundary into the gap.
+    """
+    def make(seed):
+        rng = np.random.default_rng(seed)
+
+        def split(name):
+            x = np.concatenate([rng.uniform(0.1, 0.3, 100), rng.uniform(0.4, 1.0, 100)])
+            return Dataset(x[:, None], np.repeat([0, 1], 100), split=name)
+
+        return split("train"), split("val")
+
+    return make
 
 
 def make_image_task(seed=0, n_pixels=16, n_per_class=80, noise=0.08):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lmmx import (ImportanceMap, LmmParams, MedoidSet, ParameterError, UnsupportedConfigError,
                   forward, init_params, integrated_gradients, pixel_fragility, shapley_sampling)
+from lmmx import explain
 from lmmx.explain import GRAY, contenders
 from lmmx.network import pixel_mins
 from lmmx.oracles import (exact_shapley, extended_sensitivity, fragility_bruteforce_flip,
@@ -335,6 +336,33 @@ class TestShapleySampling:
             assert np.array_equal(shapley_sampling(params, x, permutations=1, seed=seed).scores,
                                   deltas)
 
+    def test_pixel_at_a_bound_stays_in_the_walk(self):
+        # One neuron.  Pixel 0 sits at the baseline, so both its terms are 0.5,
+        # which is the neuron's bound min_p max(start, end) = min(0.5, 0.75).
+        # Pixel 1 moves its term from 0.25 to 0.75 and is credited
+        # min(0.5, 0.75) - 0.25; leaving pixel 0 out would credit 0.75 - 0.25.
+        w1 = np.array([[0.0], [10.0], [-0.25], [10.0]])
+        params = LmmParams(np.ones(4), w1, np.array([[0.0, -1.0]]))
+        x = np.array([0.5, 1.0])
+        start, end = pixel_mins(params, np.full(2, GRAY)), pixel_mins(params, x)
+        assert np.minimum(start, end)[0, 0] == np.maximum(start, end).min() == 0.5
+        for seed in range(3):
+            got = shapley_sampling(params, x, permutations=1, seed=seed)
+            assert got.scores.tobytes() == np.array([0.0, 0.25]).tobytes()
+
+    def test_pixel_above_every_bound_scores_positive_zero(self):
+        # Both neurons are kept (bounds 1.0 and 0.75).  Pixel 1's terms are at
+        # least 3.0 in both, so it never sets a min and is credited +0.0.
+        w1 = np.array([[0.0, -0.25], [10.0, 10.0], [2.0, 2.25], [10.0, 10.0]])
+        params = LmmParams(np.ones(4), w1, np.array([[0.0, -1.0], [0.0, -1.0]]))
+        x = np.array([1.0, 1.0])
+        start, end = pixel_mins(params, np.full(2, GRAY)), pixel_mins(params, x)
+        assert contenders(start, end, params.maxplus_weights[:, 0]).tolist() == [0, 1]
+        assert np.all(np.minimum(start, end)[:, 1] > np.maximum(start, end).min(axis=1))
+        for permutations in (1, 2, 5):
+            got = shapley_sampling(params, x, permutations=permutations, seed=permutations)
+            assert got.scores.tobytes() == np.array([0.5, 0.0]).tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_pruned_walks_match_direct_evaluation_on_ties(self, data):
@@ -367,6 +395,42 @@ class TestShapleySampling:
         a = shapley_sampling(params, x, permutations=10, seed=3)
         b = shapley_sampling(params, x, permutations=10, seed=3)
         assert np.array_equal(a.scores, b.scores)
+
+
+class TestShapleyPermutationMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        explain._first_block.cache_clear()
+        yield
+        explain._first_block.cache_clear()
+
+    @pytest.mark.parametrize("counts", [(1, 200, 300), (300, 200, 100, 1)])
+    def test_maps_equal_fresh_draws_in_any_call_order(self, counts):
+        # 300 permutations cross the first block's edge, and 100 after 200
+        # reads a prefix.  The dyadic net's credits depend on the order (11
+        # distinct maps among 60 single permutations); pixel 3 is never walked.
+        rng = np.random.default_rng(81)
+        params = LmmParams(np.ones(12), rng.integers(-2, 3, (12, 4)) / 8,
+                           rng.integers(-1, 2, (4, 2)) / 8)
+        x = rng.integers(0, 9, 6) / 8.0
+        baseline = np.full(6, GRAY)
+        target = forward(params, x).predicted
+        seed = 7
+        for permutations in counts:
+            perms = np.random.default_rng(seed)
+            expected = np.zeros(6)
+            for _ in range(permutations):
+                expected += walk_deltas(params.scales, params.minplus_weights,
+                                        params.maxplus_weights, x, baseline, target,
+                                        perms.permutation(6))
+            got = shapley_sampling(params, x, permutations=permutations, seed=seed)
+            assert got.scores.tobytes() == (expected / permutations).tobytes()
+        assert explain._first_block.cache_info().misses == 1   # drawn once per seed
+
+    def test_memoized_block_is_read_only(self):
+        block, _ = explain._first_block(0, 5)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
 
 
 class TestImportanceMapRanking:

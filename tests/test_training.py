@@ -106,10 +106,12 @@ class TestSparseSubgradient:
 
 
 class TestTrainLoop:
-    def test_separable_task_reaches_full_accuracy(self):
-        train_data, val_data = two_cluster_task(seed=0)
-        params, _ = train(medoid_init_1d(), train_data, val_data,
-                          TrainConfig(epochs=20, batch_size=32, lr0=0.05, seed=0))
+    def test_separable_task_reaches_full_accuracy(self, gapped_task):
+        train_data, val_data = gapped_task(1000)
+        init = init_params(select_medoids(train_data, 2, "greedy-kmedoids", seed=0), 1.0)
+        assert accuracy_from_confusion(confusion_matrix(init, train_data)) < 1.0
+        params, _ = train(init, train_data, val_data,
+                          TrainConfig(epochs=20, batch_size=8, lr0=0.4, seed=0))
         assert accuracy_from_confusion(confusion_matrix(params, train_data)) == 1.0
 
     def test_evaluates_only_the_validation_split(self, monkeypatch):
