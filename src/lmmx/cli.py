@@ -135,9 +135,11 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    if args.limit < 0:
+        raise ParameterError(f"--limit must be >= 0 (0 = all images), got {args.limit}")
     params = load_model(args.model)
     data = load_npz_dataset(args.data)[args.split]
-    if args.limit > 0 and args.limit < data.n_samples:
+    if 0 < args.limit < data.n_samples:
         data = type(data)(data.images[:args.limit], data.labels[:args.limit], data.split)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     explainers = {name: _make_explainer(name, args.seed, args.ig_steps, args.permutations)
@@ -169,11 +171,12 @@ def run(argv) -> int:
     try:
         if args.command == "selftest":
             return 0 if run_selftest() else 3
-        if hasattr(args, "out"):  # fail on an unwritable --out before any work
-            existed = os.path.lexists(args.out)
-            open(args.out, "a", encoding="utf-8").close()  # append mode truncates nothing
+        # fail on an unwritable --out or --csv before any work
+        for path in filter(None, (getattr(args, "out", None), getattr(args, "csv", None))):
+            existed = os.path.lexists(path)
+            open(path, "a", encoding="utf-8").close()  # append mode truncates nothing
             if not existed:
-                os.remove(args.out)
+                os.remove(path)
         return _HANDLERS[args.command](args)
     except LmmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,12 +101,11 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
 
     Only the branches that can win are evaluated along the path.  The
     points t increase and rounding is monotone, so each min-plus sum
-    lin_i + W1[i, h] lies between its values at the path's two ends.  Those
-    bounds drop the neurons that are not ``contenders`` and, for each kept
-    neuron, every branch whose lower bound exceeds the neuron's upper
-    bound.  The remaining rows keep ``linear_layer``'s float operations and
-    ascending branch order, so the winners, lowest index on ties, are
-    ``tropical_pass``'s bit for bit.
+    lin_i + W1[i, h] lies between its values at the path's two ends, and
+    ``prune`` keeps, for each neuron that can win, the branches that can
+    set its min.  The remaining rows keep ``linear_layer``'s float
+    operations and ascending branch order, so the winners, lowest index on
+    ties, are ``tropical_pass``'s bit for bit.
     """
     steps = require_count(steps, "steps")
     x = np.asarray(x, dtype=np.float64)
@@ -118,13 +117,9 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     slope = np.where(np.arange(2 * params.n_pixels) % 2 == 0, params.scales, -params.scales)
     w1 = params.minplus_weights
     ends = linear_layer(params, baseline + ts[[0, -1], None] * diff)        # (2, 2P)
-    # adding W1 is monotone, so these are the smaller and larger end sums
-    lower = ends.min(axis=0) + w1.T                                        # (H1, 2P)
-    upper = ends.max(axis=0) + w1.T
-    keep = contenders(lower, upper, params.maxplus_weights[:, target])
-    candidate = lower[keep] <= upper[keep].min(axis=1, keepdims=True)       # (K, 2P)
-    used = np.flatnonzero(candidate.any(axis=0))
-    candidate, w1 = candidate[:, used], w1[used]
+    keep, used, candidate = prune(ends[0] + w1.T, ends[1] + w1.T,
+                                  params.maxplus_weights[:, target])
+    w1 = w1[used]
     lin = slope[used, None] * (baseline[used // 2, None] + diff[used // 2, None] * ts)
     cols = np.arange(steps)
     hidden = np.empty((keep.size, steps))
@@ -143,22 +138,30 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     return ImportanceMap(diff * mean_grad, DESCENDING)
 
 
-def contenders(start: np.ndarray, end: np.ndarray, out_bias: np.ndarray) -> np.ndarray:
-    """Neurons that can attain max_h(g_h + out_bias_h) anywhere between two ends.
+def prune(start: np.ndarray, end: np.ndarray,
+          out_bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The neurons and terms that can set max_h(g_h + out_bias_h) between two ends.
 
     ``start`` and ``end`` are (H1, n) rows of min-plus terms, g_h is the min
     of neuron h's row, and each term may take any value that lies between
     its ``start`` and ``end`` values: a Shapley walk holds each pixel at one
     of its two ``pixel_mins``, and each branch sum moves monotonically along
     the integrated-gradients path.  So g_h lies between min(start, end) and
-    min max(start, end) over its row, and rounding is monotone: a neuron
-    whose upper bound plus its bias falls strictly below the largest lower
-    bound plus bias is strictly below the max everywhere.  Ties keep the
-    neuron.
+    its bound min max(start, end) over its row, and rounding is monotone: a
+    neuron whose bound plus its bias falls strictly below the largest lower
+    end plus bias is strictly below the max everywhere, and a term whose
+    smaller end exceeds its neuron's bound never sets that neuron's min.
+    Ties keep the neuron and the term.
+
+    Returns the kept neurons, the columns holding a candidate term of some
+    kept neuron, and the (kept, columns) candidate mask.
     """
-    upper = np.maximum(start, end).min(axis=1) + out_bias
-    lower = np.minimum(start, end).min(axis=1) + out_bias
-    return np.nonzero(upper >= lower.max())[0]
+    low, high = np.minimum(start, end), np.maximum(start, end)
+    bound = high.min(axis=1)
+    keep = np.flatnonzero(bound + out_bias >= (low.min(axis=1) + out_bias).max())
+    candidate = low[keep] <= bound[keep, None]
+    cols = np.flatnonzero(candidate.any(axis=0))
+    return keep, cols, candidate[:, cols]
 
 
 # Shapley permutations are drawn and walked this many at a time, so a call
@@ -207,13 +210,11 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     z_c(x) - z_c(gray image).  The permutations are the first
     ``permutations`` draws of ``default_rng(seed).permutation(P)``.
 
-    Each permutation is one ``PixelWalk`` over only the ``contenders`` for
-    the predicted logit, and over only the candidate pixels of those
-    neurons.  In every walk state neuron h holds one of each pixel's two
-    ``pixel_mins``, so its activation never exceeds its bound
-    min_p max(start, end).  A pixel whose smaller term exceeds the bound of
-    every kept neuron never sets a kept neuron's min, so it is left out of
-    the walk and credited an exact +0.0; ties keep the pixel.  The other
+    Each permutation is one ``PixelWalk`` over only the neurons and pixels
+    that ``prune`` keeps for the predicted logit: in every walk state
+    neuron h holds one of each pixel's two ``pixel_mins``.  A pixel that is
+    a candidate of no kept neuron never sets a kept neuron's min, so it is
+    left out of the walk and credited an exact +0.0.  The other
     pixels keep their order and the states' float operations, so the maps
     are bit-equal to walking every neuron over every pixel.
     """
@@ -225,19 +226,17 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
 
     at_base = pixel_mins(params, np.full(n_pix, GRAY))
     at_image = pixel_mins(params, x)
-    out_bias = params.maxplus_weights[:, target]
-    keep = contenders(at_base, at_image, out_bias)
-    at_base, at_image, out_bias = at_base[keep], at_image[keep], out_bias[keep, None]
-    bound = np.maximum(at_base, at_image).min(axis=1, keepdims=True)
-    used = (np.minimum(at_base, at_image) <= bound).any(axis=0)
-    cols = np.flatnonzero(used)
-    at_base, at_image = at_base[:, cols], at_image[:, cols]
-    slot = np.cumsum(used) - 1                   # pixel -> its column among ``cols``
+    keep, cols, _ = prune(at_base, at_image, params.maxplus_weights[:, target])
+    at_base, at_image = at_base[np.ix_(keep, cols)], at_image[np.ix_(keep, cols)]
+    out_bias = params.maxplus_weights[keep, target, None]
+    slot = np.full(n_pix, -1)                    # pixel -> its column among ``cols``, or -1
+    slot[cols] = np.arange(cols.size)
 
     walk = PixelWalk(keep.size, cols.size)
     credits = np.zeros(cols.size)
     for block in _permutation_blocks(seed, n_pix, permutations):
-        for order in slot[block[used[block]]].reshape(len(block), cols.size):
+        taken = slot[block]
+        for order in taken[taken >= 0].reshape(len(block), cols.size):
             hidden = walk.hidden(at_base, at_image, order)    # (H, cols + 1)
             logit = np.max(np.add(hidden, out_bias, out=hidden), axis=0)
             credits[order] += np.diff(logit)

@@ -1,6 +1,7 @@
 """Classification quality and explanation-quality metrics.
 
-Explainers are passed as callables ``(params, x) -> ImportanceMap``.
+Explainers are passed as callables ``(params, x) -> ImportanceMap``; every
+map must hold one score per pixel of ``x``.
 
 Deletion fidelity follows the clean image's predicted class: pixels are
 replaced by gray (``lmmx.explain.GRAY``, the attributions' baseline) in
@@ -17,14 +18,13 @@ divided by the change of the input.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError, ParameterError, require_count, require_real
-from .explain import GRAY
+from .explain import GRAY, ImportanceMap
 # batch_logits is unused here, but benchmarks/spans.py wraps it under this name
 from .network import (LmmParams, PixelWalk, batch_logits, batch_predict,  # noqa: F401
                       pixel_mins, softmax_rows)
@@ -85,46 +85,36 @@ def accuracy_from_confusion(confusion: np.ndarray) -> float:
     return float(np.trace(confusion) / confusion.sum())
 
 
-def _map_images(fn, n_images: int, workers: int) -> list:
-    """Apply a pure per-image function, optionally on a small thread pool.
-
-    Results are collected by image index, so the outcome does not depend
-    on the schedule.  ``workers`` is a count its callers have checked.
-    """
-    if workers <= 1:
-        return [fn(i) for i in range(n_images)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_images)))
+def _explain(params: LmmParams, explainer, x: np.ndarray) -> ImportanceMap:
+    """The explainer's map of ``x``, checked to hold one score per pixel."""
+    imap = explainer(params, x)
+    if imap.scores.shape != x.shape:
+        raise DimensionError(f"explainer returned scores of shape {imap.scores.shape} "
+                             f"for an image of shape {x.shape}")
+    return imap
 
 
-def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28,
-             workers: int = 1) -> float:
+def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28) -> float:
     """Mean calibrated predicted-class probability under ranked deletion.
 
     Deleting pixels in ranking order is a ``PixelWalk`` from the image to
     the gray image, read at the cuts k * P // steps for k = 1..steps; the
     logits are bit-equal to ``batch_logits`` on the partially grayed images.
+    One walk's buffers serve every image.
     """
     steps = require_count(steps, "steps")
-    workers = require_count(workers, "workers")
     n_pix = data.n_pixels
     at_gray = pixel_mins(params, np.full(n_pix, GRAY))
     states = np.arange(steps + 1) * n_pix // steps          # the clean image, then each cut
-
-    def per_image(i: int) -> np.ndarray:
-        x = data.images[i]
-        rank = explainer(params, x).ranking()
-        if rank.shape != (n_pix,):
-            raise DimensionError(f"explainer ranked {rank.size} pixels, expected {n_pix}")
-        walk = PixelWalk(params.n_hidden, n_pix)
+    walk = PixelWalk(params.n_hidden, n_pix)
+    probs = np.empty((data.n_samples, steps))
+    for i, x in enumerate(data.images):
+        rank = _explain(params, explainer, x).ranking()
         hidden = walk.hidden(pixel_mins(params, x), at_gray, rank)[:, states]   # (H1, steps + 1)
         logits = np.max(hidden.T[:, :, None] + params.maxplus_weights, axis=1)
         target = int(np.argmax(logits[0]))
-        probs = softmax_rows(logits[1:], params.temperature)
-        return probs[:, target]
-
-    values = _map_images(per_image, data.n_samples, workers)
-    return float(np.mean(np.concatenate(values)))
+        probs[i] = softmax_rows(logits[1:], params.temperature)[:, target]
+    return float(np.mean(probs))
 
 
 def _unit_map(scores: np.ndarray) -> np.ndarray:
@@ -142,35 +132,32 @@ def _unit_map(scores: np.ndarray) -> np.ndarray:
 
 
 def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
-              m: int = 10, seed: int = 0, workers: int = 1) -> float:
+              m: int = 10, seed: int = 0) -> float:
     """Mean ratio of explanation change to input change under noise."""
     sigma = require_real(sigma, "sigma")
     if sigma <= 0:
         raise ParameterError("sigma must be > 0")
     m = require_count(m, "m")
     seed = require_count(seed, "seed", 0)
-    workers = require_count(workers, "workers")
     n_pix = data.n_pixels
-    # one independent, index-keyed stream per image so the schedule cannot
-    # change the draws
+    # one stream per image, spawned from the seed: the report's stability
+    # lines depend on exactly these draws
     seeds = np.random.SeedSequence(seed).spawn(data.n_samples)
-
-    def per_image(i: int) -> float:
+    means = np.empty(data.n_samples)
+    ratios = np.empty(m)
+    for i, x in enumerate(data.images):
         rng = np.random.default_rng(seeds[i])
-        x = data.images[i]
-        base = _unit_map(explainer(params, x).scores)
-        ratios = np.empty(m)
+        base = _unit_map(_explain(params, explainer, x).scores)
         for j in range(m):
             xp = np.clip(x + rng.normal(0.0, sigma, n_pix), 0.0, 1.0)
             den = float(np.linalg.norm(xp - x))
             if den == 0.0:
                 ratios[j] = 0.0
                 continue
-            pert = _unit_map(explainer(params, xp).scores)
+            pert = _unit_map(_explain(params, explainer, xp).scores)
             ratios[j] = float(np.linalg.norm(pert - base)) / den
-        return float(np.mean(ratios))
-
-    return float(np.mean(_map_images(per_image, data.n_samples, workers)))
+        means[i] = np.mean(ratios)
+    return float(np.mean(means))
 
 
 def timing(params: LmmParams, explainer, data: Dataset, n: int) -> float:
@@ -186,12 +173,17 @@ def timing(params: LmmParams, explainer, data: Dataset, n: int) -> float:
 def compute_report(params: LmmParams, data: Dataset, explainers: dict,
                    steps: int = 28, sigma: float = 0.05, m: int = 10, seed: int = 0,
                    timing_images: int = 20, workers: int = 1) -> MetricsReport:
-    """Run every metric for every explainer over one dataset split."""
-    workers = require_count(workers, "workers")
+    """Run every metric for every explainer over one dataset split, in one thread.
+
+    ``workers`` must be 1.  It is kept only because the benchmark passes
+    ``workers=1``, and goes when the benchmark stops (ROADMAP item 6).
+    """
+    if require_count(workers, "workers") != 1:
+        raise ParameterError("workers must be 1: metrics run in one thread")
     confusion = confusion_matrix(params, data)
     report = MetricsReport(confusion, accuracy_from_confusion(confusion))
     for name, explainer in explainers.items():
-        report.fidelity[name] = fidelity(params, explainer, data, steps, workers)
-        report.stability[name] = stability(params, explainer, data, sigma, m, seed, workers)
+        report.fidelity[name] = fidelity(params, explainer, data, steps)
+        report.stability[name] = stability(params, explainer, data, sigma, m, seed)
         report.seconds_per_image[name] = timing(params, explainer, data, timing_images)
     return report

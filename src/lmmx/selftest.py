@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import load_model, save_model
 from .errors import LmmError
-from .explain import GRAY, contenders, pixel_fragility, shapley_sampling
+from .explain import GRAY, pixel_fragility, prune, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
 from .network import ForwardTrace, LmmParams, batch_logits, forward, pixel_mins
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
@@ -227,7 +227,7 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
     its credit moves to the next walked pixel.  Every other trial's net is
     ``init_params`` of dyadic medoids of both classes, whose cross-class
     max-plus biases (-k0) keep other-class neurons below the predicted
-    logit throughout: there ``contenders`` must drop a neuron from the
+    logit throughout: there ``prune`` must drop a neuron from the
     walks.  Its inputs lie on the medoids' k / 4 grid, so pixels tie with
     the gray baseline and with the medoids, and some pixel's smaller term
     meets a kept neuron's bound.  On a standard-normal net of the same
@@ -249,8 +249,8 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
         baseline = np.full(n_pix, GRAY)
         target = forward(params, x).predicted
         if cross_class:
-            kept = contenders(pixel_mins(params, baseline), pixel_mins(params, x),
-                              params.maxplus_weights[:, target])
+            kept, _, _ = prune(pixel_mins(params, baseline), pixel_mins(params, x),
+                               params.maxplus_weights[:, target])
             _check(kept.size < params.n_hidden, "no neuron pruned on a cross-class net")
         for permutations in (1, 1, 1, 4):
             perm_seed = int(rng.integers(1 << 16))

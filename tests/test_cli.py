@@ -321,6 +321,35 @@ class TestUsageAndSelftest:
         assert run(command_args(command, trained_model, tiny_archive, str(out))) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_csv_fails_before_any_work(self, trained_model, tiny_archive, tmp_path,
+                                                  monkeypatch, where):
+        def no_work(*args, **kwargs):
+            pytest.fail("the map was computed before --csv was checked")
+
+        monkeypatch.setattr("lmmx.cli.shapley_sampling", no_work)
+        out = tmp_path / "map.pgm"
+        kept = tmp_path / "kept.pgm"
+        kept.write_bytes(b"old map")
+        csv = tmp_path if where == "directory" else tmp_path / "missing" / "map.csv"
+        for path in (out, kept):
+            args = command_args("explain", trained_model, tiny_archive, str(path))
+            assert run(args + ["--csv", str(csv)]) == 2
+        assert not out.exists()
+        assert kept.read_bytes() == b"old map"
+
+    @pytest.mark.parametrize("limit", ["-1", "-3"])
+    def test_negative_limit_is_usage_error_before_loading(self, trained_model, tiny_archive,
+                                                         tmp_path, monkeypatch, limit):
+        def no_load(*args, **kwargs):
+            pytest.fail("the model was loaded before --limit was checked")
+
+        monkeypatch.setattr("lmmx.cli.load_model", no_load)
+        out = tmp_path / "r.txt"
+        args = command_args("metrics", trained_model, tiny_archive, str(out))
+        assert run(args + ["--limit", limit]) == 1
+        assert not out.exists()
+
     def test_failed_run_leaves_out_as_it_was(self, trained_model, tiny_archive, tmp_path):
         args = command_args("metrics", trained_model, tiny_archive, "")
         args[args.index("--model") + 1] = str(tmp_path)   # fails after the --out check

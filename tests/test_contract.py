@@ -3,8 +3,7 @@
 One fixed list of junk values goes to every scalar argument of the public
 API (and ``softmax_rows``).  Each call may succeed, where the value happens
 to be valid, or raise an ``LmmError`` subclass; any other exception is an
-escape.  Worker counts come only from this list, never from a range: a
-large count would start that many threads.
+escape.
 """
 
 import math
@@ -60,11 +59,9 @@ ARGUMENTS = {
     "shapley_sampling.permutations": lambda v: shapley_sampling(_PARAMS, _X, permutations=v),
     "shapley_sampling.seed": lambda v: shapley_sampling(_PARAMS, _X, permutations=2, seed=v),
     "fidelity.steps": lambda v: fidelity(_PARAMS, pixel_fragility, _DATA, steps=v),
-    "fidelity.workers": lambda v: fidelity(_PARAMS, pixel_fragility, _DATA, steps=2, workers=v),
     "stability.sigma": lambda v: stability(_PARAMS, pixel_fragility, _DATA, sigma=v, m=1),
     "stability.m": lambda v: stability(_PARAMS, pixel_fragility, _DATA, m=v),
     "stability.seed": lambda v: stability(_PARAMS, pixel_fragility, _DATA, m=1, seed=v),
-    "stability.workers": lambda v: stability(_PARAMS, pixel_fragility, _DATA, m=1, workers=v),
     "timing.n": lambda v: timing(_PARAMS, pixel_fragility, _DATA, v),
     "compute_report.steps": lambda v: _report(steps=v),
     "compute_report.sigma": lambda v: _report(sigma=v),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lmmx import (ImportanceMap, LmmParams, MedoidSet, ParameterError, UnsupportedConfigError,
                   forward, init_params, integrated_gradients, pixel_fragility, shapley_sampling)
 from lmmx import explain
-from lmmx.explain import GRAY, contenders
+from lmmx.explain import GRAY, prune
 from lmmx.network import pixel_mins
 from lmmx.oracles import (exact_shapley, extended_sensitivity, fragility_bruteforce_flip,
                           neuron_class, path_integral_attribution, sensitivity, slack,
@@ -317,7 +317,7 @@ class TestShapleySampling:
         assert upper[0] == lower.max() == -0.5
         got = shapley_sampling(params, x, permutations=3, seed=1)
         assert np.array_equal(got.scores, [0.0, 0.25])
-        assert contenders(start, end, out_bias).tolist() == [0, 1]
+        assert prune(start, end, out_bias)[0].tolist() == [0, 1]
 
     def test_all_but_one_neuron_pruned(self):
         # one class-0 medoid among class-1 medoids: at init every class-1
@@ -327,8 +327,8 @@ class TestShapleySampling:
         x = np.array([0.375, 0.5, 0.25])
         baseline = np.full(3, GRAY)
         assert forward(params, x).predicted == 0
-        assert contenders(pixel_mins(params, baseline), pixel_mins(params, x),
-                          params.maxplus_weights[:, 0]).tolist() == [0]
+        assert prune(pixel_mins(params, baseline), pixel_mins(params, x),
+                     params.maxplus_weights[:, 0])[0].tolist() == [0]
         for seed in range(6):
             perm = np.random.default_rng(seed).permutation(3)
             deltas = walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights,
@@ -346,6 +346,7 @@ class TestShapleySampling:
         x = np.array([0.5, 1.0])
         start, end = pixel_mins(params, np.full(2, GRAY)), pixel_mins(params, x)
         assert np.minimum(start, end)[0, 0] == np.maximum(start, end).min() == 0.5
+        assert prune(start, end, params.maxplus_weights[:, 0])[1].tolist() == [0, 1]
         for seed in range(3):
             got = shapley_sampling(params, x, permutations=1, seed=seed)
             assert got.scores.tobytes() == np.array([0.0, 0.25]).tobytes()
@@ -357,7 +358,9 @@ class TestShapleySampling:
         params = LmmParams(np.ones(4), w1, np.array([[0.0, -1.0], [0.0, -1.0]]))
         x = np.array([1.0, 1.0])
         start, end = pixel_mins(params, np.full(2, GRAY)), pixel_mins(params, x)
-        assert contenders(start, end, params.maxplus_weights[:, 0]).tolist() == [0, 1]
+        keep, cols, candidate = prune(start, end, params.maxplus_weights[:, 0])
+        assert keep.tolist() == [0, 1] and cols.tolist() == [0]
+        assert candidate.tolist() == [[True], [True]]
         assert np.all(np.minimum(start, end)[:, 1] > np.maximum(start, end).min(axis=1))
         for permutations in (1, 2, 5):
             got = shapley_sampling(params, x, permutations=permutations, seed=permutations)

@@ -94,14 +94,6 @@ class TestFidelity:
             value = fidelity(params, explainer, test, steps=8)
             assert 0.0 < value < 1.0
 
-    def test_workers_do_not_change_result(self, synth_model):
-        params = synth_model["params"]
-        test = synth_model["task"]["test"]
-        explainer = lambda p, x: pixel_fragility(p, x)
-        a = fidelity(params, explainer, test, steps=4, workers=1)
-        b = fidelity(params, explainer, test, steps=4, workers=3)
-        assert a == b
-
 
 class TestFidelityWalk:
     """``fidelity`` reads a pixel walk; the reference re-scores every filled image."""
@@ -140,12 +132,39 @@ class TestFidelityWalk:
         with pytest.raises(ParameterError):
             fidelity(synth_model["params"], lambda p, x: pixel_fragility(p, x), test, steps=steps)
 
+
     def test_short_ranking_rejected(self, synth_model):
         params = synth_model["params"]
         test = synth_model["task"]["test"]
         explainer = lambda p, x: ImportanceMap(np.zeros(len(x) - 1), "ascending")
         with pytest.raises(DimensionError):
             fidelity(params, explainer, test)
+
+
+class TestExplainerShape:
+    """Every explainer call in ``fidelity`` and ``stability`` must return one score per pixel."""
+
+    # 3 scores, and 4 scores shaped (2, 2), for 4-pixel images; stability
+    # once scored the short map 0.0
+    params = random_params(np.random.default_rng(47), 4, 3, 2)
+    data = synth_dataset(4, 3, np.array([[0.2] * 4, [0.8] * 4]), 0.05, seed=0)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    @pytest.mark.parametrize("metric", [fidelity, stability])
+    def test_wrong_shape_is_a_dimension_error(self, metric, shape):
+        explainer = lambda p, x: ImportanceMap(np.full(shape, 3.3), "ascending")
+        with pytest.raises(DimensionError, match=re.escape(f"{shape} for an image of shape (4,)")):
+            metric(self.params, explainer, self.data)
+
+    def test_perturbed_calls_are_checked_too(self):
+        # right shape for the clean images, wrong for their perturbations
+        clean = {row.tobytes() for row in self.data.images}
+
+        def explainer(params, x):
+            return ImportanceMap(np.zeros(4 if x.tobytes() in clean else 3), "ascending")
+
+        with pytest.raises(DimensionError):
+            stability(self.params, explainer, self.data, m=2)
 
 
 class TestStability:
@@ -178,14 +197,6 @@ class TestStability:
         assert a == b
         c = stability(params, explainer, test, m=3, seed=12)
         assert a != c
-
-    def test_workers_do_not_change_result(self, synth_model):
-        params = synth_model["params"]
-        test = synth_model["task"]["test"]
-        explainer = lambda p, x: pixel_fragility(p, x)
-        a = stability(params, explainer, test, m=3, seed=2, workers=1)
-        b = stability(params, explainer, test, m=3, seed=2, workers=4)
-        assert a == b
 
     @pytest.mark.parametrize("m", [0, 2.5])
     def test_m_must_be_a_positive_integer(self, m, synth_model):
@@ -237,22 +248,18 @@ class TestReport:
         assert "seconds_per_image.fragility = " in joined
         assert "confusion.0.0 = " in joined
 
-    # nan workers once built a pool that starts no thread, so pool.map waited
-    # forever; every function checks the count before any pool exists
-    @pytest.mark.parametrize("workers", [np.nan, 2.5, "3"])
+    # workers stays only as the benchmark's workers=1: any other value is
+    # rejected before the first metric runs
+    @pytest.mark.parametrize("workers", [2, np.nan, 2.5, "3"])
     def test_workers_must_be_a_count(self, workers, synth_model, monkeypatch):
-        def no_pool(*args, **kwargs):
-            pytest.fail("a thread pool was built for a bad worker count")
+        def no_work(*args, **kwargs):
+            pytest.fail("the report started before workers was checked")
 
-        monkeypatch.setattr("lmmx.metrics.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("lmmx.metrics.confusion_matrix", no_work)
         params, test = synth_model["params"], synth_model["task"]["test"]
-        explainer = lambda p, x: pixel_fragility(p, x)
-        for call in (lambda: fidelity(params, explainer, test, steps=2, workers=workers),
-                     lambda: stability(params, explainer, test, m=1, workers=workers),
-                     lambda: compute_report(params, test, {"fragility": explainer}, steps=2,
-                                            m=1, timing_images=1, workers=workers)):
-            with pytest.raises(ParameterError, match="workers"):
-                call()
+        with pytest.raises(ParameterError, match="workers"):
+            compute_report(params, test, {"fragility": pixel_fragility}, steps=2, m=1,
+                           timing_images=1, workers=workers)
 
     def test_table_mentions_methods(self):
         report = MetricsReport(np.array([[3, 0], [1, 2]]), 5 / 6,

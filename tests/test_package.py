@@ -27,7 +27,7 @@ PARAMETERS = {
                        "timing_images", "workers"),
     "confusion_matrix": ("params", "data"),
     "export_map": ("imap", "path", "fmt"),
-    "fidelity": ("params", "explainer", "data", "steps", "workers"),
+    "fidelity": ("params", "explainer", "data", "steps"),
     "forward": ("params", "x"),
     "init_params": ("medoids", "k0"),
     "integrated_gradients": ("params", "x", "steps"),
@@ -39,7 +39,7 @@ PARAMETERS = {
     "save_model": ("params", "path"),
     "select_medoids": ("train", "n_medoids", "strategy", "seed"),
     "shapley_sampling": ("params", "x", "permutations", "seed"),
-    "stability": ("params", "explainer", "data", "sigma", "m", "seed", "workers"),
+    "stability": ("params", "explainer", "data", "sigma", "m", "seed"),
     "subgradient": ("params", "images", "labels"),
     "synth_dataset": ("n_pixels", "n_per_class", "centers", "noise_sigma", "seed", "split"),
     "timing": ("params", "explainer", "data", "n"),
