@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ig-steps", type=int, default=50)
     p.add_argument("--permutations", type=int, default=200)
-    p.add_argument("--timing-n", type=int, default=20, help="images per timing measurement")
+    p.add_argument("--timing-n", type=int, default=20,
+                   help="time the first N clean maps of the fidelity and stability pass")
     p.add_argument("--limit", type=int, default=0, help="cap images per split (0 = all)")
     p.add_argument("--out", required=True, help="report file (key/value lines)")
 

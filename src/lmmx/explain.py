@@ -217,6 +217,12 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     left out of the walk and credited an exact +0.0.  The other
     pixels keep their order and the states' float operations, so the maps
     are bit-equal to walking every neuron over every pixel.
+
+    Each kept neuron's max-plus bias is added to its terms once per call,
+    not to its activations once per permutation.  Rounding is monotone, so
+    fl(min(a, b) + c) = min(fl(a + c), fl(b + c)) and every state's biased
+    activation keeps its bits.  The logit and its steps are written into
+    buffers allocated once per call.
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
@@ -227,19 +233,22 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     at_base = pixel_mins(params, np.full(n_pix, GRAY))
     at_image = pixel_mins(params, x)
     keep, cols, _ = prune(at_base, at_image, params.maxplus_weights[:, target])
-    at_base, at_image = at_base[np.ix_(keep, cols)], at_image[np.ix_(keep, cols)]
     out_bias = params.maxplus_weights[keep, target, None]
+    at_base = at_base[np.ix_(keep, cols)] + out_bias
+    at_image = at_image[np.ix_(keep, cols)] + out_bias
     slot = np.full(n_pix, -1)                    # pixel -> its column among ``cols``, or -1
     slot[cols] = np.arange(cols.size)
 
     walk = PixelWalk(keep.size, cols.size)
+    logit = np.empty(cols.size + 1)
+    step = np.empty(cols.size)
     credits = np.zeros(cols.size)
     for block in _permutation_blocks(seed, n_pix, permutations):
         taken = slot[block]
         for order in taken[taken >= 0].reshape(len(block), cols.size):
-            hidden = walk.hidden(at_base, at_image, order)    # (H, cols + 1)
-            logit = np.max(np.add(hidden, out_bias, out=hidden), axis=0)
-            credits[order] += np.diff(logit)
+            np.max(walk.hidden(at_base, at_image, order), axis=0, out=logit)
+            np.subtract(logit[1:], logit[:-1], out=step)
+            credits[order] += step
     scores = np.zeros(n_pix)
     scores[cols] = credits / permutations
     return ImportanceMap(scores, DESCENDING)

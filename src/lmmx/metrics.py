@@ -13,6 +13,10 @@ never found the decisive pixels.
 Stability is a normalized local Lipschitz ratio: the mean, over Gaussian
 input perturbations, of the change of the unit-normalized importance map
 divided by the change of the input.
+
+``compute_report`` maps each clean image once per explainer and gives that
+map to both metrics; its timing is the mean wall time of the first N of
+those clean maps (``lmmx metrics --timing-n``), not of extra calls.
 """
 
 from __future__ import annotations
@@ -94,6 +98,25 @@ def _explain(params: LmmParams, explainer, x: np.ndarray) -> ImportanceMap:
     return imap
 
 
+class _Deletion:
+    """Ranked deletion of one image at a time; one walk's buffers serve every image."""
+
+    def __init__(self, params: LmmParams, n_pix: int, steps: int):
+        self.params = params
+        self.at_gray = pixel_mins(params, np.full(n_pix, GRAY))
+        self.states = np.arange(steps + 1) * n_pix // steps   # the clean image, then each cut
+        self.walk = PixelWalk(params.n_hidden, n_pix)
+
+    def probs(self, x: np.ndarray, imap: ImportanceMap) -> np.ndarray:
+        """Calibrated probability of the clean image's predicted class at each cut, (steps,)."""
+        params = self.params
+        walk = self.walk.hidden(pixel_mins(params, x), self.at_gray, imap.ranking())
+        hidden = walk[:, self.states]                                     # (H1, steps + 1)
+        logits = np.max(hidden.T[:, :, None] + params.maxplus_weights, axis=1)
+        target = int(np.argmax(logits[0]))
+        return softmax_rows(logits[1:], params.temperature)[:, target]
+
+
 def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28) -> float:
     """Mean calibrated predicted-class probability under ranked deletion.
 
@@ -103,17 +126,10 @@ def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28) -> fl
     One walk's buffers serve every image.
     """
     steps = require_count(steps, "steps")
-    n_pix = data.n_pixels
-    at_gray = pixel_mins(params, np.full(n_pix, GRAY))
-    states = np.arange(steps + 1) * n_pix // steps          # the clean image, then each cut
-    walk = PixelWalk(params.n_hidden, n_pix)
+    deletion = _Deletion(params, data.n_pixels, steps)
     probs = np.empty((data.n_samples, steps))
     for i, x in enumerate(data.images):
-        rank = _explain(params, explainer, x).ranking()
-        hidden = walk.hidden(pixel_mins(params, x), at_gray, rank)[:, states]   # (H1, steps + 1)
-        logits = np.max(hidden.T[:, :, None] + params.maxplus_weights, axis=1)
-        target = int(np.argmax(logits[0]))
-        probs[i] = softmax_rows(logits[1:], params.temperature)[:, target]
+        probs[i] = deletion.probs(x, _explain(params, explainer, x))
     return float(np.mean(probs))
 
 
@@ -131,32 +147,46 @@ def _unit_map(scores: np.ndarray) -> np.ndarray:
     return v / norm if norm > 0 else np.zeros_like(v)
 
 
-def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
-              m: int = 10, seed: int = 0) -> float:
-    """Mean ratio of explanation change to input change under noise."""
+def _stability_args(sigma, m, seed) -> tuple[float, int, int]:
     sigma = require_real(sigma, "sigma")
     if sigma <= 0:
         raise ParameterError("sigma must be > 0")
-    m = require_count(m, "m")
-    seed = require_count(seed, "seed", 0)
-    n_pix = data.n_pixels
-    # one stream per image, spawned from the seed: the report's stability
-    # lines depend on exactly these draws
+    return sigma, require_count(m, "m"), require_count(seed, "seed", 0)
+
+
+def _perturbed_ratio(params: LmmParams, explainer, x: np.ndarray, imap: ImportanceMap,
+                     rng: np.random.Generator, sigma: float, ratios: np.ndarray) -> float:
+    """Mean over ``ratios.size`` perturbations of the unit map's change over the input's.
+
+    ``imap`` is the map of the clean image ``x``; ``ratios`` is scratch space.
+    """
+    base = _unit_map(imap.scores)
+    for j in range(ratios.size):
+        xp = np.clip(x + rng.normal(0.0, sigma, x.size), 0.0, 1.0)
+        den = float(np.linalg.norm(xp - x))
+        if den == 0.0:
+            ratios[j] = 0.0
+            continue
+        pert = _unit_map(_explain(params, explainer, xp).scores)
+        ratios[j] = float(np.linalg.norm(pert - base)) / den
+    return float(np.mean(ratios))
+
+
+def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
+              m: int = 10, seed: int = 0) -> float:
+    """Mean ratio of explanation change to input change under noise.
+
+    Image i's perturbations are drawn from the i-th of
+    ``SeedSequence(seed).spawn(n)``: the report's stability lines depend on
+    exactly these draws.
+    """
+    sigma, m, seed = _stability_args(sigma, m, seed)
     seeds = np.random.SeedSequence(seed).spawn(data.n_samples)
     means = np.empty(data.n_samples)
     ratios = np.empty(m)
     for i, x in enumerate(data.images):
-        rng = np.random.default_rng(seeds[i])
-        base = _unit_map(_explain(params, explainer, x).scores)
-        for j in range(m):
-            xp = np.clip(x + rng.normal(0.0, sigma, n_pix), 0.0, 1.0)
-            den = float(np.linalg.norm(xp - x))
-            if den == 0.0:
-                ratios[j] = 0.0
-                continue
-            pert = _unit_map(_explain(params, explainer, xp).scores)
-            ratios[j] = float(np.linalg.norm(pert - base)) / den
-        means[i] = np.mean(ratios)
+        means[i] = _perturbed_ratio(params, explainer, x, _explain(params, explainer, x),
+                                    np.random.default_rng(seeds[i]), sigma, ratios)
     return float(np.mean(means))
 
 
@@ -175,15 +205,40 @@ def compute_report(params: LmmParams, data: Dataset, explainers: dict,
                    timing_images: int = 20, workers: int = 1) -> MetricsReport:
     """Run every metric for every explainer over one dataset split, in one thread.
 
-    ``workers`` must be 1.  It is kept only because the benchmark passes
-    ``workers=1``, and goes when the benchmark stops (ROADMAP item 6).
+    Each explainer maps each clean image once.  That map feeds both the
+    deletion walk of ``fidelity`` and the base map of ``stability``, so both
+    values equal those functions' own, and ``seconds_per_image`` is the mean
+    wall time of the first ``min(timing_images, n)`` of these calls: no
+    call is made for timing alone.  A process's first Shapley call also
+    draws its seed's memoized permutations, so it counts that fill.
+
+    Every argument is checked before the first map.  ``workers`` must be 1.
+    It is kept only because the benchmark passes ``workers=1``, and goes
+    when the benchmark stops (ROADMAP item 6).
     """
+    steps = require_count(steps, "steps")
+    sigma, m, seed = _stability_args(sigma, m, seed)
+    timed = min(require_count(timing_images, "timing_images"), data.n_samples)
     if require_count(workers, "workers") != 1:
         raise ParameterError("workers must be 1: metrics run in one thread")
     confusion = confusion_matrix(params, data)
     report = MetricsReport(confusion, accuracy_from_confusion(confusion))
+    deletion = _Deletion(params, data.n_pixels, steps)
+    seeds = np.random.SeedSequence(seed).spawn(data.n_samples)     # as in stability
+    probs = np.empty((data.n_samples, steps))
+    means = np.empty(data.n_samples)
+    ratios = np.empty(m)
     for name, explainer in explainers.items():
-        report.fidelity[name] = fidelity(params, explainer, data, steps)
-        report.stability[name] = stability(params, explainer, data, sigma, m, seed)
-        report.seconds_per_image[name] = timing(params, explainer, data, timing_images)
+        seconds = 0.0
+        for i, x in enumerate(data.images):
+            start = time.perf_counter()
+            imap = _explain(params, explainer, x)
+            if i < timed:
+                seconds += time.perf_counter() - start
+            probs[i] = deletion.probs(x, imap)
+            means[i] = _perturbed_ratio(params, explainer, x, imap,
+                                        np.random.default_rng(seeds[i]), sigma, ratios)
+        report.fidelity[name] = float(np.mean(probs))
+        report.stability[name] = float(np.mean(means))
+        report.seconds_per_image[name] = seconds / timed
     return report

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lmmx
+from lmmx import selftest
 from lmmx.cli import run
 from lmmx.data import _HEADER, load_model, load_npz_dataset
 from lmmx.medoids import _chebyshev_matrix
@@ -252,6 +253,7 @@ class TestDeterminism:
 _PERTURBED_SELFTEST = """
 import sys
 import lmmx.selftest as selftest
+from lmmx import selftest
 from lmmx.cli import run
 
 if not sys.flags.optimize:
@@ -366,6 +368,20 @@ class TestUsageAndSelftest:
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == 6
+
+    def test_selftest_reports_any_exception_and_runs_every_suite(self, monkeypatch, capsys):
+        def broken():
+            raise ValueError("zero-size array to reduction operation maximum")
+
+        suites = list(selftest.SUITES)
+        suites[4] = (suites[4][0], broken)    # shapley-efficiency, the fifth of six
+        monkeypatch.setattr(selftest, "SUITES", tuple(suites))
+        assert run(["selftest"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"selftest {name}" for name, _ in suites]
+        assert lines[4] == ("selftest shapley-efficiency: FAIL (ValueError: zero-size array "
+                            "to reduction operation maximum)")
+        assert sum(line.endswith(": ok") for line in lines) == 5
 
     def test_perturbed_oracle_fails_under_python_optimize(self):
         proc = subprocess.run([sys.executable, "-O", "-c", _PERTURBED_SELFTEST],

@@ -385,6 +385,38 @@ class TestShapleySampling:
         got = shapley_sampling(params, x, permutations=permutations, seed=seed)
         assert np.array_equal(got.scores, expected / permutations)
 
+    @pytest.mark.parametrize("permutations", [1, 300])
+    def test_bias_fold_at_extreme_scales(self, permutations):
+        # Max-plus biases near 2**40, where float64 steps by 2**-12, and
+        # min-plus terms about 1e-3 apart: adding a bias rounds distinct
+        # terms together, and the map still equals biasing each activation.
+        # 300 permutations cross the 256-permutation block.
+        rng = np.random.default_rng(84)
+        n_pix, n_hid = 8, 5
+        params = LmmParams(rng.uniform(0.2, 2.0, 2 * n_pix) * 2.0 ** -10,
+                           rng.normal(0.0, 2.0 ** -10, (2 * n_pix, n_hid)),
+                           2.0 ** 40 + rng.integers(-1, 2, (n_hid, 2)) * 2.0 ** -12)
+        baseline = np.full(n_pix, GRAY)
+        most_kept = 0
+        for _ in range(10):
+            x = rng.uniform(0, 1, n_pix)
+            target = forward(params, x).predicted
+            start, end = pixel_mins(params, baseline), pixel_mins(params, x)
+            terms = np.concatenate([start, end], axis=1)
+            biased = terms + params.maxplus_weights[:, target, None]
+            assert any(np.unique(b).size < np.unique(t).size for t, b in zip(terms, biased))
+            most_kept = max(most_kept, prune(start, end, params.maxplus_weights[:, target])[0].size)
+            seed = int(rng.integers(1 << 16))
+            perms = np.random.default_rng(seed)
+            expected = np.zeros(n_pix)
+            for _ in range(permutations):
+                expected += walk_deltas(params.scales, params.minplus_weights,
+                                        params.maxplus_weights, x, baseline, target,
+                                        perms.permutation(n_pix))
+            got = shapley_sampling(params, x, permutations=permutations, seed=seed)
+            assert got.scores.tobytes() == (expected / permutations).tobytes()
+        assert most_kept >= 3     # several neurons compete for the logit
+
     @pytest.mark.parametrize("permutations", [0, 2.5])
     def test_permutations_must_be_a_positive_integer(self, permutations):
         params = random_params(np.random.default_rng(41), 3, 3, 2)

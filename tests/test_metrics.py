@@ -261,6 +261,47 @@ class TestReport:
             compute_report(params, test, {"fragility": pixel_fragility}, steps=2, m=1,
                            timing_images=1, workers=workers)
 
+    # a bad value used to fail only after the maps before its metric: 360
+    # explainer calls for timing_images=0 on a 30-image fragility report
+    @pytest.mark.parametrize("argument, value", [
+        ("steps", 0), ("steps", 2.5), ("sigma", -1), ("sigma", 0), ("sigma", np.inf),
+        ("m", 0), ("m", 2.5), ("seed", -1), ("seed", 2.5), ("timing_images", 0),
+        ("timing_images", 2.5)])
+    def test_every_argument_is_checked_before_any_work(self, argument, value, synth_model,
+                                                      monkeypatch):
+        def no_work(*args, **kwargs):
+            pytest.fail(f"the report started before {argument} was checked")
+
+        monkeypatch.setattr("lmmx.metrics.confusion_matrix", no_work)
+        params, test = synth_model["params"], synth_model["task"]["test"]
+        settings = {"steps": 2, "m": 1, "timing_images": 1, argument: value}
+        with pytest.raises(ParameterError, match=argument):
+            compute_report(params, test, {"fragility": no_work}, **settings)
+
+    def test_each_clean_image_is_mapped_once(self, synth_model):
+        # n (m + 1) calls per method: one clean map for fidelity, stability's
+        # base and the timing, plus m perturbed maps
+        params = synth_model["params"]
+        test = synth_model["task"]["test"]
+        data = Dataset(test.images[:5], test.labels[:5], "test")
+        calls = {"fragility": 0, "intgrad": 0}
+
+        def counting(name, explain):
+            def explainer(p, x):
+                calls[name] += 1
+                return explain(p, x)
+            return explainer
+
+        explainers = {"fragility": counting("fragility", pixel_fragility),
+                      "intgrad": counting("intgrad",
+                                          lambda p, x: integrated_gradients(p, x, steps=10))}
+        report = compute_report(params, data, explainers, steps=6, m=3, seed=4, timing_images=2)
+        assert calls == {"fragility": 5 * (3 + 1), "intgrad": 5 * (3 + 1)}
+        for name, explainer in explainers.items():
+            assert report.fidelity[name] == fidelity(params, explainer, data, steps=6)
+            assert report.stability[name] == stability(params, explainer, data, m=3, seed=4)
+            assert report.seconds_per_image[name] > 0.0
+
     def test_table_mentions_methods(self):
         report = MetricsReport(np.array([[3, 0], [1, 2]]), 5 / 6,
                                fidelity={"fragility": 0.5}, stability={"fragility": 1.2},
