@@ -20,12 +20,13 @@ image.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigError, require_count
-from .network import LmmParams, PixelWalk, forward, linear_layer, pixel_mins
+from .network import LmmParams, forward, linear_layer, pixel_mins
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
 DESCENDING = "descending"   # larger |score| = more important (attributions)
@@ -168,6 +169,12 @@ def prune(start: np.ndarray, end: np.ndarray,
 # holds at most this many rows of P indices whatever its permutation count.
 _BLOCK = 256
 
+# Largest array, in elements, of one step of the Shapley event pass: each of
+# its two (events, permutations, kept neurons) float64 slabs stays at 1 MiB,
+# and the uint16 positions of a record build at 2 MiB.
+_EVENT_CELLS = 1 << 17
+_RECORD_CELLS = 1 << 20
+
 
 @functools.lru_cache(maxsize=4)
 def _first_block(seed: int, n_pix: int) -> tuple[np.ndarray, dict]:
@@ -184,19 +191,158 @@ def _first_block(seed: int, n_pix: int) -> tuple[np.ndarray, dict]:
     return block, rng.bit_generator.state
 
 
-def _permutation_blocks(seed: int, n_pix: int, count: int):
+def _inverse(block: np.ndarray) -> np.ndarray:
+    """Each permutation's position of every pixel, (n, P), in the smallest unsigned type."""
+    n, n_pix = block.shape
+    inv = np.empty((n, n_pix), dtype=np.min_scalar_type(n_pix - 1))
+    inv[np.arange(n)[:, None], block] = np.arange(n_pix)
+    return inv
+
+
+def _suffix_records(gray: np.ndarray, inv: np.ndarray,
+                    depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's suffix-min records along each permutation, among its ``depth`` smallest terms.
+
+    Row h's terms are ranked ascending, ties by pixel index.  The pixel of
+    rank r is a record in a permutation when it comes after every pixel of
+    a lower rank, i.e. when it is below every later pixel's term in that
+    order; so every strict suffix-min record of the terms is one.  In rank
+    order a record is a strict rise of the running max of positions.  That
+    max is taken over blocks of about sqrt(depth) ranks: first within each
+    block, all blocks at once, then across blocks, so about 2 sqrt(depth)
+    row-wise ``np.maximum`` calls do the work of depth - 1.  Rows are taken
+    a few at a time so the positions stay within ``_RECORD_CELLS``.
+
+    Returns ``key`` = h * P + r, ascending, and ``flat`` = k * P + the
+    record's position in permutation k, an index into (n, P) arrays; equal
+    keys keep permutation order.
+    """
+    n, n_pix = inv.shape
+    order = np.argsort(gray, axis=1, kind="stable").T
+    by_pixel = np.ascontiguousarray(inv.T)
+    deepest = int(depth.max())
+    width = math.isqrt(deepest - 1) + 1
+    rows = max(1, _RECORD_CELLS // (n * deepest))
+    space = np.empty(-(-deepest // width) * width * rows * n, dtype=inv.dtype)  # reused by each chunk
+    rises = np.empty(deepest * rows * n, dtype=bool)
+    keys, flats = [], []
+    for h0 in range(0, gray.shape[0], rows):
+        top = int(depth[h0:h0 + rows].max())
+        ranked = order[:top, h0:h0 + rows]
+        shape = (-(-top // width) * width, ranked.shape[1], n)       # (ranks, rows, n)
+        pos = space[:math.prod(shape)].reshape(shape)
+        np.take(by_pixel, ranked, axis=0, out=pos[:top])
+        pos[top:] = 0                                                 # padding never rises
+        blocks = pos.reshape(-1, width, *shape[1:])
+        for w in range(1, width):
+            np.maximum(blocks[:, w - 1], blocks[:, w], out=blocks[:, w])
+        for b in range(1, len(blocks)):
+            np.maximum(blocks[b], blocks[b - 1, -1], out=blocks[b])
+        rise = rises[:top * shape[1] * n].reshape(top, *shape[1:])
+        rise[0] = True
+        np.greater(pos[1:top], pos[:top - 1], out=rise[1:])
+        at = np.flatnonzero(rise)
+        rank, row, perm = np.unravel_index(at, rise.shape)
+        below = rank < depth[h0 + row]
+        keys.append(((h0 + row) * n_pix + rank)[below])
+        flats.append((perm * n_pix + pos.ravel()[at])[below])
+    key, flat = np.concatenate(keys), np.concatenate(flats)
+    by_key = np.argsort(key, kind="stable")
+    return key[by_key], flat[by_key]
+
+
+@functools.lru_cache(maxsize=4)
+def _first_records(seed: int, n_pix: int, gray: bytes) -> tuple[np.ndarray, ...]:
+    """Inverse permutations and gray-term records of the first block, for every neuron.
+
+    ``gray`` holds the bytes of ``pixel_mins(params, GRAY)``, which with
+    the seed fixes the result, so a model whose weights change gets new
+    records.  Returns ``_inverse`` of ``_first_block(seed, n_pix)`` and
+    ``_suffix_records`` over all ranks, read-only.  An entry holds about
+    1.3 MB at P = 784, H1 = 25: the key's 157 kB of terms, 401 kB of
+    uint16 positions, and 16 bytes per record (about 46,000).
+    """
+    terms = np.frombuffer(gray).reshape(-1, n_pix)
+    inv = _inverse(_first_block(seed, n_pix)[0])
+    key, flat = _suffix_records(terms, inv, np.full(terms.shape[0], n_pix))
+    for a in (inv, key, flat):
+        a.flags.writeable = False
+    return inv, key, flat
+
+
+def _blocks(seed: int, n_pix: int, count: int, at_gray: np.ndarray, keep: np.ndarray,
+            depth: np.ndarray):
     """The first ``count`` draws of ``default_rng(seed).permutation(n_pix)``, in blocks.
 
-    Draws are sequential, so the first k do not depend on ``count``: the
-    memoized first block serves a prefix, and later blocks resume from the
-    state saved after it.
+    Each block comes with its inverse permutations and the flat indices of
+    its events from gray-term records: kept neuron j's records among its
+    ``depth[j]`` smallest gray terms.  Draws are sequential, so the first k
+    do not depend on ``count``: the memoized first block serves a prefix,
+    and later blocks resume from the state saved after it and compute the
+    records of the kept neurons only.
     """
     block, state = _first_block(seed, n_pix)
-    yield block[:count]
+    inv, key, flat = _first_records(seed, n_pix, at_gray.tobytes())
+    lo = np.searchsorted(key, keep * n_pix)
+    hi = np.searchsorted(key, keep * n_pix + depth)
+    taken = np.concatenate([flat[a:b] for a, b in zip(lo, hi)])
+    yield block[:count], inv[:count], taken[taken < count * n_pix]
     rng = np.random.default_rng(seed)
     rng.bit_generator.state = state
     for start in range(_BLOCK, count, _BLOCK):
-        yield np.stack([rng.permutation(n_pix) for _ in range(min(_BLOCK, count - start))])
+        block = np.stack([rng.permutation(n_pix) for _ in range(min(_BLOCK, count - start))])
+        inv = _inverse(block)
+        yield block, inv, _suffix_records(at_gray[keep], inv, depth)[1]
+
+
+def _events(block: np.ndarray, inv: np.ndarray, records: np.ndarray,
+            hits: np.ndarray) -> np.ndarray:
+    """Each permutation's event pixels in walk order, (most events, n), padded with pixel P.
+
+    The events are the positions in ``records`` (flat k * P + position) and
+    the positions of the pixels ``hits``; a position marked twice is one
+    event.
+    """
+    n, n_pix = block.shape
+    marked = np.zeros((n, n_pix), dtype=bool)
+    marked.ravel()[records] = True
+    marked[np.arange(n)[:, None], inv[:, hits]] = True
+    at = np.flatnonzero(marked)                        # (permutation, position) order
+    perm = at // n_pix
+    counts = np.bincount(perm, minlength=n)
+    events = np.full((counts.max(), n), n_pix)
+    events[np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts), perm] = \
+        block.ravel()[at]
+    return events
+
+
+def _event_credits(events: np.ndarray, gray_terms: np.ndarray, image_terms: np.ndarray,
+                   gray_logit: float, credits: np.ndarray) -> None:
+    """Add each event's change of the logit to its pixel's credit, in (permutation, event) order.
+
+    ``gray_terms`` and ``image_terms`` are (P + 1, kept) biased terms whose
+    last row, the padding pixel, is +inf.  After event i a neuron holds the
+    min of its image terms at events 0..i and of its gray terms at the later
+    events; the logit is the max over neurons, and before the first event
+    it is ``gray_logit``.  Permutations are taken a chunk at a time, so each
+    (events, chunk, kept) slab stays within ``_EVENT_CELLS``.
+    """
+    n_kept = gray_terms.shape[1]
+    chunk = max(1, _EVENT_CELLS // (len(events) * n_kept))
+    for c in range(0, events.shape[1], chunk):
+        pixels = events[:, c:c + chunk]
+        flipped = image_terms[pixels]                  # (events, chunk, kept)
+        left = gray_terms[pixels]
+        for i in range(1, len(flipped)):
+            np.fmin(flipped[i - 1], flipped[i], out=flipped[i])
+        for i in range(len(left) - 2, -1, -1):
+            np.fmin(left[i + 1], left[i], out=left[i])
+        np.fmin(flipped[:-1], left[1:], out=flipped[:-1])
+        logit = flipped[:, :, 0].copy()
+        for j in range(1, n_kept):                     # faster than a max over the short last axis
+            np.maximum(logit, flipped[:, :, j], out=logit)
+        steps = np.diff(logit, axis=0, prepend=gray_logit)
+        np.add.at(credits, pixels.T.ravel(), steps.T.ravel())
 
 
 def shapley_sampling(params: LmmParams, x, permutations: int = 200,
@@ -210,19 +356,36 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     z_c(x) - z_c(gray image).  The permutations are the first
     ``permutations`` draws of ``default_rng(seed).permutation(P)``.
 
-    Each permutation is one ``PixelWalk`` over only the neurons and pixels
-    that ``prune`` keeps for the predicted logit: in every walk state
-    neuron h holds one of each pixel's two ``pixel_mins``.  A pixel that is
-    a candidate of no kept neuron never sets a kept neuron's min, so it is
-    left out of the walk and credited an exact +0.0.  The other
-    pixels keep their order and the states' float operations, so the maps
-    are bit-equal to walking every neuron over every pixel.
+    Only the steps where the logit can change are evaluated, and the maps
+    are bit-equal to evaluating every step.  In every state of a walk,
+    neuron h's activation is the min of its image terms (``pixel_mins``)
+    over the pixels already flipped and its gray terms over the rest.  Only
+    the neurons ``prune`` keeps can set the logit, and a kept neuron's
+    activation never exceeds its bound b_h, the min over pixels of the
+    larger of the two terms: so a term above b_h never sets its min.  The
+    image part changes only at a pixel whose image term is at most b_h, and
+    the gray part only where a suffix-min record of the gray terms leaves
+    it.  These steps, over all kept neurons, are the permutation's events.
+    At every event the running mins over the events alone equal the
+    activations: any term at most b_h that sets a min is itself an event,
+    and the extra events of other neurons hold real terms of the state.
 
-    Each kept neuron's max-plus bias is added to its terms once per call,
-    not to its activations once per permutation.  Rounding is monotone, so
-    fl(min(a, b) + c) = min(fl(a + c), fl(b + c)) and every state's biased
-    activation keeps its bits.  The logit and its steps are written into
-    buffers allocated once per call.
+    Every other step changes no activation and credits x - x = +0.0.
+    Credits start at +0.0 and a sum is -0.0 only if both of its terms are,
+    so no credit is ever -0.0 and leaving those +0.0 out changes no bit.
+    ``np.add.at`` adds the event credits in (permutation, event) order,
+    so each pixel's credits are summed in permutation order, the order of
+    a walk through every step.
+
+    The gray records of a seed's first ``_BLOCK`` permutations depend only
+    on the gray terms and are memoized (``_first_records``).  Events are
+    sorted by position; a permutation with fewer events than the most is
+    padded with a dummy pixel whose terms are +inf and change nothing.
+    Each kept neuron's max-plus bias is added to its terms once per call:
+    rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c))
+    and every state's biased activation keeps its bits.  The running mins
+    are row-wise ``np.fmin`` over (events, permutations, kept) slabs of at
+    most ``_EVENT_CELLS`` cells, about 2 MB of temporaries.
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
@@ -230,26 +393,22 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     target = forward(params, x).predicted
     n_pix = params.n_pixels
 
-    at_base = pixel_mins(params, np.full(n_pix, GRAY))
+    at_gray = pixel_mins(params, np.full(n_pix, GRAY))
     at_image = pixel_mins(params, x)
-    keep, cols, _ = prune(at_base, at_image, params.maxplus_weights[:, target])
+    keep = prune(at_gray, at_image, params.maxplus_weights[:, target])[0]
+    gray, image = at_gray[keep], at_image[keep]
+    bound = np.maximum(gray, image).min(axis=1)[:, None]
+    depth = np.count_nonzero(gray <= bound, axis=1)        # gray ranks that may be records
+    hits = np.flatnonzero((image <= bound).any(axis=0))    # pixels whose image term may count
     out_bias = params.maxplus_weights[keep, target, None]
-    at_base = at_base[np.ix_(keep, cols)] + out_bias
-    at_image = at_image[np.ix_(keep, cols)] + out_bias
-    slot = np.full(n_pix, -1)                    # pixel -> its column among ``cols``, or -1
-    slot[cols] = np.arange(cols.size)
+    gray_terms = np.full((n_pix + 1, keep.size), np.inf)   # row n_pix is the dummy pixel
+    gray_terms[:-1] = (gray + out_bias).T
+    image_terms = np.full((n_pix + 1, keep.size), np.inf)
+    image_terms[:-1] = (image + out_bias).T
+    gray_logit = gray_terms.min(axis=0).max()
 
-    walk = PixelWalk(keep.size, cols.size)
-    logit = np.empty(cols.size + 1)
-    step = np.empty(cols.size)
-    credits = np.zeros(cols.size)
-    for block in _permutation_blocks(seed, n_pix, permutations):
-        taken = slot[block]
-        for order in taken[taken >= 0].reshape(len(block), cols.size):
-            np.max(walk.hidden(at_base, at_image, order), axis=0, out=logit)
-            np.subtract(logit[1:], logit[:-1], out=step)
-            credits[order] += step
-    scores = np.zeros(n_pix)
-    scores[cols] = credits / permutations
-    return ImportanceMap(scores, DESCENDING)
-
+    credits = np.zeros(n_pix + 1)
+    for block, inv, records in _blocks(seed, n_pix, permutations, at_gray, keep, depth):
+        _event_credits(_events(block, inv, records, hits), gray_terms, image_terms,
+                       gray_logit, credits)
+    return ImportanceMap(credits[:n_pix] / permutations, DESCENDING)

@@ -30,8 +30,8 @@ from .data import Dataset
 from .errors import DataError, DimensionError, ParameterError, require_count, require_real
 from .explain import GRAY, ImportanceMap
 # batch_logits is unused here, but benchmarks/spans.py wraps it under this name
-from .network import (LmmParams, PixelWalk, batch_logits, batch_predict,  # noqa: F401
-                      pixel_mins, softmax_rows)
+from .network import (LmmParams, batch_logits, batch_predict, pixel_mins,  # noqa: F401
+                      softmax_rows)
 
 
 @dataclass
@@ -99,19 +99,26 @@ def _explain(params: LmmParams, explainer, x: np.ndarray) -> ImportanceMap:
 
 
 class _Deletion:
-    """Ranked deletion of one image at a time; one walk's buffers serve every image."""
+    """Ranked deletion of one image at a time, evaluated only at its cuts."""
 
     def __init__(self, params: LmmParams, n_pix: int, steps: int):
         self.params = params
         self.at_gray = pixel_mins(params, np.full(n_pix, GRAY))
-        self.states = np.arange(steps + 1) * n_pix // steps   # the clean image, then each cut
-        self.walk = PixelWalk(params.n_hidden, n_pix)
+        cuts = np.arange(steps + 1) * n_pix // steps       # the clean image, then each cut
+        self.cuts, self.states = np.unique(cuts, return_inverse=True)
 
     def probs(self, x: np.ndarray, imap: ImportanceMap) -> np.ndarray:
         """Calibrated probability of the clean image's predicted class at each cut, (steps,)."""
         params = self.params
-        walk = self.walk.hidden(pixel_mins(params, x), self.at_gray, imap.ranking())
-        hidden = walk[:, self.states]                                     # (H1, steps + 1)
+        rank = imap.ranking()
+        starts = self.cuts[:-1]              # the ranking's segments between distinct cuts
+        image = np.minimum.reduceat(pixel_mins(params, x)[:, rank], starts, axis=1)
+        gray = np.minimum.reduceat(self.at_gray[:, rank], starts, axis=1)
+        grayed = np.full((params.n_hidden, self.cuts.size), np.inf)   # segments before each cut
+        np.minimum.accumulate(gray, axis=1, out=grayed[:, 1:])
+        kept = np.full((params.n_hidden, self.cuts.size), np.inf)     # segments from each cut on
+        np.minimum.accumulate(image[:, ::-1], axis=1, out=kept[:, -2::-1])
+        hidden = np.minimum(grayed, kept)[:, self.states]             # (H1, steps + 1)
         logits = np.max(hidden.T[:, :, None] + params.maxplus_weights, axis=1)
         target = int(np.argmax(logits[0]))
         return softmax_rows(logits[1:], params.temperature)[:, target]
@@ -120,10 +127,13 @@ class _Deletion:
 def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28) -> float:
     """Mean calibrated predicted-class probability under ranked deletion.
 
-    Deleting pixels in ranking order is a ``PixelWalk`` from the image to
-    the gray image, read at the cuts k * P // steps for k = 1..steps; the
+    Deleting pixels in ranking order walks from the image to the gray
+    image; it is read at the cuts k * P // steps for k = 1..steps.  Between
+    two distinct cuts the ranking's segment takes one min per neuron for
+    each input's ``pixel_mins`` (``np.minimum.reduceat``), and the hidden
+    layer at a cut is the min of the gray segments before it and the image
+    segments from it on.  Cuts that repeat (steps > P) read one state.  The
     logits are bit-equal to ``batch_logits`` on the partially grayed images.
-    One walk's buffers serve every image.
     """
     steps = require_count(steps, "steps")
     deletion = _Deletion(params, data.n_pixels, steps)

@@ -136,6 +136,16 @@ def walk_deltas(scales, w1, w2, x, baseline, target, perm):
     return deltas
 
 
+def sampled_walk_deltas(scales, w1, w2, x, baseline, target, permutations, seed):
+    """The mean of ``walk_deltas`` over the first ``permutations`` draws of
+    ``default_rng(seed).permutation(P)``, summed in draw order."""
+    perms = np.random.default_rng(seed)
+    total = np.zeros(len(x))
+    for _ in range(permutations):
+        total += walk_deltas(scales, w1, w2, x, baseline, target, perms.permutation(len(x)))
+    return total / permutations
+
+
 def deletion_fidelity(params, explainer, data, fill, steps):
     """Deletion fidelity by direct evaluation of every partially filled image.
 

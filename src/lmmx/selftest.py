@@ -17,11 +17,12 @@ import tempfile
 import numpy as np
 
 from .data import load_model, save_model
-from .explain import GRAY, pixel_fragility, prune, shapley_sampling
+from .explain import GRAY, _first_records, pixel_fragility, prune, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
 from .network import ForwardTrace, LmmParams, batch_logits, forward, pixel_mins
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
-                      neuron_class, sensitivity, slack, walk_deltas)
+                      neuron_class, sampled_walk_deltas, sensitivity, slack,
+                      walk_deltas)
 from .training import subgradient
 
 
@@ -231,6 +232,10 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
     the gray baseline and with the medoids, and some pixel's smaller term
     meets a kept neuron's bound.  On a standard-normal net of the same
     shape a three-permutation mean sums to the gap within 1e-12.
+
+    Last, one 257-permutation map, which reads the memoized first block and
+    walks one more permutation, equals the mean of ``walk_deltas`` byte for
+    byte, once with the gray-record memo emptied and once reading it.
     """
     rng = np.random.default_rng(seed)
     for trial in range(trials):
@@ -266,6 +271,17 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
         imap = shapley_sampling(params, x, permutations=3, seed=int(rng.integers(1 << 16)))
         _check(abs(imap.scores.sum() - _logit_gap(params, x)) <= 1e-12,
                "Shapley credits miss the logit gap by more than 1e-12")
+    params = dyadic_params(rng, 5, 3, 2)
+    x = rng.integers(0, 1025, 5) / 1024.0
+    perm_seed = int(rng.integers(1 << 16))
+    expected = sampled_walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights,
+                                   x, np.full(5, GRAY), forward(params, x).predicted, 257,
+                                   perm_seed)
+    _first_records.cache_clear()
+    for memo in ("an empty", "a filled"):
+        imap = shapley_sampling(params, x, permutations=257, seed=perm_seed)
+        _check(imap.scores.tobytes() == expected.tobytes(),
+               f"a 257-permutation Shapley map with {memo} memo differs from direct evaluation")
 
 
 def check_model_roundtrip(seed: int = 5) -> None:

@@ -1,5 +1,5 @@
 """Hypothesis strategies shared by the walk and path tests (Shapley, deletion fidelity,
-PixelWalk, integrated gradients)."""
+pixel_mins, integrated gradients)."""
 
 import numpy as np
 from hypothesis import strategies as st

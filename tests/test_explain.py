@@ -11,9 +11,10 @@ from lmmx import explain
 from lmmx.explain import GRAY, prune
 from lmmx.network import pixel_mins
 from lmmx.oracles import (exact_shapley, extended_sensitivity, fragility_bruteforce_flip,
-                          neuron_class, path_integral_attribution, sensitivity, slack,
-                          walk_deltas)
-from lmmx.selftest import check_fragility_formulas, check_shapley_efficiency, random_params
+                          neuron_class, path_integral_attribution, sampled_walk_deltas,
+                          sensitivity, slack, walk_deltas)
+from lmmx.selftest import (check_fragility_formulas, check_shapley_efficiency, dyadic_params,
+                           random_params)
 
 from strategies import walk_nets
 
@@ -466,6 +467,72 @@ class TestShapleyPermutationMemo:
         block, _ = explain._first_block(0, 5)
         with pytest.raises(ValueError):
             block[0, 0] = 1
+
+
+def walked(params, x, permutations, seed):
+    """The Shapley map of ``x`` by direct evaluation of every walk."""
+    return sampled_walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights, x,
+                               np.full(params.n_pixels, GRAY), forward(params, x).predicted,
+                               permutations, seed)
+
+
+class TestShapleyEventPass:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_summed_walks_at_block_edges(self, data):
+        # tie-heavy dyadic nets at counts inside, at and across the memoized
+        # 256-permutation block; few seeds, so examples share memo entries
+        params, (x,) = data.draw(walk_nets(n_rows=1))
+        permutations = data.draw(st.sampled_from([1, 2, 3, 4, 255, 256, 257, 300]))
+        seed = data.draw(st.integers(0, 3))
+        got = shapley_sampling(params, x, permutations=permutations, seed=seed)
+        assert got.scores.tobytes() == walked(params, x, permutations, seed).tobytes()
+
+
+class TestShapleyRecordMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        explain._first_records.cache_clear()
+        yield
+        explain._first_records.cache_clear()
+
+    def test_two_models_alternate(self):
+        # same P, H1 and seed: only the gray terms tell the entries apart
+        rng = np.random.default_rng(91)
+        models = [dyadic_params(rng, 6, 4, 2) for _ in range(2)]
+        x = rng.integers(0, 1025, 6) / 1024.0
+        for permutations in (3, 257, 3, 257):
+            for params in models:
+                got = shapley_sampling(params, x, permutations=permutations, seed=5)
+                assert got.scores.tobytes() == walked(params, x, permutations, 5).tobytes()
+        info = explain._first_records.cache_info()
+        assert (info.misses, info.hits) == (2, 6)
+
+    def test_weights_changed_in_place_get_new_records(self):
+        rng = np.random.default_rng(92)
+        params = dyadic_params(rng, 6, 4, 2)
+        x = rng.integers(0, 1025, 6) / 1024.0
+        before = shapley_sampling(params, x, permutations=40, seed=2)
+        assert before.scores.tobytes() == walked(params, x, 40, 2).tobytes()
+        params.minplus_weights[:] = params.minplus_weights[::-1]
+        after = shapley_sampling(params, x, permutations=40, seed=2)
+        assert after.scores.tobytes() == walked(params, x, 40, 2).tobytes()
+        assert after.scores.tobytes() != before.scores.tobytes()
+        assert explain._first_records.cache_info().misses == 2
+
+    def test_memo_is_read_only_and_bounded(self):
+        rng = np.random.default_rng(93)
+        x = np.full(4, 0.75)
+        for _ in range(6):
+            params = dyadic_params(rng, 4, 3, 2)
+            shapley_sampling(params, x, permutations=2)
+        info = explain._first_records.cache_info()
+        assert info.currsize == info.maxsize == 4 and info.misses == 6
+        gray = pixel_mins(params, np.full(4, GRAY)).tobytes()
+        for part in explain._first_records(0, 4, gray):
+            with pytest.raises(ValueError):
+                part[0] = 0
+        assert explain._first_records.cache_info().hits == 1
 
 
 class TestImportanceMapRanking:

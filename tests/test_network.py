@@ -9,7 +9,7 @@ from lmmx import (DimensionError, LmmParams, NumericError, ParameterError, batch
                   forward, linear_layer)
 
 from lmmx import network
-from lmmx.network import PixelWalk, pixel_mins, softmax_rows, tropical_pass
+from lmmx.network import pixel_mins, softmax_rows, tropical_pass
 from lmmx.oracles import brute_forward
 from lmmx.selftest import check_forward_oracle, dyadic_params, random_params
 
@@ -199,33 +199,15 @@ class TestTropicalPass:
             assert np.array_equal(logits[i], forward(params, images[i]).logits)
 
 
-class TestPixelWalk:
+class TestPixelMins:
     @settings(max_examples=200, deadline=None)
-    @given(walk_nets(), st.data())
-    def test_every_state_matches_tropical_pass(self, net, data):
-        params, (start, end) = net
-        n_pix = params.n_pixels
-        order = np.array(data.draw(st.permutations(range(n_pix))))
-        states = np.repeat(start[None, :], n_pix + 1, axis=0)
-        for k in range(1, n_pix + 1):
-            states[k, order[:k]] = end[order[:k]]
-        walk = PixelWalk(params.n_hidden, n_pix)
-        for _ in range(2):  # reused buffers give the same states
-            hidden = walk.hidden(pixel_mins(params, start), pixel_mins(params, end), order)
-            assert np.array_equal(hidden, tropical_pass(params, states).hidden.T)
-
-    def test_neuron_subset(self):
-        rng = np.random.default_rng(8)
-        params = random_params(rng, 30, 6, 2)
-        start, end = rng.uniform(0, 1, (2, 30))
-        order = rng.permutation(30)
-        rows = [1, 4]
-        full = PixelWalk(6, 30).hidden(pixel_mins(params, start), pixel_mins(params, end), order)
-        part = PixelWalk(2, 30).hidden(pixel_mins(params, start)[rows],
-                                       pixel_mins(params, end)[rows], order)
-        assert np.array_equal(part, full[rows])
-        assert np.array_equal(full[:, 0], forward(params, start).hidden)
-        assert np.array_equal(full[:, 30], forward(params, end).hidden)
+    @given(walk_nets())
+    def test_min_over_pixels_is_the_hidden_layer(self, net):
+        # Shapley sampling and deletion fidelity build every walk state from these
+        params, rows = net
+        hidden = tropical_pass(params, rows).hidden
+        for i, x in enumerate(rows):
+            assert np.array_equal(pixel_mins(params, x).min(axis=1), hidden[i])
 
 
 class TestParams:
