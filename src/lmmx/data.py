@@ -120,7 +120,7 @@ def load_npz_dataset(path) -> dict[str, Dataset]:
 
 def synth_dataset(n_pixels: int, n_per_class: int, centers, noise_sigma: float,
                   seed: int, split: str = "synthetic") -> Dataset:
-    """Gaussian blobs around per-class centers, clipped to [0, 1]."""
+    """Gaussian blobs around per-class centers, clipped to [0, 1] and rounded to k / PIXEL_LEVELS."""
     n_per_class = require_count(n_per_class, "n_per_class")
     noise_sigma = require_real(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
@@ -136,7 +136,7 @@ def synth_dataset(n_pixels: int, n_per_class: int, centers, noise_sigma: float,
     labels = []
     for c, center in enumerate(centers):
         block = center[None, :] + rng.normal(0.0, noise_sigma, size=(n_per_class, n_pixels))
-        images.append(np.clip(block, 0.0, 1.0))
+        images.append(np.rint(np.clip(block, 0.0, 1.0) * PIXEL_LEVELS) / PIXEL_LEVELS)
         labels.append(np.full(n_per_class, c, dtype=np.int64))
     return Dataset(np.vstack(images), np.concatenate(labels), split=split)
 

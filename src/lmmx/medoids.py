@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+# cdist is unused here, but benchmarks/spans.py wraps it under this name
+from scipy.spatial.distance import cdist  # noqa: F401
 
 from .data import PIXEL_LEVELS, Dataset
-from .errors import DataError, DimensionError, ParameterError, require_count, require_real
+from .errors import (DataError, DimensionError, NumericError, ParameterError, require_count,
+                     require_real)
 from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
-_BLOCK = 128  # rows per float distance block (measured best)
 _ROWS, _COLS = 16, 64  # uint8 distance block shape (measured best)
 _SWEEP_BYTES = 1024  # bytes per matrix row in one block of the cost sweep
 
@@ -40,6 +41,8 @@ class MedoidSet:
             raise DimensionError("vectors must be a non-empty (H1, P) matrix")
         if self.labels.shape[0] != self.vectors.shape[0] or self.source_indices.shape[0] != self.vectors.shape[0]:
             raise DimensionError("labels and source_indices must match the medoid count")
+        if not np.all(np.isfinite(self.vectors)):
+            raise DataError("medoid entries contain non-finite values")
         if self.vectors.min() < 0.0 or self.vectors.max() > 1.0:
             raise DataError("medoid entries must lie in [0, 1]")
         n_classes = int(self.labels.max()) + 1
@@ -86,35 +89,27 @@ def _allocate_per_class(counts: np.ndarray, n_medoids: int) -> np.ndarray:
 
 
 def _chebyshev_matrix(points: np.ndarray) -> np.ndarray:
-    """All pairwise Chebyshev distances of ``points`` (rows in [0, 1]).
+    """All pairwise Chebyshev distances of ``points``, in whole pixel levels.
 
-    Points on the loader's grid (every entry k / PIXEL_LEVELS, as in every
-    archive ``load_npz_dataset`` reads) give an exact uint8 matrix in whole
-    pixel levels, from (_ROWS, _COLS) blocks of max(a, b) - min(a, b).
-    Other points give the float64 ``cdist`` matrix from _BLOCK-row blocks.
-    Both fill the upper triangle and write each block with its transpose:
-    the distance is exactly symmetric (|a - b| equals |b - a| and max is
-    order-free), so the float matrix equals the full ``cdist(points,
-    points)`` bit for bit at about half the work.
+    Every entry must lie on the loader's k / PIXEL_LEVELS grid, as in every
+    archive ``load_npz_dataset`` reads; the distances are then an exact
+    uint8 matrix, built from (_ROWS, _COLS) blocks of max(a, b) - min(a, b)
+    over the upper triangle, each block written with its transpose.
     """
-    n = points.shape[0]
     levels = np.rint(points * PIXEL_LEVELS)
-    if np.array_equal(levels / PIXEL_LEVELS, points):
-        units = levels.astype(np.uint8)
-        dist = np.empty((n, n), np.uint8)
-        for i0 in range(0, n, _ROWS):
-            a = units[i0:i0 + _ROWS, None]
-            for j0 in range(i0, n, _COLS):
-                b = units[None, j0:j0 + _COLS]
-                block = (np.maximum(a, b) - np.minimum(a, b)).max(axis=2)
-                dist[i0:i0 + _ROWS, j0:j0 + _COLS] = block
-                dist[j0:j0 + _COLS, i0:i0 + _ROWS] = block.T
-        return dist
-    dist = np.empty((n, n))
-    for i0 in range(0, n, _BLOCK):
-        block = cdist(points[i0:i0 + _BLOCK], points[i0:], "chebyshev")
-        dist[i0:i0 + _BLOCK, i0:] = block
-        dist[i0:, i0:i0 + _BLOCK] = block.T
+    if not np.array_equal(levels / PIXEL_LEVELS, points):
+        raise DataError(f"the greedy medoid build needs pixels on the k / {PIXEL_LEVELS} grid "
+                        f"(k = 0..{PIXEL_LEVELS}), as an archive loads them")
+    units = levels.astype(np.uint8)
+    n = points.shape[0]
+    dist = np.empty((n, n), np.uint8)
+    for i0 in range(0, n, _ROWS):
+        a = units[i0:i0 + _ROWS, None]
+        for j0 in range(i0, n, _COLS):
+            b = units[None, j0:j0 + _COLS]
+            block = (np.maximum(a, b) - np.minimum(a, b)).max(axis=2)
+            dist[i0:i0 + _ROWS, j0:j0 + _COLS] = block
+            dist[j0:j0 + _COLS, i0:i0 + _ROWS] = block.T
     return dist
 
 
@@ -126,12 +121,8 @@ def _greedy_kmedoids(points: np.ndarray, quota: int) -> list[int]:
     index.  Needs the n x n ``_chebyshev_matrix`` plus an (n, width) buffer
     of _SWEEP_BYTES per row.
 
-    On the pixel grid every cost is a whole number of levels below 2**53,
-    so its float64 sum is exact in any order and equal costs are true ties.
-    Off the grid the order matters: costs are summed over axis 0 of column
-    blocks at least two wide, which adds rows 0..n-1 in order just as the
-    full-matrix sum does; summing along rows instead would be pairwise and
-    change the bits.
+    Every cost is a whole number of levels below 2**53, so its float64 sum
+    is exact in any order and equal costs are true ties.
     """
     dist = _chebyshev_matrix(points)
     n = dist.shape[0]
@@ -142,9 +133,7 @@ def _greedy_kmedoids(points: np.ndarray, quota: int) -> list[int]:
     chosen: list[int] = []
     for _ in range(quota):
         for j0 in range(0, n, width):
-            # the last block overlaps the one before rather than narrowing:
-            # numpy sums a lone column pairwise, not row by row
-            j0 = min(j0, n - width)
+            j0 = min(j0, n - width)  # the last block overlaps the one before, keeping the width
             np.minimum(dist[:, j0:j0 + width], nearest[:, None], out=buf)
             buf.sum(axis=0, out=costs[j0:j0 + width])
         costs[chosen] = np.inf  # never pick the same sample twice
@@ -160,7 +149,8 @@ def select_medoids(train: Dataset, n_medoids: int, strategy: str = "greedy-kmedo
 
     Neurons are allotted per class proportionally to class frequency (at
     least one each).  ``random`` draws uniformly without replacement;
-    ``greedy-kmedoids`` runs the greedy PAM build step per class.
+    ``greedy-kmedoids`` runs the greedy PAM build step per class, and
+    raises ``DataError`` for pixels off the loader's k / PIXEL_LEVELS grid.
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy '{strategy}' (expected one of {STRATEGIES})")
@@ -213,5 +203,7 @@ def nearest_medoid_predict(medoids: MedoidSet, x) -> int:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (medoids.vectors.shape[1],):
         raise DimensionError(f"expected input of length {medoids.vectors.shape[1]}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NumericError("input contains non-finite values")
     dist = np.max(np.abs(medoids.vectors - x[None, :]), axis=1)
     return int(medoids.labels[int(np.argmin(dist))])

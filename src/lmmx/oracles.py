@@ -10,7 +10,6 @@ and the test suite, compare the library against them.
 import itertools
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import PIXEL_LEVELS
 from .errors import ParameterError
@@ -60,16 +59,11 @@ def chebyshev_nearest(medoid_vectors, medoid_labels, x):
 def brute_greedy_kmedoids(points, quota):
     """Greedy PAM build picks from the full distance matrix, lowest index on ties.
 
-    Points on the loader's k / PIXEL_LEVELS grid are measured in whole
-    levels with int64 distances and sums, so equal costs are exact ties;
-    other points use float ``cdist``.
+    Points lie on the loader's k / PIXEL_LEVELS grid and are measured in
+    whole levels with int64 distances and sums, so equal costs are exact ties.
     """
-    levels = np.rint(points * PIXEL_LEVELS)
-    if np.array_equal(levels / PIXEL_LEVELS, points):
-        units = levels.astype(np.int64)
-        dist = np.abs(units[:, None, :] - units[None, :, :]).max(axis=2)
-    else:
-        dist = cdist(points, points, "chebyshev")
+    units = np.rint(points * PIXEL_LEVELS).astype(np.int64)
+    dist = np.abs(units[:, None, :] - units[None, :, :]).max(axis=2)
     nearest = dist.max(axis=1)  # no medoid yet: nothing in a row lies farther
     chosen = []
     for _ in range(quota):

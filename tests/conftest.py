@@ -13,6 +13,7 @@ import pytest
 
 from lmmx import (Dataset, TrainConfig, calibrate_temperature, init_params, load_npz_dataset,
                   select_medoids, synth_dataset, train)
+from lmmx.data import PIXEL_LEVELS
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,7 +57,8 @@ def gapped_task():
     """Factory of a separable one-pixel task that the medoid init gets wrong.
 
     ``gapped_task(seed)`` returns (train, val), 100 images per class each:
-    class 0 uniform on [0.1, 0.3], class 1 on [0.4, 1.0].  One medoid per
+    class 0 uniform on [0.1, 0.3], class 1 on [0.4, 1.0], rounded to the
+    k / PIXEL_LEVELS grid that the greedy medoid build needs.  One medoid per
     class puts the nearest-medoid boundary midway between them, near 0.45,
     so the init misclassifies the class-1 images below it on both splits;
     only training can move the boundary into the gap.
@@ -66,6 +68,7 @@ def gapped_task():
 
         def split(name):
             x = np.concatenate([rng.uniform(0.1, 0.3, 100), rng.uniform(0.4, 1.0, 100)])
+            x = np.rint(x * PIXEL_LEVELS) / PIXEL_LEVELS
             return Dataset(x[:, None], np.repeat([0, 1], 100), split=name)
 
         return split("train"), split("val")

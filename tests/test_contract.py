@@ -21,7 +21,8 @@ JUNK = (0, -1, 2.5, 3.0, math.nan, math.inf, True, "3", None)
 _PARAMS = LmmParams(np.array([1.0, 0.5, 0.75, 1.0]), np.array([[0.0, 0.25], [0.5, -0.25],
                                                                [0.25, 0.0], [-0.5, 0.5]]),
                     np.array([[1.0, -1.0], [-1.0, 1.0]]))
-_DATA = Dataset(np.array([[0.25, 0.75], [0.5, 0.0], [1.0, 0.25], [0.75, 1.0]]),
+# pixels on the k/255 grid, so the greedy medoid build accepts them
+_DATA = Dataset(np.array([[64, 191], [128, 0], [255, 64], [191, 255]]) / 255,
                 np.array([0, 0, 1, 1]), "test")
 _MEDOIDS = MedoidSet(_DATA.images[[0, 2]], np.array([0, 1]), np.array([0, 2]))
 _CENTERS = np.array([[0.25, 0.75], [0.75, 0.25]])

@@ -7,6 +7,7 @@ import pytest
 
 from lmmx import (DataError, Dataset, FormatError, ImportanceMap, LmmError, LmmParams,
                   ParameterError, export_map, load_model, load_npz_dataset, save_model, synth_dataset)
+from lmmx.data import PIXEL_LEVELS
 from lmmx.selftest import check_model_roundtrip
 
 
@@ -124,8 +125,14 @@ class TestSynthDataset:
     def test_zero_noise_hits_centers(self):
         centers = np.array([[0.1, 0.2], [0.9, 0.8]])
         data = synth_dataset(2, 5, centers, 0.0, seed=0)
-        assert np.array_equal(data.images[:5], np.tile(centers[0], (5, 1)))
-        assert np.array_equal(data.images[5:], np.tile(centers[1], (5, 1)))
+        snapped = np.rint(centers * PIXEL_LEVELS) / PIXEL_LEVELS  # 0.1 -> 26/255, 0.2 stays 51/255
+        assert np.array_equal(data.images[:5], np.tile(snapped[0], (5, 1)))
+        assert np.array_equal(data.images[5:], np.tile(snapped[1], (5, 1)))
+
+    def test_images_round_trip_through_uint8_levels(self):
+        data = synth_dataset(16, 70, [np.full(16, 0.3), np.full(16, 0.7)], 0.1, seed=1)
+        levels = np.rint(data.images * PIXEL_LEVELS).astype(np.uint8)
+        assert np.array_equal(levels.astype(np.float64) / PIXEL_LEVELS, data.images)
 
     def test_separable_margin(self):
         data = synth_dataset(1, 100, np.array([[0.1], [0.9]]), 0.02, seed=1)

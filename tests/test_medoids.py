@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
-from lmmx import (DataError, Dataset, DimensionError, MedoidSet, ParameterError, forward,
-                  init_params, nearest_medoid_predict, select_medoids, synth_dataset)
+from lmmx import (DataError, Dataset, DimensionError, MedoidSet, NumericError, ParameterError,
+                  forward, init_params, nearest_medoid_predict, select_medoids, synth_dataset)
 from lmmx.data import PIXEL_LEVELS
-from lmmx.medoids import (_BLOCK, _COLS, _ROWS, _SWEEP_BYTES, _allocate_per_class,
-                          _chebyshev_matrix, _greedy_kmedoids)
+from lmmx.medoids import (_COLS, _ROWS, _SWEEP_BYTES, _allocate_per_class, _chebyshev_matrix,
+                          _greedy_kmedoids)
 
 from lmmx.oracles import brute_greedy_kmedoids
 from lmmx.selftest import check_init_equivalence
@@ -74,13 +73,13 @@ class TestSelectMedoids:
         assert sorted(med.labels.tolist()) == [0, 1]
 
     def test_greedy_picks_cost_minimizer(self):
-        # brute-force oracle: summed Chebyshev distance of each candidate
-        points = np.array([[0.0], [0.1], [0.9], [0.5]])
-        train = Dataset(points, np.array([0, 0, 0, 1]), "train")
-        class0 = points[:3]
+        # brute-force oracle: summed Chebyshev distance of each candidate, in pixel levels
+        levels = np.array([[0], [25], [230], [128]])
+        train = Dataset(levels / PIXEL_LEVELS, np.array([0, 0, 0, 1]), "train")
+        class0 = levels[:3]
         costs = [sum(abs(class0 - c).max(axis=1)) for c in class0]
         best = int(np.argmin(costs))
-        assert best == 1  # medoid 0.1: costs 1.0, 0.9, 1.7
+        assert best == 1  # medoid 25/255: costs 255, 230, 435 levels
         med = select_medoids(train, 2, "greedy-kmedoids", seed=0)
         chosen0 = med.source_indices[med.labels == 0]
         assert chosen0.tolist() == [best]
@@ -88,7 +87,7 @@ class TestSelectMedoids:
     @pytest.mark.parametrize("strategy", ["random", "greedy-kmedoids"])
     def test_deterministic(self, strategy):
         rng = np.random.default_rng(7)
-        train = Dataset(rng.uniform(0, 1, (40, 3)), rng.integers(0, 2, 40), "train")
+        train = Dataset(grid_points(rng, 40, n_pix=3), rng.integers(0, 2, 40), "train")
         train.labels[:2] = [0, 1]
         a = select_medoids(train, 6, strategy, seed=11)
         b = select_medoids(train, 6, strategy, seed=11)
@@ -123,6 +122,14 @@ class TestSelectMedoids:
         med = select_medoids(Dataset(images, labels, "train"), 8, "random", seed=0)
         assert np.sum(med.labels == 0) == 6 and np.sum(med.labels == 1) == 2
 
+    def test_off_grid_images_need_the_random_strategy(self):
+        rng = np.random.default_rng(9)
+        train = Dataset(rng.uniform(0, 1, (30, 2)), np.repeat([0, 1], 15), "train")
+        with pytest.raises(DataError, match="grid"):
+            select_medoids(train, 4, "greedy-kmedoids", seed=0)
+        med = select_medoids(train, 4, "random", seed=0)
+        assert np.array_equal(med.vectors, train.images[med.source_indices])
+
 
 @st.composite
 def tied_points(draw):
@@ -153,25 +160,30 @@ class TestChebyshevMatrix:
     @pytest.mark.parametrize("n", [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, _COLS - 1, _COLS,
                                    _COLS + 1, _ROWS + _COLS + 1])
     def test_grid_levels_match_cdist(self, n):
+        # the reference is cdist's Chebyshev matrix, max |a - b|, taken in int64 levels
         rng = np.random.default_rng(n)
         points = grid_points(rng, n)
         points[0, 0], points[-1, 0] = 0.0, 1.0  # the full 255-level span
         dist = _chebyshev_matrix(points)
         assert dist.dtype == np.uint8
-        expected = np.rint(cdist(points, points, "chebyshev") * PIXEL_LEVELS)
+        units = np.rint(points * PIXEL_LEVELS).astype(np.int64)
+        expected = np.abs(units[:, None, :] - units[None, :, :]).max(axis=2)
         assert np.array_equal(dist, expected)
 
-    @pytest.mark.parametrize("points", [
-        np.random.default_rng(0).uniform(0, 1, (_BLOCK + 3, 4)),
-        synth_dataset(16, 70, [np.full(16, 0.3), np.full(16, 0.7)], 0.1, seed=1).images,
-        np.array([[0.5 / PIXEL_LEVELS]]),
-    ], ids=["uniform", "synth", "half-level"])
-    def test_off_grid_keeps_float_cdist(self, points):
+    def test_synth_images_give_uint8_levels(self):
+        points = synth_dataset(16, 70, [np.full(16, 0.3), np.full(16, 0.7)], 0.1, seed=1).images
         dist = _chebyshev_matrix(points)
-        assert dist.dtype == np.float64
-        assert np.array_equal(dist, cdist(points, points, "chebyshev"))
-        quota = min(len(points), 9)
-        assert _greedy_kmedoids(points, quota) == brute_greedy_kmedoids(points, quota)
+        assert dist.dtype == np.uint8
+        assert _greedy_kmedoids(points, 9) == brute_greedy_kmedoids(points, 9)
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(0).uniform(0, 1, (_COLS + 3, 4)),
+        np.array([[0.5 / PIXEL_LEVELS]]),
+        np.array([[0.0], [1.0], [np.nextafter(1.0, 0.0)]]),
+    ], ids=["uniform", "half-level", "one-ulp"])
+    def test_off_grid_is_data_error(self, points):
+        with pytest.raises(DataError, match=f"k / {PIXEL_LEVELS} grid"):
+            _chebyshev_matrix(points)
 
 
 class TestGreedyKMedoids:
@@ -182,7 +194,8 @@ class TestGreedyKMedoids:
         points, quota = case
         assert _greedy_kmedoids(points, quota) == brute_greedy_kmedoids(points, quota)
 
-    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+    @pytest.mark.parametrize("n", [1, 2, _ROWS + 1, _COLS - 1, _COLS, _COLS + 1, 2 * _COLS - 1,
+                                   2 * _COLS, 2 * _COLS + 1, 300])
     def test_matches_reference_across_block_edges(self, n):
         points = grid_points(np.random.default_rng(n), n)
         assert _greedy_kmedoids(points, n) == brute_greedy_kmedoids(points, n)
@@ -243,6 +256,13 @@ class TestNearestMedoid:
         with pytest.raises(DimensionError):
             nearest_medoid_predict(self.med, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_numeric_error_like_forward(self, value):
+        with pytest.raises(NumericError):
+            forward(init_params(self.med, 1.0), np.array([value]))
+        with pytest.raises(NumericError):
+            nearest_medoid_predict(self.med, np.array([value]))
+
 
 class TestInitEquivalence:
     def test_matches_nearest_medoid_oracle(self):
@@ -257,7 +277,7 @@ class TestInitEquivalence:
             k0 = float(rng.uniform(0.1, 5.0))
             params = init_params(med, k0)
             x = rng.uniform(0, 1, n_pix)
-            dists = cdist(x[None, :], med.vectors, "chebyshev")[0]
+            dists = np.abs(med.vectors - x).max(axis=1)
             expected = np.max(-k0 * dists[:, None] + params.maxplus_weights, axis=0)
             np.testing.assert_allclose(forward(params, x).logits, expected, rtol=0, atol=1e-12)
 
@@ -295,3 +315,8 @@ class TestMedoidSetValidation:
     def test_out_of_range_entries(self):
         with pytest.raises(DataError):
             MedoidSet(np.array([[1.2], [0.2]]), np.array([0, 1]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries(self, value):
+        with pytest.raises(DataError, match="non-finite"):
+            MedoidSet(np.array([[value], [0.5]]), np.array([0, 1]), np.array([0, 1]))
