@@ -138,13 +138,17 @@ def _cmd_explain(args) -> int:
 def _cmd_metrics(args) -> int:
     if args.limit < 0:
         raise ParameterError(f"--limit must be >= 0 (0 = all images), got {args.limit}")
+    names = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not names:
+        raise ParameterError(f"--methods names no method (expected some of {METHODS})")
+    if len(set(names)) < len(names):
+        raise ParameterError(f"--methods names a method twice: '{args.methods}'")
+    explainers = {name: _make_explainer(name, args.seed, args.ig_steps, args.permutations)
+                  for name in names}
     params = load_model(args.model)
     data = load_npz_dataset(args.data)[args.split]
     if 0 < args.limit < data.n_samples:
         data = type(data)(data.images[:args.limit], data.labels[:args.limit], data.split)
-    names = [m.strip() for m in args.methods.split(",") if m.strip()]
-    explainers = {name: _make_explainer(name, args.seed, args.ig_steps, args.permutations)
-                  for name in names}
     report = compute_report(params, data, explainers, steps=args.steps, sigma=args.sigma,
                             m=args.m, seed=args.seed, timing_images=args.timing_n)
     with open(args.out, "w", encoding="utf-8") as fh:

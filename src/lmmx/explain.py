@@ -176,21 +176,6 @@ _EVENT_CELLS = 1 << 17
 _RECORD_CELLS = 1 << 20
 
 
-@functools.lru_cache(maxsize=4)
-def _first_block(seed: int, n_pix: int) -> tuple[np.ndarray, dict]:
-    """The first ``_BLOCK`` draws of ``default_rng(seed).permutation(n_pix)``.
-
-    Returned read-only, with the generator state after them.  Every
-    ``shapley_sampling`` call of one ``lmmx metrics`` run uses one seed, so
-    all calls after the first read their permutations from here.  An entry
-    holds 256 * P indices, 1.6 MB at P = 784.
-    """
-    rng = np.random.default_rng(seed)
-    block = np.stack([rng.permutation(n_pix) for _ in range(_BLOCK)])
-    block.flags.writeable = False
-    return block, rng.bit_generator.state
-
-
 def _inverse(block: np.ndarray) -> np.ndarray:
     """Each permutation's position of every pixel, (n, P), in the smallest unsigned type."""
     n, n_pix = block.shape
@@ -252,22 +237,27 @@ def _suffix_records(gray: np.ndarray, inv: np.ndarray,
 
 
 @functools.lru_cache(maxsize=4)
-def _first_records(seed: int, n_pix: int, gray: bytes) -> tuple[np.ndarray, ...]:
-    """Inverse permutations and gray-term records of the first block, for every neuron.
+def _first_block(seed: int, n_pix: int, gray: bytes) -> tuple:
+    """The first ``_BLOCK`` draws of ``default_rng(seed).permutation(n_pix)`` and their records.
 
     ``gray`` holds the bytes of ``pixel_mins(params, GRAY)``, which with
-    the seed fixes the result, so a model whose weights change gets new
-    records.  Returns ``_inverse`` of ``_first_block(seed, n_pix)`` and
-    ``_suffix_records`` over all ranks, read-only.  An entry holds about
-    1.3 MB at P = 784, H1 = 25: the key's 157 kB of terms, 401 kB of
-    uint16 positions, and 16 bytes per record (about 46,000).
+    the seed fixes the entry, so a model whose weights change gets a new
+    one.  Every ``shapley_sampling`` call of one ``lmmx metrics`` run uses
+    one seed and one model, so all calls after the first read here.
+    Returns the draws, their ``_inverse``, ``_suffix_records`` of every
+    neuron over all ranks, all read-only, and the generator state after
+    the draws.  An entry holds about 2.9 MB at P = 784, H1 = 25: 1.6 MB of
+    draws, the key's 157 kB of terms, 401 kB of uint16 positions, and 16
+    bytes per record (about 46,000).
     """
+    rng = np.random.default_rng(seed)
+    block = np.stack([rng.permutation(n_pix) for _ in range(_BLOCK)])
     terms = np.frombuffer(gray).reshape(-1, n_pix)
-    inv = _inverse(_first_block(seed, n_pix)[0])
+    inv = _inverse(block)
     key, flat = _suffix_records(terms, inv, np.full(terms.shape[0], n_pix))
-    for a in (inv, key, flat):
+    for a in (block, inv, key, flat):
         a.flags.writeable = False
-    return inv, key, flat
+    return block, inv, key, flat, rng.bit_generator.state
 
 
 def _blocks(seed: int, n_pix: int, count: int, at_gray: np.ndarray, keep: np.ndarray,
@@ -281,8 +271,7 @@ def _blocks(seed: int, n_pix: int, count: int, at_gray: np.ndarray, keep: np.nda
     and later blocks resume from the state saved after it and compute the
     records of the kept neurons only.
     """
-    block, state = _first_block(seed, n_pix)
-    inv, key, flat = _first_records(seed, n_pix, at_gray.tobytes())
+    block, inv, key, flat, state = _first_block(seed, n_pix, at_gray.tobytes())
     lo = np.searchsorted(key, keep * n_pix)
     hi = np.searchsorted(key, keep * n_pix + depth)
     taken = np.concatenate([flat[a:b] for a, b in zip(lo, hi)])
@@ -377,10 +366,11 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     so each pixel's credits are summed in permutation order, the order of
     a walk through every step.
 
-    The gray records of a seed's first ``_BLOCK`` permutations depend only
-    on the gray terms and are memoized (``_first_records``).  Events are
-    sorted by position; a permutation with fewer events than the most is
-    padded with a dummy pixel whose terms are +inf and change nothing.
+    A seed's first ``_BLOCK`` permutations and their gray records depend
+    only on the seed and the gray terms, and are memoized in one entry per
+    model and seed (``_first_block``).  Events are sorted by position; a
+    permutation with fewer events than the most is padded with a dummy
+    pixel whose terms are +inf and change nothing.
     Each kept neuron's max-plus bias is added to its terms once per call:
     rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c))
     and every state's biased activation keeps its bits.  The running mins

@@ -201,12 +201,12 @@ def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
 
 
 def timing(params: LmmParams, explainer, data: Dataset, n: int) -> float:
-    """Mean wall-clock seconds per importance map, single-threaded."""
+    """Mean wall-clock seconds per importance map, single-threaded; each map is checked."""
     n = require_count(n, "n")
     n = min(n, data.n_samples)
     start = time.perf_counter()
     for i in range(n):
-        explainer(params, data.images[i])
+        _explain(params, explainer, data.images[i])
     return (time.perf_counter() - start) / n
 
 

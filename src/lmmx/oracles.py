@@ -101,22 +101,6 @@ def fd_gradients(params, x, y, step=1e-6):
     return out
 
 
-def exact_shapley(scales, w1, w2, x, baseline, target):
-    """Shapley values of the target logit by full permutation enumeration."""
-    n_pix = len(x)
-    scores = np.zeros(n_pix)
-    perms = list(itertools.permutations(range(n_pix)))
-    for perm in perms:
-        state = baseline.copy()
-        prev = brute_logit(scales, w1, w2, state, target)
-        for p in perm:
-            state[p] = x[p]
-            cur = brute_logit(scales, w1, w2, state, target)
-            scores[p] += cur - prev
-            prev = cur
-    return scores / len(perms)
-
-
 def walk_deltas(scales, w1, w2, x, baseline, target, perm):
     """Per-pixel logit changes along one flip walk, by direct evaluation."""
     state = baseline.copy()
@@ -128,6 +112,16 @@ def walk_deltas(scales, w1, w2, x, baseline, target, perm):
         deltas[p] = cur - prev
         prev = cur
     return deltas
+
+
+def exact_shapley(scales, w1, w2, x, baseline, target):
+    """Shapley values of the target logit: the mean of ``walk_deltas`` over
+    every permutation, summed in ``itertools.permutations`` order."""
+    perms = list(itertools.permutations(range(len(x))))
+    total = np.zeros(len(x))
+    for perm in perms:
+        total += walk_deltas(scales, w1, w2, x, baseline, target, perm)
+    return total / len(perms)
 
 
 def sampled_walk_deltas(scales, w1, w2, x, baseline, target, permutations, seed):

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .data import load_model, save_model
-from .explain import GRAY, _first_records, pixel_fragility, prune, shapley_sampling
+from .explain import GRAY, _first_block, pixel_fragility, prune, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
 from .network import ForwardTrace, LmmParams, batch_logits, forward, pixel_mins
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
@@ -235,7 +235,7 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
 
     Last, one 257-permutation map, which reads the memoized first block and
     walks one more permutation, equals the mean of ``walk_deltas`` byte for
-    byte, once with the gray-record memo emptied and once reading it.
+    byte, once with the Shapley memo emptied and once reading it.
     """
     rng = np.random.default_rng(seed)
     for trial in range(trials):
@@ -277,7 +277,7 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
     expected = sampled_walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights,
                                    x, np.full(5, GRAY), forward(params, x).predicted, 257,
                                    perm_seed)
-    _first_records.cache_clear()
+    _first_block.cache_clear()
     for memo in ("an empty", "a filled"):
         imap = shapley_sampling(params, x, permutations=257, seed=perm_seed)
         _check(imap.scores.tobytes() == expected.tobytes(),

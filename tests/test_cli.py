@@ -230,6 +230,25 @@ class TestMetrics:
                     "--methods", "gradcam", "--out", str(tmp_path / "r.txt")])
         assert code == 1
 
+    def test_unknown_method_is_usage_error_before_loading(self, tiny_archive, tmp_path):
+        code = run(["metrics", "--model", str(tmp_path / "missing.lmmp"), "--data", tiny_archive,
+                    "--methods", "gradcam", "--out", str(tmp_path / "r.txt")])
+        assert code == 1     # not 2 for the missing model
+
+    @pytest.mark.parametrize("methods", ["", " , ", "fragility,fragility",
+                                         "fragility, intgrad,fragility"])
+    def test_empty_or_repeated_methods_are_usage_errors_before_loading(
+            self, trained_model, tiny_archive, tmp_path, monkeypatch, methods):
+        def no_load(*args, **kwargs):
+            pytest.fail("the model was loaded before --methods was checked")
+
+        monkeypatch.setattr("lmmx.cli.load_model", no_load)
+        out = tmp_path / "r.txt"
+        args = command_args("metrics", trained_model, tiny_archive, str(out))
+        args[args.index("--methods") + 1] = methods
+        assert run(args) == 1
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_train_then_metrics_repeat_byte_for_byte(self, tiny_archive, tmp_path):

@@ -433,7 +433,27 @@ class TestShapleySampling:
         assert np.array_equal(a.scores, b.scores)
 
 
-class TestShapleyPermutationMemo:
+def walked(params, x, permutations, seed):
+    """The Shapley map of ``x`` by direct evaluation of every walk."""
+    return sampled_walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights, x,
+                               np.full(params.n_pixels, GRAY), forward(params, x).predicted,
+                               permutations, seed)
+
+
+class TestShapleyEventPass:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_summed_walks_at_block_edges(self, data):
+        # tie-heavy dyadic nets at counts inside, at and across the memoized
+        # 256-permutation block; few seeds, so examples share memo entries
+        params, (x,) = data.draw(walk_nets(n_rows=1))
+        permutations = data.draw(st.sampled_from([1, 2, 3, 4, 255, 256, 257, 300]))
+        seed = data.draw(st.integers(0, 3))
+        got = shapley_sampling(params, x, permutations=permutations, seed=seed)
+        assert got.scores.tobytes() == walked(params, x, permutations, seed).tobytes()
+
+
+class TestShapleyRecordMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self):
         explain._first_block.cache_clear()
@@ -461,40 +481,7 @@ class TestShapleyPermutationMemo:
                                         perms.permutation(6))
             got = shapley_sampling(params, x, permutations=permutations, seed=seed)
             assert got.scores.tobytes() == (expected / permutations).tobytes()
-        assert explain._first_block.cache_info().misses == 1   # drawn once per seed
-
-    def test_memoized_block_is_read_only(self):
-        block, _ = explain._first_block(0, 5)
-        with pytest.raises(ValueError):
-            block[0, 0] = 1
-
-
-def walked(params, x, permutations, seed):
-    """The Shapley map of ``x`` by direct evaluation of every walk."""
-    return sampled_walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights, x,
-                               np.full(params.n_pixels, GRAY), forward(params, x).predicted,
-                               permutations, seed)
-
-
-class TestShapleyEventPass:
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_matches_summed_walks_at_block_edges(self, data):
-        # tie-heavy dyadic nets at counts inside, at and across the memoized
-        # 256-permutation block; few seeds, so examples share memo entries
-        params, (x,) = data.draw(walk_nets(n_rows=1))
-        permutations = data.draw(st.sampled_from([1, 2, 3, 4, 255, 256, 257, 300]))
-        seed = data.draw(st.integers(0, 3))
-        got = shapley_sampling(params, x, permutations=permutations, seed=seed)
-        assert got.scores.tobytes() == walked(params, x, permutations, seed).tobytes()
-
-
-class TestShapleyRecordMemo:
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        explain._first_records.cache_clear()
-        yield
-        explain._first_records.cache_clear()
+        assert explain._first_block.cache_info().misses == 1   # drawn once per seed and model
 
     def test_two_models_alternate(self):
         # same P, H1 and seed: only the gray terms tell the entries apart
@@ -505,7 +492,7 @@ class TestShapleyRecordMemo:
             for params in models:
                 got = shapley_sampling(params, x, permutations=permutations, seed=5)
                 assert got.scores.tobytes() == walked(params, x, permutations, 5).tobytes()
-        info = explain._first_records.cache_info()
+        info = explain._first_block.cache_info()
         assert (info.misses, info.hits) == (2, 6)
 
     def test_weights_changed_in_place_get_new_records(self):
@@ -518,7 +505,7 @@ class TestShapleyRecordMemo:
         after = shapley_sampling(params, x, permutations=40, seed=2)
         assert after.scores.tobytes() == walked(params, x, 40, 2).tobytes()
         assert after.scores.tobytes() != before.scores.tobytes()
-        assert explain._first_records.cache_info().misses == 2
+        assert explain._first_block.cache_info().misses == 2
 
     def test_memo_is_read_only_and_bounded(self):
         rng = np.random.default_rng(93)
@@ -526,13 +513,14 @@ class TestShapleyRecordMemo:
         for _ in range(6):
             params = dyadic_params(rng, 4, 3, 2)
             shapley_sampling(params, x, permutations=2)
-        info = explain._first_records.cache_info()
+        info = explain._first_block.cache_info()
         assert info.currsize == info.maxsize == 4 and info.misses == 6
         gray = pixel_mins(params, np.full(4, GRAY)).tobytes()
-        for part in explain._first_records(0, 4, gray):
+        block, inv, key, flat, _ = explain._first_block(0, 4, gray)
+        for part in (block, inv, key, flat):     # draws, inverses, record keys and flat indices
             with pytest.raises(ValueError):
                 part[0] = 0
-        assert explain._first_records.cache_info().hits == 1
+        assert explain._first_block.cache_info().hits == 1
 
 
 class TestImportanceMapRanking:

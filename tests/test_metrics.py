@@ -1,5 +1,6 @@
 """Confusion/accuracy, deletion fidelity, stability, timing, report output."""
 
+import functools
 import re
 
 import numpy as np
@@ -142,7 +143,7 @@ class TestFidelityWalk:
 
 
 class TestExplainerShape:
-    """Every explainer call in ``fidelity`` and ``stability`` must return one score per pixel."""
+    """``fidelity``, ``stability`` and ``timing`` check every map for one score per pixel."""
 
     # 3 scores, and 4 scores shaped (2, 2), for 4-pixel images; stability
     # once scored the short map 0.0
@@ -150,7 +151,7 @@ class TestExplainerShape:
     data = synth_dataset(4, 3, np.array([[0.2] * 4, [0.8] * 4]), 0.05, seed=0)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2)])
-    @pytest.mark.parametrize("metric", [fidelity, stability])
+    @pytest.mark.parametrize("metric", [fidelity, stability, functools.partial(timing, n=2)])
     def test_wrong_shape_is_a_dimension_error(self, metric, shape):
         explainer = lambda p, x: ImportanceMap(np.full(shape, 3.3), "ascending")
         with pytest.raises(DimensionError, match=re.escape(f"{shape} for an image of shape (4,)")):
