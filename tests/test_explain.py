@@ -453,7 +453,7 @@ class TestShapleyEventPass:
         assert got.scores.tobytes() == walked(params, x, permutations, seed).tobytes()
 
 
-class TestShapleyRecordMemo:
+class TestShapleyPermutationMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self):
         explain._first_block.cache_clear()
@@ -482,6 +482,21 @@ class TestShapleyRecordMemo:
             got = shapley_sampling(params, x, permutations=permutations, seed=seed)
             assert got.scores.tobytes() == (expected / permutations).tobytes()
         assert explain._first_block.cache_info().misses == 1   # drawn once per seed and model
+
+    def test_memoized_block_is_read_only(self):
+        params = dyadic_params(np.random.default_rng(94), 5, 3, 2)
+        gray = pixel_mins(params, np.full(5, GRAY)).tobytes()
+        block = explain._first_block(0, 5, gray)[0]
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
+
+
+class TestShapleyRecordMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        explain._first_block.cache_clear()
+        yield
+        explain._first_block.cache_clear()
 
     def test_two_models_alternate(self):
         # same P, H1 and seed: only the gray terms tell the entries apart
