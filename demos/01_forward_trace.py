@@ -11,6 +11,7 @@ prints that chain of winners.
 import numpy as np
 
 from lmmx import LmmParams, forward
+from lmmx.network import softmax_rows
 
 rng = np.random.default_rng(0)
 
@@ -32,7 +33,7 @@ print("hidden winners      :", trace.hidden_argmin,
       "(linear branch feeding each neuron)")
 print("logits              :", np.round(trace.logits, 4))
 print("logit winners       :", trace.logit_argmax, "(hidden neuron per class)")
-print("probabilities       :", np.round(trace.probs, 4))
+print("probabilities       :", np.round(softmax_rows(trace.logits, params.temperature), 4))
 print("predicted class     :", trace.predicted)
 
 print("\nactive path per class:")

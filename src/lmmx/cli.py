@@ -15,7 +15,7 @@ import os
 import sys
 
 from .data import export_map, load_model, load_npz_dataset, save_model
-from .errors import LmmError, ParameterError
+from .errors import LmmError, ParameterError, require_count
 from .explain import integrated_gradients, pixel_fragility, shapley_sampling
 from .medoids import STRATEGIES, init_params, select_medoids
 from .metrics import compute_report, confusion_matrix, accuracy_from_confusion
@@ -176,6 +176,10 @@ def run(argv) -> int:
     try:
         if args.command == "selftest":
             return 0 if run_selftest() else 3
+        # a bad count is a usage error before anything is opened, whatever the method
+        for name, floor in (("seed", 0), ("ig_steps", 1), ("permutations", 1)):
+            if hasattr(args, name):
+                require_count(getattr(args, name), "--" + name.replace("_", "-"), floor)
         # fail on an unwritable --out or --csv before any work
         for path in filter(None, (getattr(args, "out", None), getattr(args, "csv", None))):
             existed = os.path.lexists(path)

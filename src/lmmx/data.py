@@ -38,6 +38,22 @@ PIXEL_LEVELS = 255  # a uint8 pixel k loads as k / PIXEL_LEVELS
 _ARCHIVE_ERRORS = (ValueError, OSError, EOFError, RuntimeError, zlib.error, zipfile.BadZipFile)
 
 
+def require_int64(values, name: str) -> np.ndarray:
+    """``values`` flattened to int64, if each is an integral int, bool or float in int64's
+    range; otherwise a ``DataError``, never a truncated or overflowed value."""
+    try:
+        arr = np.asarray(values).reshape(-1)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise DataError(f"{name} must be integers: {exc}") from exc
+    if arr.dtype.kind == "f":
+        ok = np.all((arr == np.floor(arr)) & (arr >= -2.0 ** 63) & (arr < 2.0 ** 63))
+    else:
+        ok = arr.dtype.kind in "biu" and np.all(arr <= np.iinfo(np.int64).max)
+    if not ok:
+        raise DataError(f"{name} must be integers within the int64 range, got {arr.dtype} values")
+    return arr.astype(np.int64)
+
+
 @dataclass
 class Dataset:
     """Flattened images in [0,1]^P with integer class labels."""
@@ -48,7 +64,7 @@ class Dataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        self.labels = require_int64(self.labels, "labels")
         if self.images.ndim != 2 or self.images.shape[0] == 0:
             raise DataError(f"images must be a non-empty (N, P) matrix, got shape {self.images.shape}")
         if self.labels.shape[0] != self.images.shape[0]:
@@ -114,7 +130,7 @@ def load_npz_dataset(path) -> dict[str, Dataset]:
                 f"members '{split}_images' and '{split}_labels' disagree on sample count"
             )
         flat = images.reshape(images.shape[0], -1).astype(np.float64) / PIXEL_LEVELS
-        out[split] = Dataset(flat, labels.reshape(-1).astype(np.int64), split=split)
+        out[split] = Dataset(flat, labels, split=split)
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 # cdist is unused here, but benchmarks/spans.py wraps it under this name
 from scipy.spatial.distance import cdist  # noqa: F401
 
-from .data import PIXEL_LEVELS, Dataset
+from .data import PIXEL_LEVELS, Dataset, require_int64
 from .errors import (DataError, DimensionError, NumericError, ParameterError, require_count,
                      require_real)
 from .network import SCALE_FLOOR, LmmParams, linear_layer
@@ -35,8 +35,8 @@ class MedoidSet:
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        self.source_indices = np.asarray(self.source_indices, dtype=np.int64).reshape(-1)
+        self.labels = require_int64(self.labels, "labels")
+        self.source_indices = require_int64(self.source_indices, "source_indices")
         if self.vectors.ndim != 2 or self.vectors.shape[0] == 0:
             raise DimensionError("vectors must be a non-empty (H1, P) matrix")
         if self.labels.shape[0] != self.vectors.shape[0] or self.source_indices.shape[0] != self.vectors.shape[0]:

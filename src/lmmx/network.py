@@ -10,12 +10,12 @@ The network maps an input x in R^P through three layers:
 
 Because both tropical layers are pure selections, every logit is determined
 by exactly one hidden neuron and every hidden activation by exactly one
-linear branch.  ``tropical_pass`` records those winners for a block of
-rows, and ``forward`` is its one-row case, so downstream code can walk the
-active path.  ``pixel_mins`` gives each pixel's smaller min-plus term per
-neuron: a hidden activation is the min of these over the pixels, which is
-how Shapley sampling and deletion fidelity evaluate walks that move pixels
-one at a time between two inputs.
+linear branch.  ``tropical_pass`` records those winners in a
+``ForwardTrace`` of a block of rows, and ``forward`` returns its one-row
+case, so downstream code can walk the active path.  ``pixel_mins`` gives
+each pixel's smaller min-plus term per neuron: a hidden activation is the
+min of these over the pixels, which is how Shapley sampling and deletion
+fidelity evaluate walks that move pixels one at a time between two inputs.
 """
 
 from __future__ import annotations
@@ -113,24 +113,6 @@ class LmmParams:
         )
 
 
-@dataclass
-class ForwardTrace:
-    """Per-layer values plus the winning indices of one forward pass.
-
-    Indices are 0-based.  ``hidden_argmin[h]`` is the linear branch that
-    attained g_h and ``logit_argmax[d]`` the hidden neuron that attained
-    z_d; ties go to the lowest index.
-    """
-
-    linear: np.ndarray        # (2P,)
-    hidden: np.ndarray        # (H1,)
-    hidden_argmin: np.ndarray  # (H1,) int
-    logits: np.ndarray        # (C,)
-    logit_argmax: np.ndarray  # (C,) int
-    predicted: int
-    probs: np.ndarray         # (C,)
-
-
 def linear_layer(params: LmmParams, x) -> np.ndarray:
     """Sparse linear map of one input (P,) or of rows (N, P).
 
@@ -145,17 +127,30 @@ def linear_layer(params: LmmParams, x) -> np.ndarray:
     return out
 
 
-class TropicalPass(NamedTuple):
-    """Layer values and lowest-index winners of ``tropical_pass`` on n rows."""
+class ForwardTrace(NamedTuple):
+    """Per-layer values and lowest-index winners of one input, or of n rows.
 
-    linear: np.ndarray         # (n, 2P)
-    hidden: np.ndarray         # (n, H1)
-    hidden_argmin: np.ndarray  # (n, H1) int
-    logits: np.ndarray         # (n, C)
-    logit_argmax: np.ndarray   # (n, C) int
+    ``forward`` returns one input's trace and ``tropical_pass`` n rows',
+    each field then with a leading row axis.  Indices are 0-based:
+    ``hidden_argmin[..., h]`` is the linear branch that attained g_h and
+    ``logit_argmax[..., d]`` the hidden neuron that attained z_d; ties go to
+    the lowest index.
+    """
+
+    linear: np.ndarray         # (2P,) or (n, 2P)
+    hidden: np.ndarray         # (H1,) or (n, H1)
+    hidden_argmin: np.ndarray  # (H1,) or (n, H1) int
+    logits: np.ndarray         # (C,) or (n, C)
+    logit_argmax: np.ndarray   # (C,) or (n, C) int
+
+    @property
+    def predicted(self):
+        """Argmax class over the last axis, lowest index on ties: a NumPy integer
+        for one input, shape (n,) for rows.  Temperature does not change it."""
+        return np.argmax(self.logits, axis=-1)
 
 
-def tropical_pass(params: LmmParams, images: np.ndarray) -> TropicalPass:
+def tropical_pass(params: LmmParams, images: np.ndarray) -> ForwardTrace:
     """Linear, min-plus and max-plus layers on rows of shape (n, P).
 
     The (rows, 2P, H1) min-plus sums are built a chunk of rows at a time,
@@ -176,7 +171,7 @@ def tropical_pass(params: LmmParams, images: np.ndarray) -> TropicalPass:
     pre_logits = hidden[:, :, None] + params.maxplus_weights                 # (n, H1, C)
     logit_argmax = np.argmax(pre_logits, axis=1)
     logits = pre_logits[row, logit_argmax, np.arange(params.n_classes)]
-    return TropicalPass(lin, hidden, hidden_argmin, logits, logit_argmax)
+    return ForwardTrace(lin, hidden, hidden_argmin, logits, logit_argmax)
 
 
 def pixel_mins(params: LmmParams, x) -> np.ndarray:
@@ -197,10 +192,7 @@ def forward(params: LmmParams, x) -> ForwardTrace:
         raise DimensionError(f"expected input of length {params.n_pixels}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NumericError("input contains non-finite values")
-    lin, hidden, hidden_argmin, logits, logit_argmax = [a[0] for a in tropical_pass(params, x[None])]
-    predicted = int(np.argmax(logits))
-    probs = softmax_rows(logits, params.temperature)
-    return ForwardTrace(lin, hidden, hidden_argmin, logits, logit_argmax, predicted, probs)
+    return ForwardTrace._make(a[0] for a in tropical_pass(params, x[None]))
 
 
 def batch_logits(params: LmmParams, images: np.ndarray) -> np.ndarray:

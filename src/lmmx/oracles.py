@@ -13,22 +13,18 @@ import numpy as np
 
 from .data import PIXEL_LEVELS
 from .errors import ParameterError
-from .network import batch_logits, batch_predict, forward, softmax_rows
+from .explain import GRAY
+from .network import ForwardTrace, batch_logits, batch_predict, forward, softmax_rows
 
 
-def brute_linear(scales, x):
-    out = []
+def brute_forward(params, x):
+    """``forward``'s trace by plain loops, ties to the lowest index."""
+    scales, w1, w2 = params.scales, params.minplus_weights, params.maxplus_weights
+    lin = []
     for p in range(len(x)):
-        out.append(scales[2 * p] * x[p])
-        out.append(-scales[2 * p + 1] * x[p])
-    return np.array(out)
-
-
-def brute_forward(scales, w1, w2, x):
-    """(linear, hidden, argmins, logits, argmaxes) by plain min/max loops."""
-    lin = brute_linear(scales, x)
-    n_hid = w1.shape[1]
-    n_cls = w2.shape[1]
+        lin += [scales[2 * p] * x[p], -scales[2 * p + 1] * x[p]]
+    lin = np.array(lin)
+    n_hid, n_cls = w2.shape
     hidden = np.empty(n_hid)
     argmins = np.empty(n_hid, dtype=int)
     for h in range(n_hid):
@@ -43,11 +39,7 @@ def brute_forward(scales, w1, w2, x):
         best = max(range(len(vals)), key=lambda h: (vals[h], -h))
         argmaxes[d] = best
         logits[d] = vals[best]
-    return lin, hidden, argmins, logits, argmaxes
-
-
-def brute_logit(scales, w1, w2, x, target):
-    return brute_forward(scales, w1, w2, x)[3][target]
+    return ForwardTrace(lin, hidden, argmins, logits, argmaxes)
 
 
 def chebyshev_nearest(medoid_vectors, medoid_labels, x):
@@ -74,71 +66,70 @@ def brute_greedy_kmedoids(points, quota):
     return chosen
 
 
-def cross_entropy_value(scales, w1, w2, x, y):
+def cross_entropy_value(params, x, y):
     """Cross-entropy of class y at temperature 1 on ``brute_forward``'s logits."""
-    z = brute_forward(scales, w1, w2, x)[3]
+    z = brute_forward(params, x).logits
     m = z.max()
     return m + np.log(np.sum(np.exp(z - m))) - z[y]
 
 
 def fd_gradients(params, x, y, step=1e-6):
     """Central finite differences of ``cross_entropy_value`` on every entry."""
-    weights = (params.scales, params.minplus_weights, params.maxplus_weights)
     out = []
-    for arr in weights:
+    for arr in (params.scales, params.minplus_weights, params.maxplus_weights):
         grad = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             keep = arr[idx]
             arr[idx] = keep + step
-            up = cross_entropy_value(*weights, x, y)
+            up = cross_entropy_value(params, x, y)
             arr[idx] = keep - step
-            down = cross_entropy_value(*weights, x, y)
+            down = cross_entropy_value(params, x, y)
             arr[idx] = keep
             grad[idx] = (up - down) / (2 * step)
         out.append(grad)
     return out
 
 
-def walk_deltas(scales, w1, w2, x, baseline, target, perm):
-    """Per-pixel logit changes along one flip walk, by direct evaluation."""
-    state = baseline.copy()
+def walk_deltas(params, x, target, perm):
+    """Per-pixel logit changes along one flip walk from gray, by direct evaluation."""
+    state = np.full(len(x), GRAY)
     deltas = np.zeros(len(x))
-    prev = brute_logit(scales, w1, w2, state, target)
+    prev = brute_forward(params, state).logits[target]
     for p in perm:
         state[p] = x[p]
-        cur = brute_logit(scales, w1, w2, state, target)
+        cur = brute_forward(params, state).logits[target]
         deltas[p] = cur - prev
         prev = cur
     return deltas
 
 
-def exact_shapley(scales, w1, w2, x, baseline, target):
+def exact_shapley(params, x, target):
     """Shapley values of the target logit: the mean of ``walk_deltas`` over
     every permutation, summed in ``itertools.permutations`` order."""
     perms = list(itertools.permutations(range(len(x))))
     total = np.zeros(len(x))
     for perm in perms:
-        total += walk_deltas(scales, w1, w2, x, baseline, target, perm)
+        total += walk_deltas(params, x, target, perm)
     return total / len(perms)
 
 
-def sampled_walk_deltas(scales, w1, w2, x, baseline, target, permutations, seed):
+def sampled_walk_deltas(params, x, target, permutations, seed):
     """The mean of ``walk_deltas`` over the first ``permutations`` draws of
     ``default_rng(seed).permutation(P)``, summed in draw order."""
     perms = np.random.default_rng(seed)
     total = np.zeros(len(x))
     for _ in range(permutations):
-        total += walk_deltas(scales, w1, w2, x, baseline, target, perms.permutation(len(x)))
+        total += walk_deltas(params, x, target, perms.permutation(len(x)))
     return total / permutations
 
 
-def deletion_fidelity(params, explainer, data, fill, steps):
+def deletion_fidelity(params, explainer, data, steps):
     """Deletion fidelity by direct evaluation of every partially filled image.
 
     Each image's top k * P // steps ranked pixels (k = 1..steps) are set to
-    ``fill`` in a copy of the image, and ``batch_logits`` scores the steps + 1
+    ``GRAY`` in a copy of the image, and ``batch_logits`` scores the steps + 1
     rows; the result is the mean calibrated probability of the clean image's
     predicted class over every image and cut.
     """
@@ -148,25 +139,25 @@ def deletion_fidelity(params, explainer, data, fill, steps):
         rank = explainer(params, x).ranking()
         batch = np.repeat(x[None, :], steps + 1, axis=0)
         for k in range(1, steps + 1):
-            batch[k, rank[:(k * n_pix) // steps]] = fill
+            batch[k, rank[:(k * n_pix) // steps]] = GRAY
         logits = batch_logits(params, batch)
         target = int(np.argmax(logits[0]))
         values.append(softmax_rows(logits[1:], params.temperature)[:, target])
     return float(np.mean(np.concatenate(values)))
 
 
-def path_integral_attribution(params, x, baseline, target, steps):
-    """Midpoint-rule line integral of the active-path derivative.
+def path_integral_attribution(params, x, target, steps):
+    """Midpoint-rule line integral of the active-path derivative from gray.
 
     One ``forward`` per path point, accumulated in path order and divided
     as diff * (acc / steps), the library's grouping, so the two agree bit
     for bit.
     """
     n_pix = len(x)
-    diff = x - baseline
+    diff = x - GRAY
     acc = np.zeros(n_pix)
     for k in range(steps):
-        point = baseline + (k + 0.5) / steps * diff
+        point = GRAY + (k + 0.5) / steps * diff
         trace = forward(params, point)
         h_star = trace.logit_argmax[target]
         branch = trace.hidden_argmin[h_star]

@@ -19,7 +19,8 @@ import numpy as np
 from .data import load_model, save_model
 from .explain import GRAY, _first_block, pixel_fragility, prune, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
-from .network import ForwardTrace, LmmParams, batch_logits, forward, pixel_mins
+from .network import (ForwardTrace, LmmParams, batch_logits, forward, pixel_mins,
+                      softmax_rows)
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
                       neuron_class, sampled_walk_deltas, sensitivity, slack,
                       walk_deltas)
@@ -82,17 +83,13 @@ def check_forward_oracle(trials: int = 200, seed: int = 0) -> None:
                 (dyadic_params(rng, n_pix, n_hid, n_cls, levels=4),
                  rng.integers(-4, 9, n_pix) / 4.0)]
         for params, x in nets:
-            trace = forward(params, x)
-            linear, hidden, argmins, logits, argmaxes = brute_forward(
-                params.scales, params.minplus_weights, params.maxplus_weights, x)
-            for got, want in ((trace.linear, linear), (trace.hidden, hidden),
-                              (trace.logits, logits)):
-                _check(np.max(np.abs(got - want)) <= 1e-12,
-                       "forward deviates from brute_forward by more than 1e-12")
-            _check(np.array_equal(trace.hidden_argmin, argmins),
-                   "hidden argmins differ from brute_forward")
-            _check(np.array_equal(trace.logit_argmax, argmaxes),
-                   "logit argmaxes differ from brute_forward")
+            trace, brute = forward(params, x), brute_forward(params, x)
+            for field in ("linear", "hidden", "logits"):
+                _check(np.max(np.abs(getattr(trace, field) - getattr(brute, field))) <= 1e-12,
+                       f"forward's {field} deviates from brute_forward by more than 1e-12")
+            for field in ("hidden_argmin", "logit_argmax"):
+                _check(np.array_equal(getattr(trace, field), getattr(brute, field)),
+                       f"forward's {field} differs from brute_forward")
             # single active path: each recorded winner attains its value and dominates
             pre_hidden = trace.linear[:, None] + params.minplus_weights
             _check(np.array_equal(trace.hidden, pre_hidden[trace.hidden_argmin, np.arange(n_hid)]),
@@ -102,7 +99,8 @@ def check_forward_oracle(trials: int = 200, seed: int = 0) -> None:
             _check(np.array_equal(trace.logits, pre_logits[trace.logit_argmax, np.arange(n_cls)]),
                    "a logit winner does not attain its logit")
             _check(np.all(trace.logits >= pre_logits), "a logit winner is not the maximum")
-            _check(abs(trace.probs.sum() - 1.0) <= 1e-12, "probabilities do not sum to 1")
+            _check(abs(softmax_rows(trace.logits, params.temperature).sum() - 1.0) <= 1e-12,
+                   "probabilities do not sum to 1")
 
 
 def check_init_equivalence(trials: int = 200, seed: int = 1) -> None:
@@ -250,10 +248,9 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
             params = dyadic_params(rng, n_pix, n_hid, 2)
         x = rng.integers(0, 5, n_pix) / 4.0 if cross_class else rng.integers(0, 1025, n_pix) / 1024.0
         gap = _logit_gap(params, x)
-        baseline = np.full(n_pix, GRAY)
         target = forward(params, x).predicted
         if cross_class:
-            kept, _, _ = prune(pixel_mins(params, baseline), pixel_mins(params, x),
+            kept, _, _ = prune(pixel_mins(params, np.full(n_pix, GRAY)), pixel_mins(params, x),
                                params.maxplus_weights[:, target])
             _check(kept.size < params.n_hidden, "no neuron pruned on a cross-class net")
         for permutations in (1, 1, 1, 4):
@@ -261,8 +258,7 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
             imap = shapley_sampling(params, x, permutations=permutations, seed=perm_seed)
             _check(imap.scores.sum() == gap, "dyadic Shapley credits do not telescope exactly")
             if permutations == 1:
-                deltas = walk_deltas(params.scales, params.minplus_weights,
-                                     params.maxplus_weights, x, baseline, target,
+                deltas = walk_deltas(params, x, target,
                                      np.random.default_rng(perm_seed).permutation(n_pix))
                 _check(imap.scores.tobytes() == deltas.tobytes(),
                        "a Shapley map differs from direct evaluation of its walk")
@@ -274,9 +270,7 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
     params = dyadic_params(rng, 5, 3, 2)
     x = rng.integers(0, 1025, 5) / 1024.0
     perm_seed = int(rng.integers(1 << 16))
-    expected = sampled_walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights,
-                                   x, np.full(5, GRAY), forward(params, x).predicted, 257,
-                                   perm_seed)
+    expected = sampled_walk_deltas(params, x, forward(params, x).predicted, 257, perm_seed)
     _first_block.cache_clear()
     for memo in ("an empty", "a filled"):
         imap = shapley_sampling(params, x, permutations=257, seed=perm_seed)

@@ -280,8 +280,8 @@ if not sys.flags.optimize:
 exact = selftest.brute_forward
 
 def off_by_one(*args):
-    linear, hidden, argmins, logits, argmaxes = exact(*args)
-    return linear, hidden, argmins, logits + 1.0, argmaxes
+    trace = exact(*args)
+    return trace._replace(logits=trace.logits + 1.0)
 
 selftest.brute_forward = off_by_one
 try:
@@ -358,6 +358,24 @@ class TestUsageAndSelftest:
             assert run(args + ["--csv", str(csv)]) == 2
         assert not out.exists()
         assert kept.read_bytes() == b"old map"
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("metrics", "--permutations", "0"), ("metrics", "--ig-steps", "0"),
+        ("metrics", "--seed", "-1"), ("explain", "--permutations", "0"),
+        ("explain", "--ig-steps", "-1"), ("explain", "--seed", "-1")])
+    def test_bad_count_is_usage_error_before_loading(self, trained_model, tiny_archive,
+                                                     tmp_path, monkeypatch, capsys,
+                                                     command, flag, value):
+        # metrics runs fragility and explain shapley: every count is checked
+        def no_load(*args, **kwargs):
+            pytest.fail(f"the model was loaded before {flag} was checked")
+
+        monkeypatch.setattr("lmmx.cli.load_model", no_load)
+        out = tmp_path / "out"
+        args = command_args(command, trained_model, tiny_archive, str(out))
+        assert run(args + [flag, value]) == 1
+        assert f"error: {flag} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("limit", ["-1", "-3"])
     def test_negative_limit_is_usage_error_before_loading(self, trained_model, tiny_archive,

@@ -164,6 +164,21 @@ class TestDatasetValidation:
         with pytest.raises(DataError):
             Dataset(np.array([[0.5]]), np.array([-1]))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], ["0", "1"], [0, 1e30], [0, np.nan],
+                                        [0, 2 ** 70], np.array([0, 2 ** 64 - 1], np.uint64)])
+    def test_rejects_labels_that_are_not_int64_integers(self, labels):
+        # fractions used to be truncated and strings parsed; 1e30 escaped as OverflowError
+        with pytest.raises(DataError, match="labels must be integers"):
+            Dataset(np.zeros((2, 3)), labels)
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], np.array([0, 1], np.uint8),
+                                        np.array([0, 1], np.float32), [False, True]])
+    def test_integral_labels_of_any_numeric_dtype_load(self, labels):
+        data = Dataset(np.zeros((2, 3)), labels)
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1]
+        with pytest.raises(DataError, match="non-empty"):
+            Dataset(np.zeros((0, 3)), np.asarray(labels)[:0])
+
 
 class TestModelFiles:
     def test_roundtrip_bit_exact(self):

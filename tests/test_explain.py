@@ -177,7 +177,7 @@ class TestIntegratedGradients:
 
     def test_matches_line_integral_oracle(self, two_medoid_net):
         params, x, trace = two_medoid_net
-        oracle = path_integral_attribution(params, x, np.full(1, GRAY), trace.predicted, 10_000)
+        oracle = path_integral_attribution(params, x, trace.predicted, 10_000)
         got = integrated_gradients(params, x, steps=10_000)
         assert got.scores.tobytes() == oracle.tobytes()
 
@@ -187,8 +187,7 @@ class TestIntegratedGradients:
             params = random_params(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2)
             x = rng.uniform(0, 1, params.n_pixels)
             target = forward(params, x).predicted
-            oracle = path_integral_attribution(params, x, np.full(params.n_pixels, GRAY),
-                                               target, 777)
+            oracle = path_integral_attribution(params, x, target, 777)
             got = integrated_gradients(params, x, steps=777)
             assert got.scores.tobytes() == oracle.tobytes()
 
@@ -200,7 +199,7 @@ class TestIntegratedGradients:
         params, (x,) = data.draw(walk_nets(n_rows=1))
         steps = data.draw(st.integers(1, 70))
         target = forward(params, x).predicted
-        oracle = path_integral_attribution(params, x, np.full(params.n_pixels, GRAY), target, steps)
+        oracle = path_integral_attribution(params, x, target, steps)
         got = integrated_gradients(params, x, steps=steps)
         assert got.scores.tobytes() == oracle.tobytes()
 
@@ -214,7 +213,7 @@ class TestIntegratedGradients:
         x = np.array([0.5, 1.0])
         got = integrated_gradients(params, x, steps=2)
         assert np.array_equal(got.scores, [0.0, 0.25])
-        oracle = path_integral_attribution(params, x, np.full(2, GRAY), 0, 2)
+        oracle = path_integral_attribution(params, x, 0, 2)
         assert got.scores.tobytes() == oracle.tobytes()
 
     def test_neuron_at_the_threshold_is_kept(self):
@@ -228,7 +227,7 @@ class TestIntegratedGradients:
         assert forward(params, x).predicted == 0
         got = integrated_gradients(params, x, steps=2)
         assert np.array_equal(got.scores, [0.0, 0.25])
-        oracle = path_integral_attribution(params, x, np.full(2, GRAY), 0, 2)
+        oracle = path_integral_attribution(params, x, 0, 2)
         assert got.scores.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("steps", [0, 2.5, 3.0, "50"])
@@ -270,10 +269,8 @@ class TestShapleySampling:
         rng = np.random.default_rng(42)
         params = random_params(rng, 2, 3, 2)
         x = rng.uniform(0, 1, 2)
-        baseline = np.full(2, GRAY)
         target = forward(params, x).predicted
-        oracle = exact_shapley(params.scales, params.minplus_weights,
-                               params.maxplus_weights, x, baseline, target)
+        oracle = exact_shapley(params, x, target)
         # find a seed whose two sampled permutations cover both orders
         for seed in range(50):
             probe = np.random.default_rng(seed)
@@ -290,13 +287,11 @@ class TestShapleySampling:
         for _ in range(20):
             params = random_params(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)), 2)
             x = rng.uniform(0, 1, params.n_pixels)
-            baseline = np.full(params.n_pixels, GRAY)
             target = forward(params, x).predicted
             seed = int(rng.integers(1 << 16))
             got = shapley_sampling(params, x, permutations=1, seed=seed)
             perm = np.random.default_rng(seed).permutation(params.n_pixels)
-            deltas = walk_deltas(params.scales, params.minplus_weights,
-                                 params.maxplus_weights, x, baseline, target, perm)
+            deltas = walk_deltas(params, x, target, perm)
             assert np.array_equal(got.scores, deltas)
 
     def test_efficiency_identity(self):
@@ -332,8 +327,7 @@ class TestShapleySampling:
                      params.maxplus_weights[:, 0])[0].tolist() == [0]
         for seed in range(6):
             perm = np.random.default_rng(seed).permutation(3)
-            deltas = walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights,
-                                 x, baseline, 0, perm)
+            deltas = walk_deltas(params, x, 0, perm)
             assert np.array_equal(shapley_sampling(params, x, permutations=1, seed=seed).scores,
                                   deltas)
 
@@ -373,16 +367,13 @@ class TestShapleySampling:
         # tie-heavy dyadic nets: duplicated neurons, pixels equal to the
         # baseline, and max-plus biases wide enough that neurons get pruned
         params, (x,) = data.draw(walk_nets(n_rows=1))
-        baseline = np.full(params.n_pixels, GRAY)
         target = forward(params, x).predicted
         seed = data.draw(st.integers(0, 1 << 16))
         permutations = data.draw(st.integers(1, 4))
         perms = np.random.default_rng(seed)
         expected = np.zeros(params.n_pixels)
         for _ in range(permutations):
-            expected += walk_deltas(params.scales, params.minplus_weights,
-                                    params.maxplus_weights, x, baseline, target,
-                                    perms.permutation(params.n_pixels))
+            expected += walk_deltas(params, x, target, perms.permutation(params.n_pixels))
         got = shapley_sampling(params, x, permutations=permutations, seed=seed)
         assert np.array_equal(got.scores, expected / permutations)
 
@@ -411,9 +402,7 @@ class TestShapleySampling:
             perms = np.random.default_rng(seed)
             expected = np.zeros(n_pix)
             for _ in range(permutations):
-                expected += walk_deltas(params.scales, params.minplus_weights,
-                                        params.maxplus_weights, x, baseline, target,
-                                        perms.permutation(n_pix))
+                expected += walk_deltas(params, x, target, perms.permutation(n_pix))
             got = shapley_sampling(params, x, permutations=permutations, seed=seed)
             assert got.scores.tobytes() == (expected / permutations).tobytes()
         assert most_kept >= 3     # several neurons compete for the logit
@@ -435,9 +424,7 @@ class TestShapleySampling:
 
 def walked(params, x, permutations, seed):
     """The Shapley map of ``x`` by direct evaluation of every walk."""
-    return sampled_walk_deltas(params.scales, params.minplus_weights, params.maxplus_weights, x,
-                               np.full(params.n_pixels, GRAY), forward(params, x).predicted,
-                               permutations, seed)
+    return sampled_walk_deltas(params, x, forward(params, x).predicted, permutations, seed)
 
 
 class TestShapleyEventPass:
@@ -469,16 +456,13 @@ class TestShapleyPermutationMemo:
         params = LmmParams(np.ones(12), rng.integers(-2, 3, (12, 4)) / 8,
                            rng.integers(-1, 2, (4, 2)) / 8)
         x = rng.integers(0, 9, 6) / 8.0
-        baseline = np.full(6, GRAY)
         target = forward(params, x).predicted
         seed = 7
         for permutations in counts:
             perms = np.random.default_rng(seed)
             expected = np.zeros(6)
             for _ in range(permutations):
-                expected += walk_deltas(params.scales, params.minplus_weights,
-                                        params.maxplus_weights, x, baseline, target,
-                                        perms.permutation(6))
+                expected += walk_deltas(params, x, target, perms.permutation(6))
             got = shapley_sampling(params, x, permutations=permutations, seed=seed)
             assert got.scores.tobytes() == (expected / permutations).tobytes()
         assert explain._first_block.cache_info().misses == 1   # drawn once per seed and model

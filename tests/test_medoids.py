@@ -316,6 +316,12 @@ class TestMedoidSetValidation:
         with pytest.raises(DataError):
             MedoidSet(np.array([[1.2], [0.2]]), np.array([0, 1]), np.array([0, 1]))
 
+    @pytest.mark.parametrize("labels, sources", [([0.9, 1.2], [0, 1]), (["0", "1"], [0, 1]),
+                                                 ([0, 1], [0.5, 1]), ([0, 1], [0, 1e30])])
+    def test_labels_and_sources_must_be_int64_integers(self, labels, sources):
+        with pytest.raises(DataError, match="must be integers"):
+            MedoidSet(np.array([[0.1], [0.2]]), labels, sources)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entries(self, value):
         with pytest.raises(DataError, match="non-finite"):

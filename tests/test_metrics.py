@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, ParameterError,
                   confusion_matrix, fidelity, integrated_gradients, pixel_fragility,
                   shapley_sampling, stability, synth_dataset, timing)
-from lmmx.explain import GRAY
 from lmmx.metrics import MetricsReport, accuracy_from_confusion, compute_report
 from lmmx.oracles import deletion_fidelity
 from lmmx.selftest import random_params
@@ -114,7 +113,7 @@ class TestFidelityWalk:
                 explainers.append(lambda p, x: pixel_fragility(p, x))
             for explainer in explainers:
                 assert fidelity(params, explainer, data, steps=steps) == \
-                    deletion_fidelity(params, explainer, data, GRAY, steps)
+                    deletion_fidelity(params, explainer, data, steps)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -125,7 +124,7 @@ class TestFidelityWalk:
         steps = data.draw(st.integers(1, 2 * params.n_pixels + 3))
         explainer = random_ranking_explainer(data.draw(st.integers(0, 99)))
         assert fidelity(params, explainer, images, steps=steps) == \
-            deletion_fidelity(params, explainer, images, GRAY, steps)
+            deletion_fidelity(params, explainer, images, steps)
 
     @pytest.mark.parametrize("steps", [0, 2.5])
     def test_steps_must_be_a_positive_integer(self, steps, synth_model):

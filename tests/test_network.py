@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmmx import (DimensionError, LmmParams, NumericError, ParameterError, batch_logits,
-                  forward, linear_layer)
+                  batch_predict, forward, linear_layer)
 
 from lmmx import network
 from lmmx.network import pixel_mins, softmax_rows, tropical_pass
@@ -86,7 +86,7 @@ class TestForward:
         assert np.array_equal(trace.linear, [0.5, -0.5])
         assert np.array_equal(trace.hidden, [-0.5, -0.5])
         assert np.array_equal(trace.logits, [0.5, 0.5])
-        assert np.array_equal(trace.probs, [0.5, 0.5])
+        assert np.array_equal(softmax_rows(trace.logits, params.temperature), [0.5, 0.5])
         assert trace.predicted == 0  # tie broken by lowest class index
         # winners: neuron 0 takes its minus branch, neuron 1 its plus branch
         assert trace.hidden_argmin.tolist() == [1, 0]
@@ -132,8 +132,8 @@ class TestForward:
         assert a.hidden_argmin.tolist() == [0, 0]
         assert a.logit_argmax.tolist() == [0, 0]
         assert a.predicted == 0
-        for field in ("linear", "hidden", "hidden_argmin", "logits", "logit_argmax", "probs"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for got, again in zip(a, b):
+            assert np.array_equal(got, again)
 
     def test_input_validation(self):
         rng = np.random.default_rng(5)
@@ -182,12 +182,13 @@ class TestTropicalPass:
     def test_matches_bruteforce_and_forward_on_ties(self, net):
         params, rows = net
         active = tropical_pass(params, rows)
+        predicted = batch_predict(params, rows)
         for i, x in enumerate(rows):
-            expect = brute_forward(params.scales, params.minplus_weights, params.maxplus_weights, x)
-            trace = forward(params, x)
-            for field, oracle in zip(active._fields, expect):
-                assert np.array_equal(getattr(active, field)[i], oracle)
+            expect, trace = brute_forward(params, x), forward(params, x)
+            for field in active._fields:
+                assert np.array_equal(getattr(active, field)[i], getattr(expect, field))
                 assert np.array_equal(getattr(active, field)[i], getattr(trace, field))
+            assert active.predicted[i] == trace.predicted == predicted[i]
 
     def test_batch_crosses_chunk_boundaries(self):
         rng = np.random.default_rng(7)

@@ -13,8 +13,7 @@ from lmmx import cli
 
 PARAMETERS = {
     "Dataset": ("images", "labels", "split"),
-    "ForwardTrace": ("linear", "hidden", "hidden_argmin", "logits", "logit_argmax", "predicted",
-                     "probs"),
+    "ForwardTrace": ("linear", "hidden", "hidden_argmin", "logits", "logit_argmax"),
     "ImportanceMap": ("scores", "ordering"),
     "LmmParams": ("scales", "minplus_weights", "maxplus_weights", "temperature"),
     "MedoidSet": ("vectors", "labels", "source_indices"),

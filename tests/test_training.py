@@ -203,8 +203,7 @@ class TestTrainLoop:
 
         classes = np.arange(params.n_classes)
         for x, (_, g_scales, g_w1, g_w2) in zip(images, singles):
-            *_, argmins, _, argmaxes = brute_forward(params.scales, params.minplus_weights,
-                                                     params.maxplus_weights, x)
+            *_, argmins, _, argmaxes = brute_forward(params, x)
             branches = argmins[argmaxes]
             for grad, touched in ((g_w2, (argmaxes, classes)), (g_w1, (branches, argmaxes)),
                                   (g_scales, branches)):
