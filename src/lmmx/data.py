@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DataError, DimensionError, FormatError, LmmError, ParameterError,
-                     require_count, require_real)
+                     require_count, require_floats, require_int64, require_real)
 from .network import LmmParams
 
 MODEL_MAGIC = b"LMMP"
@@ -38,22 +38,6 @@ PIXEL_LEVELS = 255  # a uint8 pixel k loads as k / PIXEL_LEVELS
 _ARCHIVE_ERRORS = (ValueError, OSError, EOFError, RuntimeError, zlib.error, zipfile.BadZipFile)
 
 
-def require_int64(values, name: str) -> np.ndarray:
-    """``values`` flattened to int64, if each is an integral int, bool or float in int64's
-    range; otherwise a ``DataError``, never a truncated or overflowed value."""
-    try:
-        arr = np.asarray(values).reshape(-1)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise DataError(f"{name} must be integers: {exc}") from exc
-    if arr.dtype.kind == "f":
-        ok = np.all((arr == np.floor(arr)) & (arr >= -2.0 ** 63) & (arr < 2.0 ** 63))
-    else:
-        ok = arr.dtype.kind in "biu" and np.all(arr <= np.iinfo(np.int64).max)
-    if not ok:
-        raise DataError(f"{name} must be integers within the int64 range, got {arr.dtype} values")
-    return arr.astype(np.int64)
-
-
 @dataclass
 class Dataset:
     """Flattened images in [0,1]^P with integer class labels."""
@@ -63,14 +47,12 @@ class Dataset:
     split: str = ""
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = require_int64(self.labels, "labels")
+        self.images = require_floats(self.images, "images", DataError)
+        self.labels = require_int64(self.labels, "labels").reshape(-1)
         if self.images.ndim != 2 or self.images.shape[0] == 0:
             raise DataError(f"images must be a non-empty (N, P) matrix, got shape {self.images.shape}")
         if self.labels.shape[0] != self.images.shape[0]:
             raise DataError("images and labels disagree on sample count")
-        if not np.all(np.isfinite(self.images)):
-            raise DataError("images contain non-finite values")
         if self.images.min() < 0.0 or self.images.max() > 1.0:
             raise DataError("pixel values must lie in [0, 1]")
         if self.labels.min() < 0:
@@ -142,7 +124,7 @@ def synth_dataset(n_pixels: int, n_per_class: int, centers, noise_sigma: float,
     if noise_sigma < 0:
         raise ParameterError("noise_sigma must be >= 0")
     seed = require_count(seed, "seed", 0)
-    centers = np.asarray(centers, dtype=np.float64)
+    centers = require_floats(centers, "centers", ParameterError)
     if centers.ndim != 2 or centers.shape[1] != n_pixels:
         raise DimensionError(f"centers must have shape (C, {n_pixels}), got {centers.shape}")
     if centers.min() < 0.0 or centers.max() > 1.0:

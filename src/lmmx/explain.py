@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedConfigError, require_count
+from .errors import (NumericError, ParameterError, UnsupportedConfigError, require_count,
+                     require_floats)
 from .network import LmmParams, forward, linear_layer, pixel_mins
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
@@ -38,13 +39,17 @@ GRAY = 0.5
 
 @dataclass
 class ImportanceMap:
-    """One score per pixel plus the producing method's ranking convention."""
+    """One score per pixel plus the producing method's ranking convention.
+
+    Scores are real and never NaN; +inf is allowed (fragility's score of a
+    pixel no opposite-class neuron can reach).
+    """
 
     scores: np.ndarray
     ordering: str            # ASCENDING or DESCENDING
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.scores = require_floats(self.scores, "scores", NumericError, finite=False)
         if self.ordering not in (ASCENDING, DESCENDING):
             raise ParameterError(f"unknown ordering '{self.ordering}'")
 
@@ -74,7 +79,7 @@ def pixel_fragility(params: LmmParams, x) -> ImportanceMap:
     """
     if params.n_classes != 2:
         raise UnsupportedConfigError("pixel fragility is defined for binary classifiers only")
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "input", NumericError)
     trace = forward(params, x)
     own = np.argmax(params.maxplus_weights, axis=1)
     opposite = np.flatnonzero(own != trace.predicted)
@@ -109,7 +114,7 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     ties, are ``tropical_pass``'s bit for bit.
     """
     steps = require_count(steps, "steps")
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "input", NumericError)
     baseline = np.full(params.n_pixels, GRAY)
     target = forward(params, x).predicted
     diff = x - baseline
@@ -379,7 +384,7 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "input", NumericError)
     target = forward(params, x).predicted
     n_pix = params.n_pixels
 

@@ -15,9 +15,9 @@ import numpy as np
 # cdist is unused here, but benchmarks/spans.py wraps it under this name
 from scipy.spatial.distance import cdist  # noqa: F401
 
-from .data import PIXEL_LEVELS, Dataset, require_int64
+from .data import PIXEL_LEVELS, Dataset
 from .errors import (DataError, DimensionError, NumericError, ParameterError, require_count,
-                     require_real)
+                     require_floats, require_int64, require_real)
 from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
@@ -34,15 +34,13 @@ class MedoidSet:
     source_indices: np.ndarray  # (H1,) rows of the training set
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.labels = require_int64(self.labels, "labels")
-        self.source_indices = require_int64(self.source_indices, "source_indices")
+        self.vectors = require_floats(self.vectors, "medoid entries", DataError)
+        self.labels = require_int64(self.labels, "labels").reshape(-1)
+        self.source_indices = require_int64(self.source_indices, "source_indices").reshape(-1)
         if self.vectors.ndim != 2 or self.vectors.shape[0] == 0:
             raise DimensionError("vectors must be a non-empty (H1, P) matrix")
         if self.labels.shape[0] != self.vectors.shape[0] or self.source_indices.shape[0] != self.vectors.shape[0]:
             raise DimensionError("labels and source_indices must match the medoid count")
-        if not np.all(np.isfinite(self.vectors)):
-            raise DataError("medoid entries contain non-finite values")
         if self.vectors.min() < 0.0 or self.vectors.max() > 1.0:
             raise DataError("medoid entries must lie in [0, 1]")
         n_classes = int(self.labels.max()) + 1
@@ -200,10 +198,8 @@ def init_params(medoids: MedoidSet, k0: float = 1.0) -> LmmParams:
 
 def nearest_medoid_predict(medoids: MedoidSet, x) -> int:
     """Class of the L-infinity-nearest medoid (lowest index on ties)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "input", NumericError)
     if x.shape != (medoids.vectors.shape[1],):
         raise DimensionError(f"expected input of length {medoids.vectors.shape[1]}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("input contains non-finite values")
     dist = np.max(np.abs(medoids.vectors - x[None, :]), axis=1)
     return int(medoids.labels[int(np.argmin(dist))])

@@ -14,14 +14,17 @@ Stability is a normalized local Lipschitz ratio: the mean, over Gaussian
 input perturbations, of the change of the unit-normalized importance map
 divided by the change of the input.
 
-``compute_report`` maps each clean image once per explainer and gives that
-map to both metrics; its timing is the mean wall time of the first N of
-those clean maps (``lmmx metrics --timing-n``), not of extra calls.
+Timing is the mean wall time of one explainer call on each of the first N
+images.  Every metric reads the clean images' maps from one pass,
+``_clean_maps``; ``compute_report`` makes one such pass per explainer and
+gives each map to all three, so a report maps each clean image once.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,18 +93,32 @@ def accuracy_from_confusion(confusion: np.ndarray) -> float:
 
 
 def _explain(params: LmmParams, explainer, x: np.ndarray) -> ImportanceMap:
-    """The explainer's map of ``x``, checked to hold one score per pixel."""
+    """The explainer's map of ``x``, checked to be an ``ImportanceMap`` of one score per pixel."""
     imap = explainer(params, x)
+    if not isinstance(imap, ImportanceMap):
+        raise ParameterError(f"explainer returned a {type(imap).__name__}, not an ImportanceMap")
     if imap.scores.shape != x.shape:
         raise DimensionError(f"explainer returned scores of shape {imap.scores.shape} "
                              f"for an image of shape {x.shape}")
     return imap
 
 
+def _clean_maps(params: LmmParams, explainer, data: Dataset):
+    """Yield ``(x, imap, seconds)`` for each image of ``data``: its checked map and the
+    wall time of that one explainer call.  The only place a clean image is mapped."""
+    if not callable(explainer):
+        raise ParameterError(f"explainer must be callable, got a {type(explainer).__name__}")
+    for x in data.images:
+        start = time.perf_counter()
+        imap = _explain(params, explainer, x)
+        yield x, imap, time.perf_counter() - start
+
+
 class _Deletion:
     """Ranked deletion of one image at a time, evaluated only at its cuts."""
 
     def __init__(self, params: LmmParams, n_pix: int, steps: int):
+        steps = require_count(steps, "steps")
         self.params = params
         self.at_gray = pixel_mins(params, np.full(n_pix, GRAY))
         cuts = np.arange(steps + 1) * n_pix // steps       # the clean image, then each cut
@@ -135,79 +152,62 @@ def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28) -> fl
     segments from it on.  Cuts that repeat (steps > P) read one state.  The
     logits are bit-equal to ``batch_logits`` on the partially grayed images.
     """
-    steps = require_count(steps, "steps")
     deletion = _Deletion(params, data.n_pixels, steps)
-    probs = np.empty((data.n_samples, steps))
-    for i, x in enumerate(data.images):
-        probs[i] = deletion.probs(x, _explain(params, explainer, x))
-    return float(np.mean(probs))
+    return float(np.mean([deletion.probs(x, imap)
+                          for x, imap, _ in _clean_maps(params, explainer, data)]))
 
 
 def _unit_map(scores: np.ndarray) -> np.ndarray:
-    """L2-normalize; a zero map stays zero.
-
-    Non-finite scores (possible only for degenerate fragility maps) are
-    replaced by the largest finite score before normalizing.
-    """
-    v = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        finite = v[np.isfinite(v)]
-        v = np.where(np.isfinite(v), v, finite.max() if finite.size else 0.0)
-    norm = np.linalg.norm(v)
-    return v / norm if norm > 0 else np.zeros_like(v)
+    """L2-normalize; a zero map stays zero.  Infinite scores (degenerate fragility maps
+    only) are first replaced by the largest finite score."""
+    finite = np.isfinite(scores)
+    if not finite.all():
+        scores = np.where(finite, scores, scores[finite].max() if finite.any() else 0.0)
+    norm = np.linalg.norm(scores)
+    return scores / norm if norm > 0 else np.zeros_like(scores)
 
 
-def _stability_args(sigma, m, seed) -> tuple[float, int, int]:
-    sigma = require_real(sigma, "sigma")
-    if sigma <= 0:
-        raise ParameterError("sigma must be > 0")
-    return sigma, require_count(m, "m"), require_count(seed, "seed", 0)
+class _Stability:
+    """Perturbation ratios of one image at a time; image i draws from the i-th of
+    ``SeedSequence(seed).spawn(n)``, so an image's ratio does not depend on the others."""
 
+    def __init__(self, sigma: float, m: int, seed: int, n: int):
+        self.sigma = require_real(sigma, "sigma")
+        if self.sigma <= 0:
+            raise ParameterError("sigma must be > 0")
+        self.ratios = np.empty(require_count(m, "m"))     # scratch, one entry per perturbation
+        self.seeds = np.random.SeedSequence(require_count(seed, "seed", 0)).spawn(n)
 
-def _perturbed_ratio(params: LmmParams, explainer, x: np.ndarray, imap: ImportanceMap,
-                     rng: np.random.Generator, sigma: float, ratios: np.ndarray) -> float:
-    """Mean over ``ratios.size`` perturbations of the unit map's change over the input's.
-
-    ``imap`` is the map of the clean image ``x``; ``ratios`` is scratch space.
-    """
-    base = _unit_map(imap.scores)
-    for j in range(ratios.size):
-        xp = np.clip(x + rng.normal(0.0, sigma, x.size), 0.0, 1.0)
-        den = float(np.linalg.norm(xp - x))
-        if den == 0.0:
-            ratios[j] = 0.0
-            continue
-        pert = _unit_map(_explain(params, explainer, xp).scores)
-        ratios[j] = float(np.linalg.norm(pert - base)) / den
-    return float(np.mean(ratios))
+    def ratio(self, params: LmmParams, explainer, i: int, x: np.ndarray,
+              imap: ImportanceMap) -> float:
+        """Mean over m perturbations of image ``i`` of the unit map's change over the
+        input's; ``imap`` is the map of the clean image ``x``."""
+        rng = np.random.default_rng(self.seeds[i])
+        base = _unit_map(imap.scores)
+        for j in range(self.ratios.size):
+            xp = np.clip(x + rng.normal(0.0, self.sigma, x.size), 0.0, 1.0)
+            den = float(np.linalg.norm(xp - x))
+            if den == 0.0:
+                self.ratios[j] = 0.0
+                continue
+            pert = _unit_map(_explain(params, explainer, xp).scores)
+            self.ratios[j] = float(np.linalg.norm(pert - base)) / den
+        return float(np.mean(self.ratios))
 
 
 def stability(params: LmmParams, explainer, data: Dataset, sigma: float = 0.05,
               m: int = 10, seed: int = 0) -> float:
-    """Mean ratio of explanation change to input change under noise.
-
-    Image i's perturbations are drawn from the i-th of
-    ``SeedSequence(seed).spawn(n)``: the report's stability lines depend on
-    exactly these draws.
-    """
-    sigma, m, seed = _stability_args(sigma, m, seed)
-    seeds = np.random.SeedSequence(seed).spawn(data.n_samples)
-    means = np.empty(data.n_samples)
-    ratios = np.empty(m)
-    for i, x in enumerate(data.images):
-        means[i] = _perturbed_ratio(params, explainer, x, _explain(params, explainer, x),
-                                    np.random.default_rng(seeds[i]), sigma, ratios)
-    return float(np.mean(means))
+    """Mean ratio of explanation change to input change under noise (see ``_Stability``)."""
+    stable = _Stability(sigma, m, seed, data.n_samples)
+    return float(np.mean([stable.ratio(params, explainer, i, x, imap) for i, (x, imap, _)
+                          in enumerate(_clean_maps(params, explainer, data))]))
 
 
 def timing(params: LmmParams, explainer, data: Dataset, n: int) -> float:
-    """Mean wall-clock seconds per importance map, single-threaded; each map is checked."""
-    n = require_count(n, "n")
-    n = min(n, data.n_samples)
-    start = time.perf_counter()
-    for i in range(n):
-        _explain(params, explainer, data.images[i])
-    return (time.perf_counter() - start) / n
+    """Mean seconds of one checked explainer call over the first ``min(n, N)`` images."""
+    n = min(require_count(n, "n"), data.n_samples)
+    maps = itertools.islice(_clean_maps(params, explainer, data), n)
+    return sum(seconds for _, _, seconds in maps) / n
 
 
 def compute_report(params: LmmParams, data: Dataset, explainers: dict,
@@ -215,40 +215,30 @@ def compute_report(params: LmmParams, data: Dataset, explainers: dict,
                    timing_images: int = 20, workers: int = 1) -> MetricsReport:
     """Run every metric for every explainer over one dataset split, in one thread.
 
-    Each explainer maps each clean image once.  That map feeds both the
-    deletion walk of ``fidelity`` and the base map of ``stability``, so both
-    values equal those functions' own, and ``seconds_per_image`` is the mean
-    wall time of the first ``min(timing_images, n)`` of these calls: no
+    One ``_clean_maps`` pass per explainer feeds the deletion walk, the
+    stability base map and the call times, so the values equal ``fidelity``'s,
+    ``stability``'s and ``timing``'s (timing's up to clock noise), and no
     call is made for timing alone.  A process's first Shapley call also
-    draws its seed's memoized permutations, so it counts that fill.
+    fills the Shapley memo, and the timing counts that fill.
 
     Every argument is checked before the first map.  ``workers`` must be 1.
     It is kept only because the benchmark passes ``workers=1``, and goes
     when the benchmark stops (ROADMAP item 6).
     """
-    steps = require_count(steps, "steps")
-    sigma, m, seed = _stability_args(sigma, m, seed)
+    if not isinstance(explainers, Mapping) or not all(map(callable, explainers.values())):
+        raise ParameterError("explainers must map method names to callable explainers")
+    deletion = _Deletion(params, data.n_pixels, steps)
+    stable = _Stability(sigma, m, seed, data.n_samples)
     timed = min(require_count(timing_images, "timing_images"), data.n_samples)
     if require_count(workers, "workers") != 1:
         raise ParameterError("workers must be 1: metrics run in one thread")
     confusion = confusion_matrix(params, data)
     report = MetricsReport(confusion, accuracy_from_confusion(confusion))
-    deletion = _Deletion(params, data.n_pixels, steps)
-    seeds = np.random.SeedSequence(seed).spawn(data.n_samples)     # as in stability
-    probs = np.empty((data.n_samples, steps))
-    means = np.empty(data.n_samples)
-    ratios = np.empty(m)
     for name, explainer in explainers.items():
-        seconds = 0.0
-        for i, x in enumerate(data.images):
-            start = time.perf_counter()
-            imap = _explain(params, explainer, x)
-            if i < timed:
-                seconds += time.perf_counter() - start
-            probs[i] = deletion.probs(x, imap)
-            means[i] = _perturbed_ratio(params, explainer, x, imap,
-                                        np.random.default_rng(seeds[i]), sigma, ratios)
+        probs, ratios, seconds = zip(*[
+            (deletion.probs(x, imap), stable.ratio(params, explainer, i, x, imap), spent)
+            for i, (x, imap, spent) in enumerate(_clean_maps(params, explainer, data))])
         report.fidelity[name] = float(np.mean(probs))
-        report.stability[name] = float(np.mean(means))
-        report.seconds_per_image[name] = seconds / timed
+        report.stability[name] = float(np.mean(ratios))
+        report.seconds_per_image[name] = sum(seconds[:timed]) / timed
     return report

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, require_real
+from .errors import DimensionError, NumericError, ParameterError, require_floats, require_real
 
 # Positive floor for the linear scales.  Keeping every scale at or above this
 # value fixes the sign pattern of the linear layer (plus branch strictly
@@ -38,13 +38,6 @@ SCALE_FLOOR = 1e-6
 # reduced; 16 MB blocks measured 1.5-2x slower at 29 to 4708 rows of
 # P = 784, H1 = 25 (one row per block there).
 _CHUNK_CELLS = 1 << 16
-
-
-def _as_float_array(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name} contains non-finite values")
-    return arr
 
 
 @dataclass
@@ -66,12 +59,12 @@ class LmmParams:
     temperature: float = 1.0
 
     def __post_init__(self):
-        self.scales = _as_float_array(self.scales, "scales")
+        self.scales = require_floats(self.scales, "scales", NumericError)
         # Column-major, so each neuron's 2P biases are contiguous: the min-plus
         # reduction runs along them, about twice as fast as across them.
-        self.minplus_weights = np.asfortranarray(_as_float_array(self.minplus_weights,
-                                                                 "minplus_weights"))
-        self.maxplus_weights = _as_float_array(self.maxplus_weights, "maxplus_weights")
+        self.minplus_weights = np.asfortranarray(
+            require_floats(self.minplus_weights, "minplus_weights", NumericError))
+        self.maxplus_weights = require_floats(self.maxplus_weights, "maxplus_weights", NumericError)
         if self.scales.ndim != 1 or self.scales.size == 0 or self.scales.size % 2:
             raise DimensionError("scales must be a 1-D array of length 2P")
         w1_shape = self.minplus_weights.shape
@@ -118,7 +111,7 @@ def linear_layer(params: LmmParams, x) -> np.ndarray:
 
     out[..., 2p] = K+_p * x[..., p] and out[..., 2p+1] = -K-_p * x[..., p].
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "input", NumericError)
     if x.ndim not in (1, 2) or x.shape[-1] != params.n_pixels:
         raise DimensionError(f"expected inputs of length {params.n_pixels}, got shape {x.shape}")
     out = np.empty(x.shape[:-1] + (2 * params.n_pixels,))
@@ -187,21 +180,17 @@ def pixel_mins(params: LmmParams, x) -> np.ndarray:
 
 def forward(params: LmmParams, x) -> ForwardTrace:
     """Evaluate the network on one input and record the active path."""
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "input", NumericError)
     if x.shape != (params.n_pixels,):
         raise DimensionError(f"expected input of length {params.n_pixels}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("input contains non-finite values")
     return ForwardTrace._make(a[0] for a in tropical_pass(params, x[None]))
 
 
 def batch_logits(params: LmmParams, images: np.ndarray) -> np.ndarray:
     """Logits for a batch of inputs, shape (N, C); bitwise ``forward`` on every row."""
-    images = np.asarray(images, dtype=np.float64)
+    images = require_floats(images, "batch", NumericError)
     if images.ndim != 2 or images.shape[1] != params.n_pixels:
         raise DimensionError(f"expected (N, {params.n_pixels}) inputs, got shape {images.shape}")
-    if not np.all(np.isfinite(images)):
-        raise NumericError("batch contains non-finite values")
     return tropical_pass(params, images).logits
 
 

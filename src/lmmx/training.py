@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (CalibrationError, DataError, DimensionError, NumericError, ParameterError,
-                     require_count, require_real)
+                     require_count, require_floats, require_int64, require_real)
 # forward is unused here, but benchmarks/spans.py wraps it under this name
 from .network import (SCALE_FLOOR, LmmParams, batch_logits, forward,  # noqa: F401
                       softmax_rows, tropical_pass)
@@ -55,8 +55,8 @@ def subgradient(params: LmmParams, images, labels) -> tuple[float, np.ndarray, n
     logit d (W2[h, d]), h's winning branch i (W1[i, h]) and scale i (times +/- x_p
     by the parity of i); tied winners go to the lowest index.
     """
-    images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels)
+    images = require_floats(images, "images", NumericError)
+    labels = require_int64(labels, "labels")
     n = labels.size
     if n == 0 or images.shape != (n, params.n_pixels) or labels.shape != (n,):
         raise DimensionError(f"expected rows (N >= 1, {params.n_pixels}) and labels (N,), "

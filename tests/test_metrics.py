@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, ParameterError,
+from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, NumericError, ParameterError,
                   confusion_matrix, fidelity, integrated_gradients, pixel_fragility,
                   shapley_sampling, stability, synth_dataset, timing)
 from lmmx.metrics import MetricsReport, accuracy_from_confusion, compute_report
@@ -166,6 +166,33 @@ class TestExplainerShape:
         with pytest.raises(DimensionError):
             stability(self.params, explainer, self.data, m=2)
 
+    @pytest.mark.parametrize("metric", [fidelity, stability, functools.partial(timing, n=2)])
+    def test_explainer_must_be_callable(self, metric):
+        with pytest.raises(ParameterError, match="explainer must be callable"):
+            metric(self.params, "fragility", self.data)
+
+    # a returned array used to escape as AttributeError
+    @pytest.mark.parametrize("metric", [fidelity, stability, functools.partial(timing, n=2)])
+    def test_a_result_that_is_not_a_map_is_a_parameter_error(self, metric):
+        explainer = lambda p, x: np.zeros(len(x))
+        with pytest.raises(ParameterError, match="ndarray, not an ImportanceMap"):
+            metric(self.params, explainer, self.data)
+
+    # an all-NaN map used to score fidelity 0.5 and stability 0.0 without a word
+    @pytest.mark.parametrize("metric", [fidelity, stability, functools.partial(timing, n=2)])
+    def test_nan_map_is_a_numeric_error(self, metric):
+        explainer = lambda p, x: ImportanceMap(np.full(len(x), np.nan), "descending")
+        with pytest.raises(NumericError, match="NaN"):
+            metric(self.params, explainer, self.data)
+        with pytest.raises(NumericError, match="NaN"):
+            compute_report(self.params, self.data, {"nan": explainer}, steps=2, m=1)
+
+    def test_infinite_scores_stay_allowed(self):
+        # fragility scores +inf where no opposite-class neuron exists
+        explainer = lambda p, x: ImportanceMap(np.full(len(x), np.inf), "ascending")
+        assert stability(self.params, explainer, self.data, m=2) == 0.0
+        assert 0.0 < fidelity(self.params, explainer, self.data, steps=2) <= 1.0
+
 
 class TestStability:
     def test_constant_map_gives_zero(self, synth_model):
@@ -277,6 +304,30 @@ class TestReport:
         settings = {"steps": 2, "m": 1, "timing_images": 1, argument: value}
         with pytest.raises(ParameterError, match=argument):
             compute_report(params, test, {"fragility": no_work}, **settings)
+
+    @pytest.mark.parametrize("explainers", [[pixel_fragility], ("fragility",), pixel_fragility,
+                                            {"fragility": None}])
+    def test_explainers_must_map_to_callables(self, explainers, synth_model, monkeypatch):
+        # a list used to fail as AttributeError, and a None explainer as TypeError,
+        # after the confusion matrix
+        def no_work(*args, **kwargs):
+            pytest.fail("the report started before explainers was checked")
+
+        monkeypatch.setattr("lmmx.metrics.confusion_matrix", no_work)
+        params, test = synth_model["params"], synth_model["task"]["test"]
+        with pytest.raises(ParameterError, match="explainers"):
+            compute_report(params, test, explainers, steps=2, m=1, timing_images=1)
+
+    def test_timing_maps_only_the_first_n_images(self, synth_model):
+        params, test = synth_model["params"], synth_model["task"]["test"]
+        calls = []
+
+        def explainer(p, x):
+            calls.append(x)
+            return pixel_fragility(p, x)
+
+        assert timing(params, explainer, test, n=3) > 0.0
+        assert np.array_equal(calls, test.images[:3])
 
     def test_each_clean_image_is_mapped_once(self, synth_model):
         # n (m + 1) calls per method: one clean map for fidelity, stability's
