@@ -15,8 +15,7 @@ from .explain import ImportanceMap, integrated_gradients, pixel_fragility, shapl
 from .medoids import MedoidSet, init_params, nearest_medoid_predict, select_medoids
 from .metrics import (MetricsReport, compute_report, confusion_matrix, fidelity,
                       stability, timing)
-from .network import (SCALE_FLOOR, ForwardTrace, LmmParams, batch_logits, batch_predict,
-                      forward, linear_layer)
+from .network import SCALE_FLOOR, ForwardTrace, LmmParams, batch_logits, batch_predict, forward
 from .training import TrainConfig, calibrate_temperature, subgradient, train
 
 __version__ = "0.1.0"
@@ -28,7 +27,7 @@ __all__ = [
     "SCALE_FLOOR", "TrainConfig", "UnsupportedConfigError",
     "batch_logits", "batch_predict", "calibrate_temperature", "compute_report",
     "confusion_matrix", "export_map", "fidelity", "forward",
-    "init_params", "integrated_gradients", "linear_layer", "load_model", "load_npz_dataset",
+    "init_params", "integrated_gradients", "load_model", "load_npz_dataset",
     "nearest_medoid_predict", "pixel_fragility", "save_model", "select_medoids",
     "shapley_sampling", "stability", "subgradient", "synth_dataset", "timing", "train",
 ]

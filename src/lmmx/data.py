@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (DataError, DimensionError, FormatError, LmmError, ParameterError,
                      require_count, require_floats, require_int64, require_real)
+from .explain import ImportanceMap
 from .network import LmmParams
 
 MODEL_MAGIC = b"LMMP"
@@ -49,7 +50,7 @@ class Dataset:
     def __post_init__(self):
         self.images = require_floats(self.images, "images", DataError)
         self.labels = require_int64(self.labels, "labels").reshape(-1)
-        if self.images.ndim != 2 or self.images.shape[0] == 0:
+        if self.images.ndim != 2 or 0 in self.images.shape:
             raise DataError(f"images must be a non-empty (N, P) matrix, got shape {self.images.shape}")
         if self.labels.shape[0] != self.images.shape[0]:
             raise DataError("images and labels disagree on sample count")
@@ -196,7 +197,9 @@ def export_map(imap, path, fmt: str) -> None:
     as mid-gray 128.  CSV: one ``index,score`` row per pixel with scores at
     17 significant digits so float64 values round-trip.
     """
-    scores = np.asarray(imap.scores, dtype=np.float64)
+    if not isinstance(imap, ImportanceMap):
+        raise ParameterError(f"can only export an ImportanceMap, got a {type(imap).__name__}")
+    scores = imap.scores
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             for i, s in enumerate(scores):

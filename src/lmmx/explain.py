@@ -79,8 +79,8 @@ def pixel_fragility(params: LmmParams, x) -> ImportanceMap:
     """
     if params.n_classes != 2:
         raise UnsupportedConfigError("pixel fragility is defined for binary classifiers only")
-    x = require_floats(x, "input", NumericError)
     trace = forward(params, x)
+    x = np.asarray(x, dtype=np.float64)
     own = np.argmax(params.maxplus_weights, axis=1)
     opposite = np.flatnonzero(own != trace.predicted)
     if opposite.size == 0:
@@ -114,10 +114,9 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     ties, are ``tropical_pass``'s bit for bit.
     """
     steps = require_count(steps, "steps")
-    x = require_floats(x, "input", NumericError)
-    baseline = np.full(params.n_pixels, GRAY)
     target = forward(params, x).predicted
-    diff = x - baseline
+    baseline = np.full(params.n_pixels, GRAY)
+    diff = np.asarray(x, dtype=np.float64) - baseline
 
     ts = (np.arange(steps) + 0.5) / steps
     slope = np.where(np.arange(2 * params.n_pixels) % 2 == 0, params.scales, -params.scales)
@@ -384,12 +383,11 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
-    x = require_floats(x, "input", NumericError)
     target = forward(params, x).predicted
     n_pix = params.n_pixels
 
     at_gray = pixel_mins(params, np.full(n_pix, GRAY))
-    at_image = pixel_mins(params, x)
+    at_image = pixel_mins(params, np.asarray(x, dtype=np.float64))
     keep = prune(at_gray, at_image, params.maxplus_weights[:, target])[0]
     gray, image = at_gray[keep], at_image[keep]
     bound = np.maximum(gray, image).min(axis=1)[:, None]

@@ -37,7 +37,7 @@ class MedoidSet:
         self.vectors = require_floats(self.vectors, "medoid entries", DataError)
         self.labels = require_int64(self.labels, "labels").reshape(-1)
         self.source_indices = require_int64(self.source_indices, "source_indices").reshape(-1)
-        if self.vectors.ndim != 2 or self.vectors.shape[0] == 0:
+        if self.vectors.ndim != 2 or 0 in self.vectors.shape:
             raise DimensionError("vectors must be a non-empty (H1, P) matrix")
         if self.labels.shape[0] != self.vectors.shape[0] or self.source_indices.shape[0] != self.vectors.shape[0]:
             raise DimensionError("labels and source_indices must match the medoid count")

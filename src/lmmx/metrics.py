@@ -34,7 +34,7 @@ from .errors import DataError, DimensionError, ParameterError, require_count, re
 from .explain import GRAY, ImportanceMap
 # batch_logits is unused here, but benchmarks/spans.py wraps it under this name
 from .network import (LmmParams, batch_logits, batch_predict, pixel_mins,  # noqa: F401
-                      softmax_rows)
+                      tempered_softmax)
 
 
 @dataclass
@@ -119,6 +119,8 @@ class _Deletion:
 
     def __init__(self, params: LmmParams, n_pix: int, steps: int):
         steps = require_count(steps, "steps")
+        if n_pix != params.n_pixels:  # pixel_mins trusts its caller
+            raise DimensionError(f"images have {n_pix} pixels, the model {params.n_pixels}")
         self.params = params
         self.at_gray = pixel_mins(params, np.full(n_pix, GRAY))
         cuts = np.arange(steps + 1) * n_pix // steps       # the clean image, then each cut
@@ -138,7 +140,7 @@ class _Deletion:
         hidden = np.minimum(grayed, kept)[:, self.states]             # (H1, steps + 1)
         logits = np.max(hidden.T[:, :, None] + params.maxplus_weights, axis=1)
         target = int(np.argmax(logits[0]))
-        return softmax_rows(logits[1:], params.temperature)[:, target]
+        return tempered_softmax(logits[1:], params.temperature)[:, target]
 
 
 def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28) -> float:

@@ -33,12 +33,6 @@ from .errors import DimensionError, NumericError, ParameterError, require_floats
 # formulas in lmmx.explain divide by.
 SCALE_FLOOR = 1e-6
 
-# Largest min-plus block (rows x 2P x H1 cells) that tropical_pass builds at
-# once.  512 KiB of float64 stays in a core's L2 cache while it is summed and
-# reduced; 16 MB blocks measured 1.5-2x slower at 29 to 4708 rows of
-# P = 784, H1 = 25 (one row per block there).
-_CHUNK_CELLS = 1 << 16
-
 
 @dataclass
 class LmmParams:
@@ -106,14 +100,12 @@ class LmmParams:
         )
 
 
-def linear_layer(params: LmmParams, x) -> np.ndarray:
-    """Sparse linear map of one input (P,) or of rows (N, P).
+def linear_layer(params: LmmParams, x: np.ndarray) -> np.ndarray:
+    """Sparse linear map of one input (P,) or of rows (N, P) of float64.
 
     out[..., 2p] = K+_p * x[..., p] and out[..., 2p+1] = -K-_p * x[..., p].
+    Callers validate the inputs.
     """
-    x = require_floats(x, "input", NumericError)
-    if x.ndim not in (1, 2) or x.shape[-1] != params.n_pixels:
-        raise DimensionError(f"expected inputs of length {params.n_pixels}, got shape {x.shape}")
     out = np.empty(x.shape[:-1] + (2 * params.n_pixels,))
     out[..., 0::2] = params.scales[0::2] * x
     out[..., 1::2] = -params.scales[1::2] * x
@@ -144,20 +136,15 @@ class ForwardTrace(NamedTuple):
 
 
 def tropical_pass(params: LmmParams, images: np.ndarray) -> ForwardTrace:
-    """Linear, min-plus and max-plus layers on rows of shape (n, P).
-
-    The (rows, 2P, H1) min-plus sums are built a chunk of rows at a time,
-    at most _CHUNK_CELLS cells (or one row) each, so memory stays bounded
-    for any n.  Callers validate the inputs; ties go to the lowest index.
-    """
+    """Linear, min-plus and max-plus layers on rows (n, P), one row of (2P, H1)
+    min-plus sums at a time.  Callers validate the inputs; ties go to the lowest index."""
     lin = linear_layer(params, images)
     w1 = params.minplus_weights
     n, n_hid = lin.shape[0], w1.shape[1]
     hidden_argmin = np.empty((n, n_hid), dtype=np.intp)
-    chunk = max(1, _CHUNK_CELLS // w1.size)
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
-        np.argmin(lin[rows, :, None] + w1, axis=1, out=hidden_argmin[rows])  # (rows, 2P, H1)
+    # per row: 16 MB blocks measured 1.5-2x slower at 29 to 4708 rows of P = 784, H1 = 25
+    for i in range(n):
+        np.argmin(lin[i, :, None] + w1, axis=0, out=hidden_argmin[i])     # (2P, H1)
     row = np.arange(n)[:, None]
     # the winning sums redone: the same float additions, so equal bit for bit
     hidden = lin[row, hidden_argmin] + w1[hidden_argmin, np.arange(n_hid)]
@@ -172,7 +159,7 @@ def pixel_mins(params: LmmParams, x) -> np.ndarray:
 
     Entry (h, p) is min(lin[2p] + W1[2p, h], lin[2p+1] + W1[2p+1, h]): the
     sums ``tropical_pass`` reduces, so a min over any of them is bit-equal
-    to a hidden activation.
+    to a hidden activation.  Callers validate the input.
     """
     pre = linear_layer(params, x) + params.minplus_weights.T       # (H1, 2P)
     return np.minimum(pre[:, 0::2], pre[:, 1::2])
@@ -204,6 +191,14 @@ def softmax_rows(z, temperature: float) -> np.ndarray:
     temperature = require_real(temperature, "temperature")
     if temperature <= 0:
         raise ParameterError("temperature must be > 0")
-    z = np.asarray(z, dtype=np.float64) / temperature
+    z = require_floats(z, "logits", NumericError)
+    if z.ndim == 0 or z.shape[-1] == 0:
+        raise DimensionError(f"logits need a non-empty last axis, got shape {z.shape}")
+    return tempered_softmax(z, temperature)
+
+
+def tempered_softmax(z: np.ndarray, temperature: float) -> np.ndarray:
+    """``softmax_rows`` without its checks: float64 logits and T > 0; callers validate."""
+    z = z / temperature
     e = np.exp(z - np.max(z, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)

@@ -18,7 +18,7 @@ from .errors import (CalibrationError, DataError, DimensionError, NumericError, 
                      require_count, require_floats, require_int64, require_real)
 # forward is unused here, but benchmarks/spans.py wraps it under this name
 from .network import (SCALE_FLOOR, LmmParams, batch_logits, forward,  # noqa: F401
-                      softmax_rows, tropical_pass)
+                      tempered_softmax, tropical_pass)
 
 
 @dataclass
@@ -72,7 +72,7 @@ def subgradient(params: LmmParams, images, labels) -> tuple[float, np.ndarray, n
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
 
-    residuals = softmax_rows(logits, 1.0)
+    residuals = tempered_softmax(logits, 1.0)
     residuals[np.arange(n), labels] -= 1.0
     residuals /= n  # minibatch mean
 
@@ -164,7 +164,7 @@ def calibrate_temperature(params: LmmParams, data: Dataset, target: float = 0.8)
 
     def mean_confidence(log_t: float) -> float:
         # softmax is monotone, so the row max is the predicted class's probability
-        return float(np.mean(np.max(softmax_rows(logits, float(np.exp(log_t))), axis=1)))
+        return float(np.mean(np.max(tempered_softmax(logits, float(np.exp(log_t))), axis=1)))
 
     lo, hi = -20.0, 20.0
     tol = 1e-4

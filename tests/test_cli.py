@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ class TestTrain:
             code = run(["train", "--data", tiny_archive, "--h1", "4", "--epochs", "3",
                         "--batch", "16", "--lr0", "0.05", "--seed", "7", "--out", out])
             assert code == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("strategy", ["random", "greedy-kmedoids"])
@@ -133,7 +134,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("defect", ["nan-temperature", "scale-below-floor", "no-hidden"])
     def test_invalid_parameters_are_format_errors(self, trained_model, tiny_archive, tmp_path,
                                                   defect):
-        blob = bytearray(open(trained_model, "rb").read())
+        blob = bytearray(Path(trained_model).read_bytes())
         magic, version, n_pix, n_hid, n_cls, temperature = _HEADER.unpack_from(blob)
         if defect == "nan-temperature":
             _HEADER.pack_into(blob, 0, magic, version, n_pix, n_hid, n_cls, float("nan"))
@@ -158,6 +159,16 @@ class TestEvaluate:
         if command == "metrics":
             args += ["--methods", "fragility", "--out", str(tmp_path / "report.txt")]
         assert run(args) == 2
+
+    def test_zero_pixel_images_are_data_errors(self, trained_model, tiny_archive, tmp_path,
+                                               capsys):
+        with np.load(tiny_archive) as archive:
+            members = dict(archive)
+        members["test_images"] = members["test_images"][:, :0]    # (N, 0, W)
+        data = str(tmp_path / "zero_pixels.npz")
+        np.savez(data, **members)
+        assert run(["evaluate", "--model", trained_model, "--data", data]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
 
     def test_damaged_deflate_member_is_format_error(self, trained_model, tiny_archive, tmp_path):
         with np.load(tiny_archive) as archive:

@@ -4,18 +4,23 @@ One fixed list of junk values goes to every scalar argument of the public
 API (and ``softmax_rows``), and junk built from a valid value (strings, a
 ragged list, a NaN entry, a wrong rank, ...) to every public array
 argument.  Each call may succeed, where the value happens to be valid, or
-raise an ``LmmError`` subclass; any other exception is an escape.
+raise an ``LmmError`` subclass; any other exception is an escape.  Each
+public entry checks each input array once: the core behind it trusts it.
 """
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from lmmx import (Dataset, ImportanceMap, LmmError, LmmParams, MedoidSet, TrainConfig,
                   batch_logits, batch_predict, calibrate_temperature, compute_report, export_map,
-                  fidelity, forward, init_params, integrated_gradients, linear_layer,
-                  nearest_medoid_predict, pixel_fragility, select_medoids, shapley_sampling,
-                  stability, subgradient, synth_dataset, timing)
+                  fidelity, forward, init_params, integrated_gradients, nearest_medoid_predict,
+                  pixel_fragility, select_medoids, shapley_sampling, stability, subgradient,
+                  synth_dataset, timing)
+from lmmx.errors import require_floats
 from lmmx.network import softmax_rows
 
 JUNK = (0, -1, 2.5, 3.0, math.nan, math.inf, True, "3", None)
@@ -94,7 +99,7 @@ def _array_junk(valid):
     with_nan = valid.copy()
     with_nan.flat[0] = math.nan
     return ("ab", ["0.5", "x"], [[0.5, 0.5], [0.5]], [None] * valid.size, with_nan,
-            valid[None], valid.ravel()[0], np.zeros(valid.shape + (2,)), None)
+            valid[None], valid.ravel()[0], np.zeros(valid.shape + (2,)), valid[..., :0], None)
 
 
 def _params(**arrays):
@@ -119,7 +124,6 @@ ARRAY_ARGUMENTS = {
     "MedoidSet.source_indices": (_MEDOIDS.source_indices,
                                  lambda v: MedoidSet(_MEDOIDS.vectors, _MEDOIDS.labels, v)),
     "ImportanceMap.scores": (np.zeros(2), lambda v: ImportanceMap(v, "ascending")),
-    "linear_layer.x": (_X, lambda v: linear_layer(_PARAMS, v)),
     "forward.x": (_X, lambda v: forward(_PARAMS, v)),
     "batch_logits.images": (_DATA.images, lambda v: batch_logits(_PARAMS, v)),
     "batch_predict.images": (_DATA.images, lambda v: batch_predict(_PARAMS, v)),
@@ -130,6 +134,9 @@ ARRAY_ARGUMENTS = {
     "subgradient.images": (_DATA.images, lambda v: subgradient(_PARAMS, v, _DATA.labels)),
     "subgradient.labels": (_DATA.labels, lambda v: subgradient(_PARAMS, _DATA.images, v)),
     "synth_dataset.centers": (_CENTERS, lambda v: synth_dataset(2, 2, v, 0.1, 0)),
+    "softmax_rows.z": (np.array([[1.0, 0.0]]), lambda v: softmax_rows(v, 1.0)),
+    # nothing but an ImportanceMap exports, so no file is ever written here
+    "export_map.imap": (np.zeros(4), lambda v: export_map(v, "unused", "csv")),
 }
 
 
@@ -158,3 +165,42 @@ def test_nan_entries_are_rejected():
             continue
         accepted.append(argument)
     assert accepted == []
+
+
+def _checks(call) -> Counter:
+    """The ``require_floats`` calls ``call()`` makes, counted by the checked array's name."""
+    counts = Counter()
+
+    def counting(value, name, *args, **kwargs):
+        counts[name] += 1
+        return require_floats(value, name, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "lmmx"]:
+            if getattr(module, "require_floats", None) is require_floats:
+                patch.setattr(module, "require_floats", counting)
+        call()
+    return counts
+
+
+def test_each_input_is_checked_once():
+    # the public entry checks its input array; the network core behind it trusts it,
+    # and an explainer's map checks its own scores once
+    cases = {
+        "forward": (lambda: forward(_PARAMS, _X), {"input": 1}),
+        "batch_logits": (lambda: batch_logits(_PARAMS, _DATA.images), {"batch": 1}),
+        "batch_predict": (lambda: batch_predict(_PARAMS, _DATA.images), {"batch": 1}),
+        "subgradient": (lambda: subgradient(_PARAMS, _DATA.images, _DATA.labels),
+                        {"images": 1}),
+        "nearest_medoid_predict": (lambda: nearest_medoid_predict(_MEDOIDS, _X), {"input": 1}),
+        "pixel_fragility": (lambda: pixel_fragility(_PARAMS, _X), {"input": 1, "scores": 1}),
+        "integrated_gradients": (lambda: integrated_gradients(_PARAMS, _X, steps=3),
+                                 {"input": 1, "scores": 1}),
+        "shapley_sampling": (lambda: shapley_sampling(_PARAMS, _X, permutations=3),
+                             {"input": 1, "scores": 1}),
+    }
+    counts = {name: dict(_checks(call)) for name, (call, _) in cases.items()}
+    assert counts == {name: expected for name, (_, expected) in cases.items()}
+    # deletion fidelity adds no check to the explainer's own, one call per image
+    assert _checks(lambda: fidelity(_PARAMS, pixel_fragility, _DATA, steps=2)) == \
+        Counter({"input": _DATA.n_samples, "scores": _DATA.n_samples})

@@ -187,6 +187,26 @@ class TestExplainerShape:
         with pytest.raises(NumericError, match="NaN"):
             compute_report(self.params, self.data, {"nan": explainer}, steps=2, m=1)
 
+    # pixel_mins trusts its caller, so the deletion checks the pixel count: unchecked,
+    # 4 pixels end in a bare ValueError and 1 pixel broadcasts against the model's 3
+    @pytest.mark.parametrize("n_pix", [4, 1])
+    @pytest.mark.parametrize("metric", ["fidelity", "compute_report"])
+    def test_pixel_count_is_checked_before_any_map(self, metric, n_pix):
+        params = random_params(np.random.default_rng(5), 3, 2, 2)
+        data = Dataset(np.full((2, n_pix), 0.25), [0, 1])
+        calls = []
+
+        def explainer(p, x):  # the data's shape, and no forward to catch it
+            calls.append(x)
+            return ImportanceMap(np.zeros(x.shape), "descending")
+
+        with pytest.raises(DimensionError, match=f"{n_pix} pixels, the model 3"):
+            if metric == "fidelity":
+                fidelity(params, explainer, data, steps=2)
+            else:
+                compute_report(params, data, {"zeros": explainer}, steps=2, m=1)
+        assert calls == []
+
     def test_infinite_scores_stay_allowed(self):
         # fragility scores +inf where no opposite-class neuron exists
         explainer = lambda p, x: ImportanceMap(np.full(len(x), np.inf), "ascending")

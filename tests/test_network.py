@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmmx import (DimensionError, LmmParams, NumericError, ParameterError, batch_logits,
-                  batch_predict, forward, linear_layer)
+                  batch_predict, forward)
 
-from lmmx import network
-from lmmx.network import pixel_mins, softmax_rows, tropical_pass
+from lmmx.network import linear_layer, pixel_mins, softmax_rows, tropical_pass
 from lmmx.oracles import brute_forward
 from lmmx.selftest import check_forward_oracle, dyadic_params, random_params
 
@@ -30,11 +29,6 @@ class TestLinearLayer:
     def test_single_pixel(self):
         params = LmmParams(np.array([3.0, 1.0]), np.zeros((2, 1)), np.zeros((1, 2)))
         assert np.array_equal(linear_layer(params, np.array([2.0])), [6.0, -2.0])
-
-    def test_dimension_error(self):
-        params = LmmParams(np.array([1.0, 1.0]), np.zeros((2, 1)), np.zeros((1, 2)))
-        with pytest.raises(DimensionError):
-            linear_layer(params, np.array([1.0, 2.0]))
 
 
 class TestSoftmax:
@@ -194,7 +188,6 @@ class TestTropicalPass:
         rng = np.random.default_rng(7)
         params = random_params(rng, 784, 25, 2)
         images = rng.integers(0, 256, (120, 784)) / 255.0
-        assert 120 * 2 * 784 * 25 > 2 * network._CHUNK_CELLS  # several min-plus chunks
         logits = batch_logits(params, images)
         for i in range(120):
             assert np.array_equal(logits[i], forward(params, images[i]).logits)

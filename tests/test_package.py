@@ -30,7 +30,6 @@ PARAMETERS = {
     "forward": ("params", "x"),
     "init_params": ("medoids", "k0"),
     "integrated_gradients": ("params", "x", "steps"),
-    "linear_layer": ("params", "x"),
     "load_model": ("path",),
     "load_npz_dataset": ("path",),
     "nearest_medoid_predict": ("medoids", "x"),
