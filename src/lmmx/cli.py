@@ -17,10 +17,10 @@ import sys
 from .data import export_map, load_model, load_npz_dataset, save_model
 from .errors import LmmError, ParameterError, require_count
 from .explain import integrated_gradients, pixel_fragility, shapley_sampling
-from .medoids import STRATEGIES, init_params, select_medoids
+from .medoids import STRATEGIES, init_params, require_k0, select_medoids
 from .metrics import compute_report, confusion_matrix, accuracy_from_confusion
 from .selftest import run_selftest
-from .training import TrainConfig, calibrate_temperature, train
+from .training import TrainConfig, calibrate_temperature, require_target, train
 
 METHODS = ("fragility", "intgrad", "shapley")
 
@@ -93,11 +93,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
-    splits = load_npz_dataset(args.data)
-    medoids = select_medoids(splits["train"], args.h1, args.strategy, args.seed)
-    params = init_params(medoids, args.k0)
+    # every value is checked before the medoid build, the first costly step
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr0=args.lr0,
                          lr_decay=args.lr_decay, seed=args.seed)
+    k0 = require_k0(args.k0)
+    splits = load_npz_dataset(args.data)
+    require_target(args.target, int(splits["train"].labels.max()) + 1)
+    medoids = select_medoids(splits["train"], args.h1, args.strategy, args.seed)
+    params = init_params(medoids, k0)
     params, history = train(params, splits["train"], splits["val"], config)
     temperature = calibrate_temperature(params, splits["val"], args.target)
     save_model(params, args.out)

@@ -220,7 +220,9 @@ def export_map(imap, path, fmt: str) -> None:
         if hi == lo:
             out[finite] = 128
         else:
-            out[finite] = np.rint((kf - lo) / (hi - lo) * 255.0).astype(np.uint8)
+            with np.errstate(over="ignore"):   # a range beyond the largest float64 is halved
+                s = 0.5 if np.isinf(hi - lo) else 1.0
+            out[finite] = np.rint((kf * s - lo * s) / (hi * s - lo * s) * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{side} {side}\n255\n".encode("ascii"))
         fh.write(out.tobytes())

@@ -180,27 +180,19 @@ _EVENT_CELLS = 1 << 17
 _RECORD_CELLS = 1 << 20
 
 
-def _inverse(block: np.ndarray) -> np.ndarray:
-    """Each permutation's position of every pixel, (n, P), in the smallest unsigned type."""
-    n, n_pix = block.shape
-    inv = np.empty((n, n_pix), dtype=np.min_scalar_type(n_pix - 1))
-    inv[np.arange(n)[:, None], block] = np.arange(n_pix)
-    return inv
-
-
-def _suffix_records(gray: np.ndarray, inv: np.ndarray,
-                    depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's suffix-min records along each permutation, among its ``depth`` smallest terms.
+def _suffix_records(gray: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's suffix-min records along each permutation.
 
     Row h's terms are ranked ascending, ties by pixel index.  The pixel of
     rank r is a record in a permutation when it comes after every pixel of
-    a lower rank, i.e. when it is below every later pixel's term in that
-    order; so every strict suffix-min record of the terms is one.  In rank
-    order a record is a strict rise of the running max of positions.  That
-    max is taken over blocks of about sqrt(depth) ranks: first within each
-    block, all blocks at once, then across blocks, so about 2 sqrt(depth)
-    row-wise ``np.maximum`` calls do the work of depth - 1.  Rows are taken
-    a few at a time so the positions stay within ``_RECORD_CELLS``.
+    a lower rank, so every strict suffix-min record of the terms is one, and
+    the records among the d smallest terms do not depend on the others.  In
+    rank order a record is a strict rise of the running max of positions.
+    That max is taken over blocks of about sqrt(P) ranks: first within each
+    block, all blocks at once, then across blocks, so about 2 sqrt(P)
+    row-wise ``np.maximum`` calls do the work of P - 1; it runs forward, so
+    the padding after rank P - 1 changes no rank.  Rows are taken a few at
+    a time so the positions stay within ``_RECORD_CELLS``.
 
     Returns ``key`` = h * P + r, ascending, and ``flat`` = k * P + the
     record's position in permutation k, an index into (n, P) arrays; equal
@@ -209,56 +201,55 @@ def _suffix_records(gray: np.ndarray, inv: np.ndarray,
     n, n_pix = inv.shape
     order = np.argsort(gray, axis=1, kind="stable").T
     by_pixel = np.ascontiguousarray(inv.T)
-    deepest = int(depth.max())
-    width = math.isqrt(deepest - 1) + 1
-    rows = max(1, _RECORD_CELLS // (n * deepest))
-    space = np.empty(-(-deepest // width) * width * rows * n, dtype=inv.dtype)  # reused by each chunk
-    rises = np.empty(deepest * rows * n, dtype=bool)
+    width = math.isqrt(n_pix - 1) + 1
+    ranks = -(-n_pix // width) * width
+    rows = max(1, _RECORD_CELLS // (n * n_pix))
+    space = np.empty(ranks * rows * n, dtype=inv.dtype)         # reused by each chunk
+    rises = np.empty(n_pix * rows * n, dtype=bool)
     keys, flats = [], []
     for h0 in range(0, gray.shape[0], rows):
-        top = int(depth[h0:h0 + rows].max())
-        ranked = order[:top, h0:h0 + rows]
-        shape = (-(-top // width) * width, ranked.shape[1], n)       # (ranks, rows, n)
+        ranked = order[:, h0:h0 + rows]
+        shape = (ranks, ranked.shape[1], n)                       # (ranks, rows, n)
         pos = space[:math.prod(shape)].reshape(shape)
-        np.take(by_pixel, ranked, axis=0, out=pos[:top])
-        pos[top:] = 0                                                 # padding never rises
+        np.take(by_pixel, ranked, axis=0, out=pos[:n_pix])
         blocks = pos.reshape(-1, width, *shape[1:])
         for w in range(1, width):
             np.maximum(blocks[:, w - 1], blocks[:, w], out=blocks[:, w])
         for b in range(1, len(blocks)):
             np.maximum(blocks[b], blocks[b - 1, -1], out=blocks[b])
-        rise = rises[:top * shape[1] * n].reshape(top, *shape[1:])
+        rise = rises[:n_pix * shape[1] * n].reshape(n_pix, *shape[1:])
         rise[0] = True
-        np.greater(pos[1:top], pos[:top - 1], out=rise[1:])
+        np.greater(pos[1:n_pix], pos[:n_pix - 1], out=rise[1:])
         at = np.flatnonzero(rise)
         rank, row, perm = np.unravel_index(at, rise.shape)
-        below = rank < depth[h0 + row]
-        keys.append(((h0 + row) * n_pix + rank)[below])
-        flats.append((perm * n_pix + pos.ravel()[at])[below])
+        keys.append((h0 + row) * n_pix + rank)
+        flats.append(perm * n_pix + pos.ravel()[at])
     key, flat = np.concatenate(keys), np.concatenate(flats)
     by_key = np.argsort(key, kind="stable")
     return key[by_key], flat[by_key]
 
 
 @functools.lru_cache(maxsize=4)
-def _first_block(seed: int, n_pix: int, gray: bytes) -> tuple:
-    """The first ``_BLOCK`` draws of ``default_rng(seed).permutation(n_pix)`` and their records.
+def _block(seed: int, n_pix: int, gray: bytes, index: int) -> tuple:
+    """Block ``index`` of ``_BLOCK`` draws of ``default_rng(seed).permutation(n_pix)`` and its records.
 
-    ``gray`` holds the bytes of ``pixel_mins(params, GRAY)``, which with
-    the seed fixes the entry, so a model whose weights change gets a new
-    one.  Every ``shapley_sampling`` call of one ``lmmx metrics`` run uses
-    one seed and one model, so all calls after the first read here.
-    Returns the draws, their ``_inverse``, ``_suffix_records`` of every
-    neuron over all ranks, all read-only, and the generator state after
-    the draws.  An entry holds about 2.9 MB at P = 784, H1 = 25: 1.6 MB of
-    draws, the key's 157 kB of terms, 401 kB of uint16 positions, and 16
-    bytes per record (about 46,000).
+    ``gray`` holds the bytes of ``pixel_mins(params, GRAY)``, so a model
+    whose weights change gets new entries.  The generator resumes from the
+    state in entry ``index - 1``, which ``_blocks`` has just read.  Returns
+    the draws, each permutation's position of every pixel (n, P) in the
+    smallest unsigned type, ``_suffix_records`` of every neuron over all
+    ranks, all read-only, and the generator state after the draws.  An
+    entry holds about 2.9 MB at P = 784, H1 = 25: 1.6 MB of draws, the
+    key's 157 kB of terms, 401 kB of uint16 positions, and 16 bytes per
+    record (about 46,000).
     """
     rng = np.random.default_rng(seed)
+    if index:
+        rng.bit_generator.state = _block(seed, n_pix, gray, index - 1)[-1]
     block = np.stack([rng.permutation(n_pix) for _ in range(_BLOCK)])
-    terms = np.frombuffer(gray).reshape(-1, n_pix)
-    inv = _inverse(block)
-    key, flat = _suffix_records(terms, inv, np.full(terms.shape[0], n_pix))
+    inv = np.empty(block.shape, dtype=np.min_scalar_type(n_pix - 1))
+    inv[np.arange(_BLOCK)[:, None], block] = np.arange(n_pix)
+    key, flat = _suffix_records(np.frombuffer(gray).reshape(-1, n_pix), inv)
     for a in (block, inv, key, flat):
         a.flags.writeable = False
     return block, inv, key, flat, rng.bit_generator.state
@@ -269,23 +260,16 @@ def _blocks(seed: int, n_pix: int, count: int, at_gray: np.ndarray, keep: np.nda
     """The first ``count`` draws of ``default_rng(seed).permutation(n_pix)``, in blocks.
 
     Each block comes with its inverse permutations and the flat indices of
-    its events from gray-term records: kept neuron j's records among its
-    ``depth[j]`` smallest gray terms.  Draws are sequential, so the first k
-    do not depend on ``count``: the memoized first block serves a prefix,
-    and later blocks resume from the state saved after it and compute the
-    records of the kept neurons only.
+    kept neuron j's gray-term records among its ``depth[j]`` smallest terms.
+    Draws are sequential, so the last block read serves a prefix.
     """
-    block, inv, key, flat, state = _first_block(seed, n_pix, at_gray.tobytes())
-    lo = np.searchsorted(key, keep * n_pix)
-    hi = np.searchsorted(key, keep * n_pix + depth)
-    taken = np.concatenate([flat[a:b] for a, b in zip(lo, hi)])
-    yield block[:count], inv[:count], taken[taken < count * n_pix]
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.state = state
-    for start in range(_BLOCK, count, _BLOCK):
-        block = np.stack([rng.permutation(n_pix) for _ in range(min(_BLOCK, count - start))])
-        inv = _inverse(block)
-        yield block, inv, _suffix_records(at_gray[keep], inv, depth)[1]
+    gray, lo = at_gray.tobytes(), keep * n_pix
+    for index, start in enumerate(range(0, count, _BLOCK)):
+        block, inv, key, flat, _ = _block(seed, n_pix, gray, index)
+        n = min(_BLOCK, count - start)
+        taken = np.concatenate([flat[a:b] for a, b in zip(np.searchsorted(key, lo),
+                                                           np.searchsorted(key, lo + depth))])
+        yield block[:n], inv[:n], taken[taken < n * n_pix]
 
 
 def _events(block: np.ndarray, inv: np.ndarray, records: np.ndarray,
@@ -370,9 +354,9 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     so each pixel's credits are summed in permutation order, the order of
     a walk through every step.
 
-    A seed's first ``_BLOCK`` permutations and their gray records depend
-    only on the seed and the gray terms, and are memoized in one entry per
-    model and seed (``_first_block``).  Events are sorted by position; a
+    Each block of ``_BLOCK`` permutations and its gray records depend only
+    on the seed, the block's index and the gray terms, and are memoized in
+    one entry per block, model and seed (``_block``).  Events are sorted by position; a
     permutation with fewer events than the most is padded with a dummy
     pixel whose terms are +inf and change nothing.
     Each kept neuron's max-plus bias is added to its terms once per call:

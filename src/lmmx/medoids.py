@@ -176,6 +176,13 @@ def select_medoids(train: Dataset, n_medoids: int, strategy: str = "greedy-kmedo
     return MedoidSet(train.images[indices], train.labels[indices], indices)
 
 
+def require_k0(k0) -> float:
+    """``k0`` as a float, or ``ParameterError`` unless it is a real number >= ``SCALE_FLOOR``."""
+    if require_real(k0, "k0") < SCALE_FLOOR:
+        raise ParameterError(f"k0 must be >= {SCALE_FLOOR}")
+    return float(k0)
+
+
 def init_params(medoids: MedoidSet, k0: float = 1.0) -> LmmParams:
     """Build network weights that classify by nearest medoid.
 
@@ -183,9 +190,7 @@ def init_params(medoids: MedoidSet, k0: float = 1.0) -> LmmParams:
     the negated linear image of medoid h, and the max-plus bias is +k0 for
     the medoid's own class and -k0 otherwise.
     """
-    k0 = require_real(k0, "k0")
-    if k0 < SCALE_FLOOR:
-        raise ParameterError(f"k0 must be >= {SCALE_FLOOR}")
+    k0 = require_k0(k0)
     n_pix = medoids.vectors.shape[1]
     n_hid = medoids.n_medoids
     n_cls = medoids.n_classes

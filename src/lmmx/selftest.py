@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .data import load_model, save_model
-from .explain import GRAY, _first_block, pixel_fragility, prune, shapley_sampling
+from .explain import GRAY, _block, pixel_fragility, prune, shapley_sampling
 from .medoids import MedoidSet, init_params, nearest_medoid_predict
 from .network import (ForwardTrace, LmmParams, batch_logits, forward, pixel_mins,
                       softmax_rows)
@@ -231,9 +231,9 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
     meets a kept neuron's bound.  On a standard-normal net of the same
     shape a three-permutation mean sums to the gap within 1e-12.
 
-    Last, one 257-permutation map, which reads the memoized first block and
-    walks one more permutation, equals the mean of ``walk_deltas`` byte for
-    byte, once with the Shapley memo emptied and once reading it.
+    Last, one 257-permutation map, which reads two memoized blocks, the
+    second resumed from the first, equals the mean of ``walk_deltas`` byte
+    for byte, once with the Shapley memo emptied and once reading it.
     """
     rng = np.random.default_rng(seed)
     for trial in range(trials):
@@ -271,7 +271,7 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
     x = rng.integers(0, 1025, 5) / 1024.0
     perm_seed = int(rng.integers(1 << 16))
     expected = sampled_walk_deltas(params, x, forward(params, x).predicted, 257, perm_seed)
-    _first_block.cache_clear()
+    _block.cache_clear()
     for memo in ("an empty", "a filled"):
         imap = shapley_sampling(params, x, permutations=257, seed=perm_seed)
         _check(imap.scores.tobytes() == expected.tobytes(),

@@ -150,16 +150,20 @@ def train(params: LmmParams, train_data: Dataset, val_data: Dataset,
     return best, history
 
 
+def require_target(target, n_classes: int) -> float:
+    """``target`` as a float, or ``ParameterError`` unless it lies in (1/n_classes, 1)."""
+    if not 1.0 / n_classes < require_real(target, "target") < 1.0:
+        raise ParameterError(f"target must lie in (1/{n_classes}, 1), got {target}")
+    return float(target)
+
+
 def calibrate_temperature(params: LmmParams, data: Dataset, target: float = 0.8) -> float:
     """Find T so the mean predicted-class probability hits ``target``.
 
     Mean confidence is monotone decreasing in T, so bisection on log T over
     [-20, 20] is valid; the result is stored in ``params.temperature``.
     """
-    n_cls = params.n_classes
-    target = require_real(target, "target")
-    if not 1.0 / n_cls < target < 1.0:
-        raise ParameterError(f"target must lie in (1/{n_cls}, 1), got {target}")
+    target = require_target(target, params.n_classes)
     logits = batch_logits(params, data.images)
 
     def mean_confidence(log_t: float) -> float:

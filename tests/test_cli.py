@@ -388,6 +388,22 @@ class TestUsageAndSelftest:
         assert f"error: {flag} must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "-1"), ("--batch", "0"), ("--lr0", "0"), ("--lr-decay", "-1"),
+        ("--k0", "0"), ("--target", "0.3"), ("--target", "1.5")])
+    def test_bad_train_value_is_usage_error_before_the_medoid_build(
+            self, tiny_archive, tmp_path, monkeypatch, capsys, flag, value):
+        def no_work(*args, **kwargs):
+            pytest.fail(f"work started before {flag} was checked")
+
+        monkeypatch.setattr("lmmx.cli.select_medoids", no_work)
+        monkeypatch.setattr("lmmx.cli.train", no_work)
+        out = tmp_path / "model.lmmp"
+        args = command_args("train", None, tiny_archive, str(out))
+        assert run(args + [flag, value]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("limit", ["-1", "-3"])
     def test_negative_limit_is_usage_error_before_loading(self, trained_model, tiny_archive,
                                                          tmp_path, monkeypatch, limit):

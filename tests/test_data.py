@@ -277,6 +277,22 @@ class TestExportMap:
         assert pix[0] == 0 and pix[3] == 0
         assert pix[1] == 255 and pix[2] == 0
 
+    def test_range_beyond_largest_float_keeps_its_ends(self, tmp_path):
+        imap = ImportanceMap(np.array([1e308, -1e308, 0.0, 5.0]), "ascending")
+        path = tmp_path / "map.pgm"
+        export_map(imap, path, "pgm")             # an overflow would fail the suite
+        _, _, pix = self.read_pgm(path)
+        assert pix.tolist() == [0, 255, 128, 128]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-310, 8e307])
+    def test_finite_range_keeps_the_plain_scaling(self, tmp_path, scale):
+        scores = np.random.default_rng(7).uniform(-1, 1, 16) * scale
+        path = tmp_path / "map.pgm"
+        export_map(ImportanceMap(scores, "ascending"), path, "pgm")
+        key = -scores                             # at 8e307 the range is near the largest float
+        expected = np.rint((key - key.min()) / (key.max() - key.min()) * 255.0)
+        assert self.read_pgm(path)[2].tolist() == expected.astype(np.uint8).tolist()
+
     def test_non_square_rejected(self, tmp_path):
         imap = ImportanceMap(np.zeros(10), "ascending")
         with pytest.raises(ParameterError):

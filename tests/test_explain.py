@@ -443,9 +443,9 @@ class TestShapleyEventPass:
 class TestShapleyPermutationMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        explain._first_block.cache_clear()
+        explain._block.cache_clear()
         yield
-        explain._first_block.cache_clear()
+        explain._block.cache_clear()
 
     @pytest.mark.parametrize("counts", [(1, 200, 300), (300, 200, 100, 1)])
     def test_maps_equal_fresh_draws_in_any_call_order(self, counts):
@@ -465,12 +465,23 @@ class TestShapleyPermutationMemo:
                 expected += walk_deltas(params, x, target, perms.permutation(6))
             got = shapley_sampling(params, x, permutations=permutations, seed=seed)
             assert got.scores.tobytes() == (expected / permutations).tobytes()
-        assert explain._first_block.cache_info().misses == 1   # drawn once per seed and model
+        assert explain._block.cache_info().misses == 2   # each block drawn once per seed and model
+
+    def test_more_blocks_than_entries_refill_in_order(self):
+        # 1,100 permutations read 5 blocks through a 4-entry memo: the second
+        # call refills every block, each resumed from the entry just read
+        params = dyadic_params(np.random.default_rng(95), 6, 4, 2)
+        x = np.random.default_rng(96).integers(0, 1025, 6) / 1024.0
+        expected = walked(params, x, 1100, 3)
+        for misses in (5, 10):
+            got = shapley_sampling(params, x, permutations=1100, seed=3)
+            assert got.scores.tobytes() == expected.tobytes()
+            assert explain._block.cache_info().misses == misses
 
     def test_memoized_block_is_read_only(self):
         params = dyadic_params(np.random.default_rng(94), 5, 3, 2)
         gray = pixel_mins(params, np.full(5, GRAY)).tobytes()
-        block = explain._first_block(0, 5, gray)[0]
+        block = explain._block(0, 5, gray, 0)[0]
         with pytest.raises(ValueError):
             block[0, 0] = 1
 
@@ -478,9 +489,9 @@ class TestShapleyPermutationMemo:
 class TestShapleyRecordMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        explain._first_block.cache_clear()
+        explain._block.cache_clear()
         yield
-        explain._first_block.cache_clear()
+        explain._block.cache_clear()
 
     def test_two_models_alternate(self):
         # same P, H1 and seed: only the gray terms tell the entries apart
@@ -491,8 +502,8 @@ class TestShapleyRecordMemo:
             for params in models:
                 got = shapley_sampling(params, x, permutations=permutations, seed=5)
                 assert got.scores.tobytes() == walked(params, x, permutations, 5).tobytes()
-        info = explain._first_block.cache_info()
-        assert (info.misses, info.hits) == (2, 6)
+        info = explain._block.cache_info()
+        assert (info.misses, info.hits) == (4, 10)
 
     def test_weights_changed_in_place_get_new_records(self):
         rng = np.random.default_rng(92)
@@ -504,7 +515,7 @@ class TestShapleyRecordMemo:
         after = shapley_sampling(params, x, permutations=40, seed=2)
         assert after.scores.tobytes() == walked(params, x, 40, 2).tobytes()
         assert after.scores.tobytes() != before.scores.tobytes()
-        assert explain._first_block.cache_info().misses == 2
+        assert explain._block.cache_info().misses == 2
 
     def test_memo_is_read_only_and_bounded(self):
         rng = np.random.default_rng(93)
@@ -512,14 +523,14 @@ class TestShapleyRecordMemo:
         for _ in range(6):
             params = dyadic_params(rng, 4, 3, 2)
             shapley_sampling(params, x, permutations=2)
-        info = explain._first_block.cache_info()
+        info = explain._block.cache_info()
         assert info.currsize == info.maxsize == 4 and info.misses == 6
         gray = pixel_mins(params, np.full(4, GRAY)).tobytes()
-        block, inv, key, flat, _ = explain._first_block(0, 4, gray)
+        block, inv, key, flat, _ = explain._block(0, 4, gray, 0)
         for part in (block, inv, key, flat):     # draws, inverses, record keys and flat indices
             with pytest.raises(ValueError):
                 part[0] = 0
-        assert explain._first_block.cache_info().hits == 1
+        assert explain._block.cache_info().hits == 1
 
 
 class TestImportanceMapRanking:
