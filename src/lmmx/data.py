@@ -195,11 +195,15 @@ def export_map(imap, path, fmt: str) -> None:
     PGM: square maps only; the most important pixel renders as 255
     (lighter = more important), non-finite scores as 0, and a constant map
     as mid-gray 128.  CSV: one ``index,score`` row per pixel with scores at
-    17 significant digits so float64 values round-trip.
+    17 significant digits so float64 values round-trip.  Scores must be one
+    non-empty row; anything else is a ``DimensionError``, and no file is
+    opened.
     """
     if not isinstance(imap, ImportanceMap):
         raise ParameterError(f"can only export an ImportanceMap, got a {type(imap).__name__}")
     scores = imap.scores
+    if scores.ndim != 1 or scores.size == 0:
+        raise DimensionError(f"can only export one non-empty row of scores, got shape {scores.shape}")
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             for i, s in enumerate(scores):

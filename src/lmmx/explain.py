@@ -20,7 +20,6 @@ image.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,59 +173,38 @@ def prune(start: np.ndarray, end: np.ndarray,
 _BLOCK = 256
 
 # Largest array, in elements, of one step of the Shapley event pass: each of
-# its two (events, permutations, kept neurons) float64 slabs stays at 1 MiB,
-# and the uint16 positions of a record build at 2 MiB.
+# its two (events, permutations, kept neurons) float64 slabs stays at 1 MiB.
 _EVENT_CELLS = 1 << 17
-_RECORD_CELLS = 1 << 20
 
 
 def _suffix_records(gray: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's suffix-min records along each permutation.
+    """Each row's suffix-min records along each permutation, in one pass.
 
     Row h's terms are ranked ascending, ties by pixel index.  The pixel of
     rank r is a record in a permutation when it comes after every pixel of
     a lower rank, so every strict suffix-min record of the terms is one, and
     the records among the d smallest terms do not depend on the others.  In
-    rank order a record is a strict rise of the running max of positions.
-    That max is taken over blocks of about sqrt(P) ranks: first within each
-    block, all blocks at once, then across blocks, so about 2 sqrt(P)
-    row-wise ``np.maximum`` calls do the work of P - 1; it runs forward, so
-    the padding after rank P - 1 changes no rank.  Rows are taken a few at
-    a time so the positions stay within ``_RECORD_CELLS``.
+    rank order a record is a strict rise of the running max of positions:
+    the (rows, ranks, n) table of positions takes one row-wise
+    ``np.maximum`` per rank, and its rises, read in (row, rank, permutation)
+    order, come out sorted by key.  The table and its rise mask hold about
+    3 bytes per cell at uint16 positions, 15 MB at H1 = 25, P = 784 and
+    n = 256, for the length of the call.
 
     Returns ``key`` = h * P + r, ascending, and ``flat`` = k * P + the
     record's position in permutation k, an index into (n, P) arrays; equal
     keys keep permutation order.
     """
     n, n_pix = inv.shape
-    order = np.argsort(gray, axis=1, kind="stable").T
-    by_pixel = np.ascontiguousarray(inv.T)
-    width = math.isqrt(n_pix - 1) + 1
-    ranks = -(-n_pix // width) * width
-    rows = max(1, _RECORD_CELLS // (n * n_pix))
-    space = np.empty(ranks * rows * n, dtype=inv.dtype)         # reused by each chunk
-    rises = np.empty(n_pix * rows * n, dtype=bool)
-    keys, flats = [], []
-    for h0 in range(0, gray.shape[0], rows):
-        ranked = order[:, h0:h0 + rows]
-        shape = (ranks, ranked.shape[1], n)                       # (ranks, rows, n)
-        pos = space[:math.prod(shape)].reshape(shape)
-        np.take(by_pixel, ranked, axis=0, out=pos[:n_pix])
-        blocks = pos.reshape(-1, width, *shape[1:])
-        for w in range(1, width):
-            np.maximum(blocks[:, w - 1], blocks[:, w], out=blocks[:, w])
-        for b in range(1, len(blocks)):
-            np.maximum(blocks[b], blocks[b - 1, -1], out=blocks[b])
-        rise = rises[:n_pix * shape[1] * n].reshape(n_pix, *shape[1:])
-        rise[0] = True
-        np.greater(pos[1:n_pix], pos[:n_pix - 1], out=rise[1:])
-        at = np.flatnonzero(rise)
-        rank, row, perm = np.unravel_index(at, rise.shape)
-        keys.append((h0 + row) * n_pix + rank)
-        flats.append(perm * n_pix + pos.ravel()[at])
-    key, flat = np.concatenate(keys), np.concatenate(flats)
-    by_key = np.argsort(key, kind="stable")
-    return key[by_key], flat[by_key]
+    pos = np.take(np.ascontiguousarray(inv.T), np.argsort(gray, axis=1, kind="stable"), axis=0)
+    for r in range(1, n_pix):
+        np.maximum(pos[:, r - 1], pos[:, r], out=pos[:, r])
+    rise = np.empty(pos.shape, dtype=bool)
+    rise[:, 0] = True
+    np.greater(pos[:, 1:], pos[:, :-1], out=rise[:, 1:])
+    at = np.flatnonzero(rise)
+    key, perm = np.divmod(at, n)
+    return key, perm * n_pix + pos.ravel()[at]
 
 
 @functools.lru_cache(maxsize=4)
@@ -241,7 +219,10 @@ def _block(seed: int, n_pix: int, gray: bytes, index: int) -> tuple:
     ranks, all read-only, and the generator state after the draws.  An
     entry holds about 2.9 MB at P = 784, H1 = 25: 1.6 MB of draws, the
     key's 157 kB of terms, 401 kB of uint16 positions, and 16 bytes per
-    record (about 46,000).
+    record (about 46,000).  Filling it holds about 3 bytes per neuron,
+    rank and draw at once, about 15 MB there, while ``_suffix_records``
+    takes its one pass over every neuron's ranks; the process peak is
+    set earlier, by the model build.
     """
     rng = np.random.default_rng(seed)
     if index:

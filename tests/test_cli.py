@@ -12,8 +12,11 @@ import pytest
 import lmmx
 from lmmx import selftest
 from lmmx.cli import run
+from lmmx import (TrainConfig, confusion_matrix, init_params, select_medoids, synth_dataset,
+                  train)
 from lmmx.data import _HEADER, load_model, load_npz_dataset
 from lmmx.medoids import _chebyshev_matrix
+from lmmx.metrics import accuracy_from_confusion
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,30 @@ class TestTrain:
         assert code == 0
         hidden = load_model(str(out)).minplus_weights.T
         assert len(np.unique(hidden, axis=0)) == 7
+
+    @pytest.mark.parametrize("epochs", ["2", "0"])
+    def test_prints_the_saved_models_val_accuracy(self, tmp_path, capsys, epochs):
+        # at lr0 = 50 both epochs score 0.5 on val, so train keeps the initial
+        # medoid model, which scores 1.0
+        centers = np.array([np.full(16, 0.2), np.full(16, 0.8)])
+        members = {}
+        for name, seed in (("train", 1), ("val", 2), ("test", 3)):
+            data = synth_dataset(16, 40 if name == "train" else 20, centers, 0.2, seed, name)
+            members[f"{name}_images"] = np.rint(data.images * 255).astype(np.uint8).reshape(-1, 4, 4)
+            members[f"{name}_labels"] = data.labels[:, None].astype(np.uint8)
+        path, out = tmp_path / "blobs.npz", tmp_path / "m.lmmp"
+        np.savez(path, **members)
+        splits = load_npz_dataset(path)
+        medoids = select_medoids(splits["train"], 4, "greedy-kmedoids", 0)
+        history = train(init_params(medoids, 1.0), splits["train"], splits["val"],
+                        TrainConfig(epochs=2, lr0=50.0))[1]
+        assert history["val_accuracy"] == [0.5, 0.5]
+        code = run(["train", "--data", str(path), "--h1", "4", "--k0", "1", "--lr0", "50",
+                    "--epochs", epochs, "--seed", "0", "--out", str(out)])
+        assert code == 0
+        saved = accuracy_from_confusion(confusion_matrix(load_model(str(out)), splits["val"]))
+        assert saved == 1.0
+        assert f"trained {epochs} epochs; best val accuracy 1.0000\n" in capsys.readouterr().out
 
     def test_missing_archive_is_data_error(self, tmp_path):
         code = run(["train", "--data", str(tmp_path / "nope.npz"), "--out",

@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from lmmx import (DataError, Dataset, FormatError, ImportanceMap, LmmError, LmmParams,
-                  ParameterError, export_map, load_model, load_npz_dataset, save_model, synth_dataset)
+from lmmx import (DataError, Dataset, DimensionError, FormatError, ImportanceMap, LmmError,
+                  LmmParams, ParameterError, export_map, load_model, load_npz_dataset, save_model,
+                  synth_dataset)
 from lmmx.data import PIXEL_LEVELS
 from lmmx.selftest import check_model_roundtrip
 
@@ -297,6 +298,15 @@ class TestExportMap:
         imap = ImportanceMap(np.zeros(10), "ascending")
         with pytest.raises(ParameterError):
             export_map(imap, tmp_path / "map.pgm", "pgm")
+
+    @pytest.mark.parametrize("fmt", ["csv", "pgm"])
+    @pytest.mark.parametrize("scores", [3.0, np.zeros((2, 2)), np.zeros(0)],
+                             ids=["scalar", "2x2", "empty"])
+    def test_scores_not_one_nonempty_row_rejected_before_writing(self, tmp_path, fmt, scores):
+        path = tmp_path / f"map.{fmt}"
+        with pytest.raises(DimensionError):
+            export_map(ImportanceMap(scores, "ascending"), path, fmt)
+        assert not path.exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         imap = ImportanceMap(np.zeros(4), "ascending")

@@ -533,6 +533,44 @@ class TestShapleyRecordMemo:
         assert explain._block.cache_info().hits == 1
 
 
+def reference_records(gray, inv):
+    """(key, flat) of every suffix-min record, straight from the definition.
+
+    The pixel of rank r (ascending terms, ties by pixel index) is a record
+    in permutation k when its position exceeds that of every lower rank.
+    """
+    n, n_pix = inv.shape
+    found = []
+    for h, terms in enumerate(gray):
+        ranked = sorted(range(n_pix), key=lambda p: (terms[p], p))
+        pos = inv[:, ranked].astype(np.int64)                      # (n, ranks)
+        lower = np.maximum.accumulate(pos, axis=1)
+        record = np.ones(pos.shape, dtype=bool)
+        record[:, 1:] = pos[:, 1:] > lower[:, :-1]
+        found += [(h * n_pix + r, k, k * n_pix + pos[k, r]) for k, r in zip(*np.nonzero(record))]
+    found.sort()
+    return [f[0] for f in found], [f[2] for f in found]
+
+
+class TestSuffixRecords:
+    @pytest.mark.parametrize("n_pix, rows", [(784, 3), (1, 4), (2, 4)])
+    def test_matches_the_definition(self, n_pix, rows):
+        # 256 draws as a memo entry holds them, on gray terms of 8 levels, so
+        # most ranks tie; P = 784 gives uint16 positions, P <= 2 uint8
+        rng = np.random.default_rng(n_pix)
+        gray = rng.integers(0, 8, (rows, n_pix)).astype(np.float64)
+        draws = np.stack([rng.permutation(n_pix) for _ in range(256)])
+        inv = np.argsort(draws, axis=1).astype(np.min_scalar_type(n_pix - 1))
+        assert inv.dtype == (np.uint16 if n_pix > 256 else np.uint8)
+        key, flat = explain._suffix_records(gray, inv)
+        assert key.dtype == flat.dtype == np.intp
+        expected_key, expected_flat = reference_records(gray, inv)
+        assert key.tolist() == expected_key and flat.tolist() == expected_flat
+        assert np.all(np.diff(key) >= 0)                          # ascending keys
+        perm = flat // n_pix
+        assert np.all(np.diff(perm)[np.diff(key) == 0] > 0)       # equal keys in permutation order
+
+
 class TestImportanceMapRanking:
     def test_ascending_ranks_small_first(self):
         imap = ImportanceMap(np.array([3.0, 1.0, 2.0, 1.0]), "ascending")
