@@ -18,7 +18,7 @@ from .data import export_map, load_model, load_npz_dataset, save_model
 from .errors import LmmError, ParameterError, require_count
 from .explain import integrated_gradients, pixel_fragility, shapley_sampling
 from .medoids import STRATEGIES, init_params, require_k0, select_medoids
-from .metrics import compute_report, confusion_matrix, accuracy_from_confusion
+from .metrics import accuracy_from_confusion, compute_report, confusion_matrix, require_sigma
 from .selftest import run_selftest
 from .training import TrainConfig, calibrate_temperature, require_target, train
 
@@ -83,8 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ig-steps", type=int, default=50)
     p.add_argument("--permutations", type=int, default=200)
-    p.add_argument("--timing-n", type=int, default=20,
-                   help="time the first N clean maps of the fidelity and stability pass")
     p.add_argument("--limit", type=int, default=0, help="cap images per split (0 = all)")
     p.add_argument("--out", required=True, help="report file (key/value lines)")
 
@@ -139,6 +137,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    require_sigma(args.sigma)
     if args.limit < 0:
         raise ParameterError(f"--limit must be >= 0 (0 = all images), got {args.limit}")
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -153,7 +152,7 @@ def _cmd_metrics(args) -> int:
     if 0 < args.limit < data.n_samples:
         data = type(data)(data.images[:args.limit], data.labels[:args.limit], data.split)
     report = compute_report(params, data, explainers, steps=args.steps, sigma=args.sigma,
-                            m=args.m, seed=args.seed, timing_images=args.timing_n)
+                            m=args.m, seed=args.seed, timing_images=data.n_samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.key_value_lines()) + "\n")
     print(report.format_table())
@@ -180,7 +179,8 @@ def run(argv) -> int:
         if args.command == "selftest":
             return 0 if run_selftest() else 3
         # a bad count is a usage error before anything is opened, whatever the method
-        for name, floor in (("seed", 0), ("ig_steps", 1), ("permutations", 1)):
+        for name, floor in (("seed", 0), ("h1", 1), ("steps", 1), ("m", 1), ("ig_steps", 1),
+                            ("permutations", 1)):
             if hasattr(args, name):
                 require_count(getattr(args, name), "--" + name.replace("_", "-"), floor)
         # fail on an unwritable --out or --csv before any work

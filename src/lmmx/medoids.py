@@ -22,7 +22,6 @@ from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
 _ROWS, _COLS = 16, 64  # uint8 distance block shape (measured best)
-_SWEEP_BYTES = 1024  # bytes per matrix row in one block of the cost sweep
 
 
 @dataclass
@@ -116,24 +115,17 @@ def _greedy_kmedoids(points: np.ndarray, quota: int) -> list[int]:
 
     Repeatedly adds the point minimizing the summed distance from every
     class member to its nearest chosen medoid.  Ties go to the lowest
-    index.  Needs the n x n ``_chebyshev_matrix`` plus an (n, width) buffer
-    of _SWEEP_BYTES per row.
+    index.  Needs the n x n uint8 ``_chebyshev_matrix``, and each pick holds
+    one more n x n uint8 temporary: 2 n**2 bytes (24 MB at n = 3,494).
 
     Every cost is a whole number of levels below 2**53, so its float64 sum
     is exact in any order and equal costs are true ties.
     """
     dist = _chebyshev_matrix(points)
-    n = dist.shape[0]
-    width = min(n, _SWEEP_BYTES // dist.itemsize)
-    buf = np.empty((n, width), dist.dtype)
-    costs = np.empty(n)
-    nearest = np.full(n, dist.max(), dist.dtype)  # no medoid yet: nothing lies farther
+    nearest = np.full(dist.shape[0], dist.max(), dist.dtype)  # no medoid yet: nothing lies farther
     chosen: list[int] = []
     for _ in range(quota):
-        for j0 in range(0, n, width):
-            j0 = min(j0, n - width)  # the last block overlaps the one before, keeping the width
-            np.minimum(dist[:, j0:j0 + width], nearest[:, None], out=buf)
-            buf.sum(axis=0, out=costs[j0:j0 + width])
+        costs = np.minimum(dist, nearest[:, None]).sum(axis=0, dtype=np.float64)
         costs[chosen] = np.inf  # never pick the same sample twice
         best = int(np.argmin(costs))
         chosen.append(best)

@@ -169,14 +169,19 @@ def _unit_map(scores: np.ndarray) -> np.ndarray:
     return scores / norm if norm > 0 else np.zeros_like(scores)
 
 
+def require_sigma(sigma) -> float:
+    """``sigma`` as a float, or ``ParameterError`` unless it is a real number > 0."""
+    if require_real(sigma, "sigma") <= 0:
+        raise ParameterError("sigma must be > 0")
+    return float(sigma)
+
+
 class _Stability:
     """Perturbation ratios of one image at a time; image i draws from the i-th of
     ``SeedSequence(seed).spawn(n)``, so an image's ratio does not depend on the others."""
 
     def __init__(self, sigma: float, m: int, seed: int, n: int):
-        self.sigma = require_real(sigma, "sigma")
-        if self.sigma <= 0:
-            raise ParameterError("sigma must be > 0")
+        self.sigma = require_sigma(sigma)
         self.ratios = np.empty(require_count(m, "m"))     # scratch, one entry per perturbation
         self.seeds = np.random.SeedSequence(require_count(seed, "seed", 0)).spawn(n)
 

@@ -16,7 +16,7 @@ from lmmx import (TrainConfig, confusion_matrix, init_params, select_medoids, sy
                   train)
 from lmmx.data import _HEADER, load_model, load_npz_dataset
 from lmmx.medoids import _chebyshev_matrix
-from lmmx.metrics import accuracy_from_confusion
+from lmmx.metrics import accuracy_from_confusion, compute_report
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def command_args(command, model, archive, out):
         return ["explain", "--model", model, "--data", archive, "--index", "0",
                 "--method", "shapley", "--permutations", "2", "--out", out]
     return ["metrics", "--model", model, "--data", archive, "--methods", "fragility",
-            "--steps", "2", "--m", "1", "--timing-n", "1", "--out", out]
+            "--steps", "2", "--m", "1", "--out", out]
 
 
 def package_env():
@@ -244,7 +244,7 @@ class TestMetrics:
             out = tmp_path / name
             code = run(["metrics", "--model", trained_model, "--data", tiny_archive,
                         "--methods", "fragility,intgrad", "--steps", "6", "--m", "2",
-                        "--seed", "5", "--timing-n", "2", "--out", str(out)])
+                        "--seed", "5", "--out", str(out)])
             assert code == 0
             reports.append(out.read_text())
         assert strip_timing(reports[0]) == strip_timing(reports[1])
@@ -256,12 +256,25 @@ class TestMetrics:
         out = tmp_path / "lim.txt"
         code = run(["metrics", "--model", trained_model, "--data", tiny_archive,
                     "--methods", "fragility", "--steps", "4", "--m", "1",
-                    "--limit", "4", "--timing-n", "1", "--out", str(out)])
+                    "--limit", "4", "--out", str(out)])
         assert code == 0
         text = out.read_text()
         counts = [int(line.split(" = ")[1]) for line in text.splitlines()
                   if line.startswith("confusion.")]
         assert sum(counts) == 4
+
+    def test_timing_averages_every_clean_map(self, trained_model, tiny_archive, tmp_path,
+                                             monkeypatch):
+        timed = []
+
+        def spy(*args, **kwargs):
+            timed.append(kwargs["timing_images"])
+            return compute_report(*args, **kwargs)
+
+        monkeypatch.setattr("lmmx.cli.compute_report", spy)
+        args = command_args("metrics", trained_model, tiny_archive, str(tmp_path / "r.txt"))
+        assert run(args + ["--split", "train"]) == 0
+        assert timed == [80]     # every train image, not a default prefix
 
     def test_unknown_method_is_usage_error(self, trained_model, tiny_archive, tmp_path):
         code = run(["metrics", "--model", trained_model, "--data", tiny_archive,
@@ -300,8 +313,7 @@ class TestDeterminism:
                         "--seed", "7", "--out", str(model)]) == 0
             assert run(["metrics", "--model", str(model), "--data", tiny_archive,
                         "--methods", "fragility,intgrad,shapley", "--steps", "4", "--m", "2",
-                        "--permutations", "5", "--seed", "5", "--timing-n", "1",
-                        "--out", str(report)]) == 0
+                        "--permutations", "5", "--seed", "5", "--out", str(report)]) == 0
             runs.append((model.read_bytes(), strip_timing(report.read_text())))
         assert runs[0] == runs[1]
 
@@ -400,19 +412,23 @@ class TestUsageAndSelftest:
     @pytest.mark.parametrize("command, flag, value", [
         ("metrics", "--permutations", "0"), ("metrics", "--ig-steps", "0"),
         ("metrics", "--seed", "-1"), ("explain", "--permutations", "0"),
-        ("explain", "--ig-steps", "-1"), ("explain", "--seed", "-1")])
+        ("explain", "--ig-steps", "-1"), ("explain", "--seed", "-1"),
+        ("metrics", "--steps", "0"), ("metrics", "--m", "0"), ("metrics", "--sigma", "-1"),
+        ("train", "--h1", "0")])
     def test_bad_count_is_usage_error_before_loading(self, trained_model, tiny_archive,
                                                      tmp_path, monkeypatch, capsys,
                                                      command, flag, value):
         # metrics runs fragility and explain shapley: every count is checked
         def no_load(*args, **kwargs):
-            pytest.fail(f"the model was loaded before {flag} was checked")
+            pytest.fail(f"a file was loaded before {flag} was checked")
 
         monkeypatch.setattr("lmmx.cli.load_model", no_load)
+        monkeypatch.setattr("lmmx.cli.load_npz_dataset", no_load)
         out = tmp_path / "out"
         args = command_args(command, trained_model, tiny_archive, str(out))
         assert run(args + [flag, value]) == 1
-        assert f"error: {flag} must be an integer" in capsys.readouterr().err
+        named = "sigma must be > 0" if flag == "--sigma" else f"{flag} must be an integer"
+        assert f"error: {named}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [

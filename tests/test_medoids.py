@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from lmmx import (DataError, Dataset, DimensionError, MedoidSet, NumericError, ParameterError,
                   forward, init_params, nearest_medoid_predict, select_medoids, synth_dataset)
 from lmmx.data import PIXEL_LEVELS
-from lmmx.medoids import (_COLS, _ROWS, _SWEEP_BYTES, _allocate_per_class, _chebyshev_matrix,
-                          _greedy_kmedoids)
+from lmmx.medoids import _COLS, _ROWS, _allocate_per_class, _chebyshev_matrix, _greedy_kmedoids
 
 from lmmx.oracles import brute_greedy_kmedoids
 from lmmx.selftest import check_init_equivalence
@@ -199,11 +198,6 @@ class TestGreedyKMedoids:
     def test_matches_reference_across_block_edges(self, n):
         points = grid_points(np.random.default_rng(n), n)
         assert _greedy_kmedoids(points, n) == brute_greedy_kmedoids(points, n)
-
-    @pytest.mark.parametrize("n", [_SWEEP_BYTES - 1, _SWEEP_BYTES, _SWEEP_BYTES + 1])
-    def test_matches_reference_across_sweep_edges(self, n):
-        points = grid_points(np.random.default_rng(n), n, n_pix=3)
-        assert _greedy_kmedoids(points, 4) == brute_greedy_kmedoids(points, 4)
 
     def test_exact_cost_tie_goes_to_lowest_index(self):
         assert brute_greedy_kmedoids(EXACT_TIE, 2) == [2, 3]

@@ -51,7 +51,7 @@ FLAGS = {
     "explain": ("--model", "--data", "--split", "--index", "--method", "--seed", "--ig-steps",
                 "--permutations", "--out", "--csv"),
     "metrics": ("--model", "--data", "--split", "--methods", "--steps", "--sigma", "--m",
-                "--seed", "--ig-steps", "--permutations", "--timing-n", "--limit", "--out"),
+                "--seed", "--ig-steps", "--permutations", "--limit", "--out"),
     "selftest": (),
 }
 
