@@ -9,6 +9,8 @@ low enough (-k0) that they never win for inputs in [0, 1]^P.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +87,28 @@ def _allocate_per_class(counts: np.ndarray, n_medoids: int) -> np.ndarray:
     return alloc
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stripe(units: np.ndarray, dist: np.ndarray, i0: int) -> None:
+    """Fill rows i0:i0+_ROWS of ``dist`` from the diagonal on, and their transposes.
+
+    Runs on a pool thread and calls NumPy only: NumPy's uint8 loops
+    release the GIL, and tracers that wrap package functions at their
+    module attributes (``benchmarks/spans.py``) assume one thread.
+    """
+    a = units[i0:i0 + _ROWS, None]
+    for j0 in range(i0, units.shape[0], _COLS):
+        b = units[None, j0:j0 + _COLS]
+        block = (np.maximum(a, b) - np.minimum(a, b)).max(axis=2)
+        dist[i0:i0 + _ROWS, j0:j0 + _COLS] = block
+        dist[j0:j0 + _COLS, i0:i0 + _ROWS] = block.T
+
+
 def _chebyshev_matrix(points: np.ndarray) -> np.ndarray:
     """All pairwise Chebyshev distances of ``points``, in whole pixel levels.
 
@@ -92,6 +116,15 @@ def _chebyshev_matrix(points: np.ndarray) -> np.ndarray:
     archive ``load_npz_dataset`` reads; the distances are then an exact
     uint8 matrix, built from (_ROWS, _COLS) blocks of max(a, b) - min(a, b)
     over the upper triangle, each block written with its transpose.
+
+    The row stripes run on a thread pool of one worker per usable CPU (at
+    most one per stripe).  Stripes write disjoint cells of exact uint8
+    levels, so the matrix is byte-equal in any order the stripes run.  The
+    off-grid check runs before any worker starts; if a stripe raises or
+    the caller is interrupted, the stripes not yet started are cancelled,
+    and no worker outlives the call.  Memory: the n x n uint8 result plus
+    3 * _ROWS * _COLS * P bytes of block temporaries per worker (2.4 MB at
+    P = 784).
     """
     levels = np.rint(points * PIXEL_LEVELS)
     if not np.array_equal(levels / PIXEL_LEVELS, points):
@@ -100,13 +133,13 @@ def _chebyshev_matrix(points: np.ndarray) -> np.ndarray:
     units = levels.astype(np.uint8)
     n = points.shape[0]
     dist = np.empty((n, n), np.uint8)
-    for i0 in range(0, n, _ROWS):
-        a = units[i0:i0 + _ROWS, None]
-        for j0 in range(i0, n, _COLS):
-            b = units[None, j0:j0 + _COLS]
-            block = (np.maximum(a, b) - np.minimum(a, b)).max(axis=2)
-            dist[i0:i0 + _ROWS, j0:j0 + _COLS] = block
-            dist[j0:j0 + _COLS, i0:i0 + _ROWS] = block.T
+    starts = range(0, n, _ROWS)
+    pool = ThreadPoolExecutor(min(_usable_cpus(), len(starts)))
+    try:
+        for future in [pool.submit(_stripe, units, dist, i0) for i0 in starts]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return dist
 
 
@@ -116,7 +149,11 @@ def _greedy_kmedoids(points: np.ndarray, quota: int) -> list[int]:
     Repeatedly adds the point minimizing the summed distance from every
     class member to its nearest chosen medoid.  Ties go to the lowest
     index.  Needs the n x n uint8 ``_chebyshev_matrix``, and each pick holds
-    one more n x n uint8 temporary: 2 n**2 bytes (24 MB at n = 3,494).
+    one more n x n uint8 temporary: 2 n**2 bytes (24 MB at n = 3,494), plus
+    about 2.4 MB (at P = 784) of block temporaries per worker while the
+    matrix is built.  Its row stripes run on every usable CPU, and the
+    matrix is byte-equal in any order they run, so the picks are the same
+    on any host and any core count.
 
     Every cost is a whole number of levels below 2**53, so its float64 sum
     is exact in any order and equal costs are true ties.

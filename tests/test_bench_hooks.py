@@ -6,6 +6,7 @@ import os
 import numpy as np
 
 import lmmx
+from lmmx.data import PIXEL_LEVELS
 
 _SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "benchmarks", "spans.py")
@@ -38,3 +39,19 @@ def test_install_then_uninstall_restores_every_hook():
         tracer.uninstall()
     for module, attr, original in patched:
         assert getattr(module, attr) is original
+
+
+def test_greedy_build_records_one_span_on_one_thread(monkeypatch):
+    # the matrix stripes run on pool threads that call NumPy only, never a wrapped hook
+    monkeypatch.setattr(lmmx.medoids, "_usable_cpus", lambda: 4)
+    images = np.random.default_rng(6).integers(0, PIXEL_LEVELS + 1, (200, 6)) / PIXEL_LEVELS
+    train = lmmx.Dataset(images, np.repeat([0, 1], 100), "train")
+    spans = load_spans()
+    tracer = spans.Tracer()
+    spans.install_package_tracing(tracer, lmmx)
+    try:
+        lmmx.medoids.select_medoids(train, 8, "greedy-kmedoids", seed=0)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["medoids.select_medoids"]
+    assert tracer.spans[0][2] is not None and tracer._stack == []

@@ -1,5 +1,7 @@
 """Medoid selection, nearest-medoid initialization, and their equivalence."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,11 +9,28 @@ from hypothesis import strategies as st
 
 from lmmx import (DataError, Dataset, DimensionError, MedoidSet, NumericError, ParameterError,
                   forward, init_params, nearest_medoid_predict, select_medoids, synth_dataset)
+from lmmx import medoids
 from lmmx.data import PIXEL_LEVELS
 from lmmx.medoids import _COLS, _ROWS, _allocate_per_class, _chebyshev_matrix, _greedy_kmedoids
 
 from lmmx.oracles import brute_greedy_kmedoids
 from lmmx.selftest import check_init_equivalence
+
+
+# more workers than the largest size below (300 points) has row stripes
+MANY_WORKERS = -(-300 // _ROWS) + 1
+
+
+def worker_cases(sizes):
+    """Each size at the host's own worker count (the bare size id), then at 1
+    worker, 2 workers and more workers than stripes."""
+    return [pytest.param(n, workers, id=str(n) if workers is None else f"{n}-{workers}w")
+            for n in sizes for workers in (None, 1, 2, MANY_WORKERS)]
+
+
+def use_workers(monkeypatch, workers):
+    if workers is not None:
+        monkeypatch.setattr(medoids, "_usable_cpus", lambda: workers)
 
 
 def tiny_train():
@@ -121,6 +140,13 @@ class TestSelectMedoids:
         med = select_medoids(Dataset(images, labels, "train"), 8, "random", seed=0)
         assert np.sum(med.labels == 0) == 6 and np.sum(med.labels == 1) == 2
 
+    def test_no_thread_outlives_the_build(self):
+        rng = np.random.default_rng(4)
+        train = Dataset(grid_points(rng, 200), np.repeat([0, 1], 100), "train")
+        before = threading.active_count()
+        select_medoids(train, 8, "greedy-kmedoids", seed=0)
+        assert threading.active_count() == before
+
     def test_off_grid_images_need_the_random_strategy(self):
         rng = np.random.default_rng(9)
         train = Dataset(rng.uniform(0, 1, (30, 2)), np.repeat([0, 1], 15), "train")
@@ -156,10 +182,13 @@ def grid_points(rng, n, n_pix=5):
 
 
 class TestChebyshevMatrix:
-    @pytest.mark.parametrize("n", [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, _COLS - 1, _COLS,
-                                   _COLS + 1, _ROWS + _COLS + 1])
-    def test_grid_levels_match_cdist(self, n):
-        # the reference is cdist's Chebyshev matrix, max |a - b|, taken in int64 levels
+    @pytest.mark.parametrize("n, workers", worker_cases(
+        [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, _COLS - 1, _COLS, _COLS + 1, _ROWS + _COLS + 1,
+         4 * _ROWS + 3, 300]))
+    def test_grid_levels_match_cdist(self, n, workers, monkeypatch):
+        # the reference is cdist's Chebyshev matrix, max |a - b|, taken in int64 levels;
+        # stripes of unequal length on any worker count give the same bytes
+        use_workers(monkeypatch, workers)
         rng = np.random.default_rng(n)
         points = grid_points(rng, n)
         points[0, 0], points[-1, 0] = 0.0, 1.0  # the full 255-level span
@@ -180,9 +209,23 @@ class TestChebyshevMatrix:
         np.array([[0.5 / PIXEL_LEVELS]]),
         np.array([[0.0], [1.0], [np.nextafter(1.0, 0.0)]]),
     ], ids=["uniform", "half-level", "one-ulp"])
-    def test_off_grid_is_data_error(self, points):
+    def test_off_grid_is_data_error(self, points, monkeypatch):
+        pools = []
+        monkeypatch.setattr(medoids, "ThreadPoolExecutor", lambda *args: pools.append(args))
         with pytest.raises(DataError, match=f"k / {PIXEL_LEVELS} grid"):
             _chebyshev_matrix(points)
+        assert pools == []  # checked in the caller's thread, before any worker starts
+
+    def test_a_failing_stripe_raises_in_the_caller_and_leaves_no_thread(self, monkeypatch):
+        def fail(units, dist, i0):
+            raise MemoryError(f"stripe {i0}")
+
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(medoids, "_stripe", fail)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="stripe 0"):
+            _chebyshev_matrix(grid_points(np.random.default_rng(0), 10 * _ROWS))
+        assert threading.active_count() == before
 
 
 class TestGreedyKMedoids:
@@ -193,9 +236,11 @@ class TestGreedyKMedoids:
         points, quota = case
         assert _greedy_kmedoids(points, quota) == brute_greedy_kmedoids(points, quota)
 
-    @pytest.mark.parametrize("n", [1, 2, _ROWS + 1, _COLS - 1, _COLS, _COLS + 1, 2 * _COLS - 1,
-                                   2 * _COLS, 2 * _COLS + 1, 300])
-    def test_matches_reference_across_block_edges(self, n):
+    @pytest.mark.parametrize("n, workers", worker_cases(
+        [1, 2, _ROWS + 1, _COLS - 1, _COLS, _COLS + 1, 2 * _COLS - 1, 2 * _COLS, 2 * _COLS + 1,
+         4 * _ROWS + 3, 300]))
+    def test_matches_reference_across_block_edges(self, n, workers, monkeypatch):
+        use_workers(monkeypatch, workers)
         points = grid_points(np.random.default_rng(n), n)
         assert _greedy_kmedoids(points, n) == brute_greedy_kmedoids(points, n)
 
