@@ -172,9 +172,9 @@ def prune(start: np.ndarray, end: np.ndarray,
 # holds at most this many rows of P indices whatever its permutation count.
 _BLOCK = 256
 
-# Largest array, in elements, of one step of the Shapley event pass: each of
-# its two (events, permutations, kept neurons) float64 slabs stays at 1 MiB.
-_EVENT_CELLS = 1 << 17
+# Largest array, in bytes, of one step of the Shapley event pass: each of its
+# two (events, permutations, kept neurons) slabs of order codes stays at 1 MiB.
+_EVENT_BYTES = 1 << 20
 
 
 def _suffix_records(gray: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,32 +274,34 @@ def _events(block: np.ndarray, inv: np.ndarray, records: np.ndarray,
     return events
 
 
-def _event_credits(events: np.ndarray, gray_terms: np.ndarray, image_terms: np.ndarray,
-                   gray_logit: float, credits: np.ndarray) -> None:
+def _event_credits(events: np.ndarray, gray_codes: np.ndarray, image_codes: np.ndarray,
+                   levels: np.ndarray, gray_logit: float, credits: np.ndarray) -> None:
     """Add each event's change of the logit to its pixel's credit, in (permutation, event) order.
 
-    ``gray_terms`` and ``image_terms`` are (P + 1, kept) biased terms whose
-    last row, the padding pixel, is +inf.  After event i a neuron holds the
-    min of its image terms at events 0..i and of its gray terms at the later
-    events; the logit is the max over neurons, and before the first event
-    it is ``gray_logit``.  Permutations are taken a chunk at a time, so each
-    (events, chunk, kept) slab stays within ``_EVENT_CELLS``.
+    ``gray_codes`` and ``image_codes`` are (P + 1, kept) order codes of the
+    biased terms, indices into ``levels``, whose last row, the padding
+    pixel, holds the top code.  After event i a neuron holds the min of its
+    image codes at events 0..i and of its gray codes at the later events;
+    the logit is the max over neurons, decoded through ``levels``, and
+    before the first event it is ``gray_logit``.  Permutations are taken a
+    chunk at a time, so each (events, chunk, kept) slab stays within
+    ``_EVENT_BYTES``.
     """
-    n_kept = gray_terms.shape[1]
-    chunk = max(1, _EVENT_CELLS // (len(events) * n_kept))
+    n_kept = gray_codes.shape[1]
+    chunk = max(1, _EVENT_BYTES // (gray_codes.itemsize * len(events) * n_kept))
     for c in range(0, events.shape[1], chunk):
         pixels = events[:, c:c + chunk]
-        flipped = image_terms[pixels]                  # (events, chunk, kept)
-        left = gray_terms[pixels]
+        flipped = np.take(image_codes, pixels, axis=0)      # (events, chunk, kept)
+        left = np.take(gray_codes, pixels, axis=0)
         for i in range(1, len(flipped)):
-            np.fmin(flipped[i - 1], flipped[i], out=flipped[i])
+            np.minimum(flipped[i - 1], flipped[i], out=flipped[i])
         for i in range(len(left) - 2, -1, -1):
-            np.fmin(left[i + 1], left[i], out=left[i])
-        np.fmin(flipped[:-1], left[1:], out=flipped[:-1])
+            np.minimum(left[i + 1], left[i], out=left[i])
+        np.minimum(flipped[:-1], left[1:], out=flipped[:-1])
         logit = flipped[:, :, 0].copy()
         for j in range(1, n_kept):                     # faster than a max over the short last axis
             np.maximum(logit, flipped[:, :, j], out=logit)
-        steps = np.diff(logit, axis=0, prepend=gray_logit)
+        steps = np.diff(np.take(levels, logit), axis=0, prepend=gray_logit)
         np.add.at(credits, pixels.T.ravel(), steps.T.ravel())
 
 
@@ -339,12 +341,31 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     on the seed, the block's index and the gray terms, and are memoized in
     one entry per block, model and seed (``_block``).  Events are sorted by position; a
     permutation with fewer events than the most is padded with a dummy
-    pixel whose terms are +inf and change nothing.
+    pixel that changes nothing: its codes are the top code (below).
     Each kept neuron's max-plus bias is added to its terms once per call:
     rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c))
-    and every state's biased activation keeps its bits.  The running mins
-    are row-wise ``np.fmin`` over (events, permutations, kept) slabs of at
-    most ``_EVENT_CELLS`` cells, about 2 MB of temporaries.
+    and every state's biased activation keeps its bits.
+
+    The running mins run on order codes, small unsigned integers in the
+    order of the biased terms they replace, and the maps keep every bit:
+
+    1. A kept neuron's biased activation never exceeds its biased bound
+       fl(b_h + c_h), so a biased term above it never sets a min, and all
+       such terms, and the padding pixel, share one top code.
+    2. The terms at or below the bounds are ranked by one ``np.unique``:
+       ranks keep the order and equal values share a code.  min and max
+       only select values, so on codes they select the value they select
+       on floats, and that value is ranked.
+    3. Decoding the logit through the sorted values returns that value's
+       bits, except that ``np.unique`` merges +0.0 and -0.0.  A decoded
+       zero of the other sign changes no nonzero step of the logit, only
+       the sign of a zero step, and adding either zero to a credit, which
+       is never -0.0, leaves it as it was.
+
+    Codes take ``np.min_scalar_type`` of the top code, uint8 or uint16 at
+    the paper's shape, so the gathers and the row-wise ``np.minimum`` over
+    (events, permutations, kept) slabs move a quarter or less of the bytes
+    of float64 terms.  Each of the two slabs holds at most ``_EVENT_BYTES``.
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
@@ -359,14 +380,18 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     depth = np.count_nonzero(gray <= bound, axis=1)        # gray ranks that may be records
     hits = np.flatnonzero((image <= bound).any(axis=0))    # pixels whose image term may count
     out_bias = params.maxplus_weights[keep, target, None]
-    gray_terms = np.full((n_pix + 1, keep.size), np.inf)   # row n_pix is the dummy pixel
-    gray_terms[:-1] = (gray + out_bias).T
-    image_terms = np.full((n_pix + 1, keep.size), np.inf)
-    image_terms[:-1] = (image + out_bias).T
-    gray_logit = gray_terms.min(axis=0).max()
+    terms = np.stack([gray, image]) + out_bias              # (2, kept, P) biased terms
+    low = terms <= bound + out_bias                         # the terms that can set a min
+    # a 1-D argument, so the inverse is 1-D on numpy 1.24 and on 2.x
+    levels, ranks = np.unique(terms[low], return_inverse=True)
+    codes = np.full((2, n_pix + 1, keep.size), levels.size,  # row n_pix is the dummy pixel
+                    dtype=np.min_scalar_type(levels.size))
+    codes[:, :-1].transpose(0, 2, 1)[low] = ranks
+    levels = np.append(levels, np.inf)
+    gray_logit = terms[0].min(axis=1).max()
 
     credits = np.zeros(n_pix + 1)
     for block, inv, records in _blocks(seed, n_pix, permutations, at_gray, keep, depth):
-        _event_credits(_events(block, inv, records, hits), gray_terms, image_terms,
+        _event_credits(_events(block, inv, records, hits), codes[0], codes[1], levels,
                        gray_logit, credits)
     return ImportanceMap(credits[:n_pix] / permutations, DESCENDING)

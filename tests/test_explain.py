@@ -427,7 +427,53 @@ def walked(params, x, permutations, seed):
     return sampled_walk_deltas(params, x, forward(params, x).predicted, permutations, seed)
 
 
+def ranked_terms(params, x):
+    """The biased terms at or below each kept neuron's biased bound, the ones Shapley ranks."""
+    target = forward(params, x).predicted
+    start, end = pixel_mins(params, np.full(params.n_pixels, GRAY)), pixel_mins(params, x)
+    keep = prune(start, end, params.maxplus_weights[:, target])[0]
+    out_bias = params.maxplus_weights[keep, target, None]
+    terms = np.stack([start[keep], end[keep]]) + out_bias
+    return terms[terms <= np.maximum(*terms).min(axis=1)[:, None]]
+
+
 class TestShapleyEventPass:
+    @pytest.mark.parametrize("n_pix, n_hid, wide", [(36, 8, True), (20, 6, False)],
+                             ids=["uint16", "uint8"])
+    def test_both_code_widths(self, n_pix, n_hid, wide):
+        # Non-dyadic terms.  Every plus branch loses, and the pixels near 1
+        # put every minus-branch term below the gray image's, so all P image
+        # terms of each kept neuron are at or below its bound and ranked.
+        rng = np.random.default_rng(n_pix)
+        w1 = rng.uniform(-0.3, 0.0, (2 * n_pix, n_hid))
+        w1[0::2] += 1.0
+        params = LmmParams(rng.uniform(0.8, 1.2, 2 * n_pix), w1,
+                           rng.uniform(-0.1, 0.1, (n_hid, 2)))
+        x = rng.uniform(0.85, 1.0, n_pix)
+        assert (np.unique(ranked_terms(params, x)).size > 255) == wide
+        for permutations in (1, 3, 257):
+            got = shapley_sampling(params, x, permutations=permutations, seed=permutations)
+            assert got.scores.tobytes() == walked(params, x, permutations, permutations).tobytes()
+
+    def test_signed_zeros_share_a_code(self):
+        # np.unique merges +0.0 and -0.0 into one code.  In the walk that
+        # flips pixel 1 first the logit goes -0.5, +0.0, -0.0, so one of the
+        # two zeros decodes with the other sign: pixel 0's step is -0.0 on
+        # floats and +0.0 on codes, and either added to its +0.0 credit
+        # gives +0.0.
+        w1 = np.array([[0.5, -0.25], [-0.0, 0.5], [0.0, 0.25], [-0.0, -0.0]])
+        params = LmmParams(np.ones(4), w1, np.array([[-0.0, -0.0], [-0.0, 0.0]]))
+        x = np.zeros(2)
+        zeros = ranked_terms(params, x)
+        zeros = zeros[zeros == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        traces = [forward(params, np.array(s)) for s in ([0.5, 0.0], [0.0, 0.0])]
+        assert [(t.predicted, np.signbit(t.logits[0])) for t in traces] == [(0, False), (0, True)]
+        for permutations in (1, 2, 4):
+            for seed in (0, 3):     # seed 3 flips pixel 1 first
+                got = shapley_sampling(params, x, permutations=permutations, seed=seed)
+                assert got.scores.tobytes() == walked(params, x, permutations, seed).tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_summed_walks_at_block_edges(self, data):
