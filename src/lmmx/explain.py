@@ -72,9 +72,22 @@ def pixel_fragility(params: LmmParams, x) -> ImportanceMap:
     index on ties; only the neurons typed to the other class than the
     predicted one are evaluated.  Small values flag pixels whose change can
     flip the binary decision; a pixel scores +inf when no neuron is typed
-    to the opposite class.  The (P, neurons) extended sensitivities perform
-    the same arithmetic as the per-entry reference
-    ``lmmx.oracles.extended_sensitivity``, just vectorized.
+    to the opposite class.
+
+    The min over neurons is taken before the division.  The per-entry
+    reference ``lmmx.oracles.extended_sensitivity`` scores pixel p and
+    neuron h as min(x_p - a_h / K+_p, b_h / K-_p - x_p), with numerators
+    a_h = (g_h - s_h) - W1[2p, h] and b_h = (s_h + W1[2p+1, h]) - g_h.  The
+    scales are positive and rounding is monotone, so fl(x - fl(a / k))
+    never rises as a grows and fl(fl(b / k) - x) never falls as b grows:
+    the min over h of the plus side is its value at max_h a_h, and of the
+    minus side its value at min_h b_h.  Each numerator keeps the
+    reference's float operations, so every score equals the reference's,
+    with one division per pixel and side.  Only the sign of a zero score
+    can differ, where terms tie at zero with opposite signs (which needs a
+    -0.0 weight or pixel); the reference's sign there already depends on
+    the reduction order.  Rankings (so deletion fidelity), the stability
+    ratio and the PGM export ignore that sign; the CSV export prints it.
     """
     if params.n_classes != 2:
         raise UnsupportedConfigError("pixel fragility is defined for binary classifiers only")
@@ -86,13 +99,13 @@ def pixel_fragility(params: LmmParams, x) -> ImportanceMap:
         return ImportanceMap(np.full(params.n_pixels, np.inf), ASCENDING)
     g = trace.hidden[opposite]
     s = trace.logits[trace.predicted] - (g + params.maxplus_weights[opposite, own[opposite]])
-    w1_plus = params.minplus_weights[0::2, opposite]    # (P, len(opposite))
-    w1_minus = params.minplus_weights[1::2, opposite]
-    k_plus = params.scales[0::2][:, None]
-    k_minus = params.scales[1::2][:, None]
-    term_plus = x[:, None] - ((g - s)[None, :] - w1_plus) / k_plus
-    term_minus = (s[None, :] + w1_minus - g[None, :]) / k_minus - x[:, None]
-    return ImportanceMap(np.minimum(term_plus, term_minus).min(axis=1), ASCENDING)
+    reach = params.minplus_weights[0::2, opposite]      # (P, len(opposite)) copies
+    drop = params.minplus_weights[1::2, opposite]
+    np.subtract(g - s, reach, out=reach)
+    np.add(s, drop, out=drop)
+    np.subtract(drop, g, out=drop)
+    return ImportanceMap(np.minimum(x - reach.max(axis=1) / params.scales[0::2],
+                                    drop.min(axis=1) / params.scales[1::2] - x), ASCENDING)
 
 
 def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap:

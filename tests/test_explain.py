@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmmx import (ImportanceMap, LmmParams, MedoidSet, ParameterError, UnsupportedConfigError,
-                  forward, init_params, integrated_gradients, pixel_fragility, shapley_sampling)
+from lmmx import (SCALE_FLOOR, ImportanceMap, LmmParams, MedoidSet, ParameterError,
+                  UnsupportedConfigError, forward, init_params, integrated_gradients,
+                  pixel_fragility, shapley_sampling)
 from lmmx import explain
 from lmmx.explain import GRAY, prune
 from lmmx.network import pixel_mins
@@ -139,6 +140,70 @@ class TestPixelFragility:
         x = np.array([0.5])
         assert forward(params, x).predicted == 0
         assert np.all(pixel_fragility(params, x).scores == np.inf)
+
+    @staticmethod
+    def divided_per_entry(params, x):
+        """The (P, opposite) extended sensitivities, each divided, then their min per pixel."""
+        trace = forward(params, x)
+        own = np.argmax(params.maxplus_weights, axis=1)
+        opposite = np.flatnonzero(own != trace.predicted)
+        g = trace.hidden[opposite]
+        s = trace.logits[trace.predicted] - (g + params.maxplus_weights[opposite, own[opposite]])
+        w1_plus = params.minplus_weights[0::2, opposite]
+        w1_minus = params.minplus_weights[1::2, opposite]
+        k_plus = params.scales[0::2][:, None]
+        k_minus = params.scales[1::2][:, None]
+        term_plus = x[:, None] - ((g - s)[None, :] - w1_plus) / k_plus
+        term_minus = (s[None, :] + w1_minus - g[None, :]) / k_minus - x[:, None]
+        return np.minimum(term_plus, term_minus).min(axis=1, initial=np.inf)
+
+    @pytest.mark.parametrize("levels, signed_zeros, extreme_scales", [
+        (1024, False, False),   # few ties
+        (4, False, False),      # coarse grid: tied terms, neurons and zero scores
+        (4, True, False),       # and -0.0 among the zeros of W1, W2 and the pixels
+        (4, True, True),        # and scales at SCALE_FLOOR and 1e6
+        (1024, False, True),
+    ])
+    def test_min_before_division_matches_per_entry_division(self, levels, signed_zeros,
+                                                            extreme_scales):
+        # the numerators' max (plus side) and min (minus side) over opposite
+        # neurons, each divided once, give the per-entry reduction's values;
+        # only the sign of a zero score may differ
+        rng = np.random.default_rng(38 + levels)
+        n_pix = 16
+        opposite_sizes = {0: set(), 1: set()}
+        zero_scores = 0
+        for _ in range(12):
+            n_hid = int(rng.integers(20, 28))
+            params = dyadic_params(rng, n_pix, n_hid, 2, levels)
+            w2 = params.maxplus_weights
+            typed_0 = rng.random(n_hid) < 0.75       # uneven typing: small and large opposite sets
+            w2[typed_0] = np.sort(w2[typed_0], axis=1)[:, ::-1]
+            own = np.argmax(w2, axis=1)
+            if signed_zeros:
+                for a in (params.minplus_weights, w2):
+                    a[(a == 0) & (rng.random(a.shape) < 0.5)] = -0.0
+            if extreme_scales:
+                pick = rng.integers(0, 3, 2 * n_pix)
+                params.scales[pick == 1] = SCALE_FLOOR
+                params.scales[pick == 2] = 1e6
+            for _ in range(16):
+                x = rng.integers(0, levels + 1, n_pix) / levels
+                x[:2] = 0.0, 1.0
+                if signed_zeros:
+                    x[x == 0] = -0.0
+                predicted = forward(params, x).predicted
+                opposite_sizes[predicted].add(int(np.count_nonzero(own != predicted)))
+                fmap = pixel_fragility(params, x)
+                expected = self.divided_per_entry(params, x)
+                assert np.array_equal(fmap.scores, expected)
+                nonzero = expected != 0
+                zero_scores += int(np.count_nonzero(~nonzero))
+                assert fmap.scores[nonzero].tobytes() == expected[nonzero].tobytes()
+                assert np.array_equal(fmap.ranking(), ImportanceMap(expected, "ascending").ranking())
+        assert all(opposite_sizes.values())                 # both predicted classes ran
+        assert max(opposite_sizes[1]) > max(opposite_sizes[0])
+        assert zero_scores > 0 or levels > 4
 
     def test_multiclass_rejected(self):
         rng = np.random.default_rng(37)
