@@ -125,6 +125,7 @@ def synth_dataset(n_pixels: int, n_per_class: int, centers, noise_sigma: float,
     if noise_sigma < 0:
         raise ParameterError("noise_sigma must be >= 0")
     seed = require_count(seed, "seed", 0)
+    n_pixels = require_count(n_pixels, "n_pixels")
     centers = require_floats(centers, "centers", ParameterError)
     if centers.ndim != 2 or centers.shape[1] != n_pixels:
         raise DimensionError(f"centers must have shape (C, {n_pixels}), got {centers.shape}")

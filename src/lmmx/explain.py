@@ -119,11 +119,12 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
 
     Only the branches that can win are evaluated along the path.  The
     points t increase and rounding is monotone, so each min-plus sum
-    lin_i + W1[i, h] lies between its values at the path's two ends, and
-    ``prune`` keeps, for each neuron that can win, the branches that can
-    set its min.  The remaining rows keep ``linear_layer``'s float
-    operations and ascending branch order, so the winners, lowest index on
-    ties, are ``tropical_pass``'s bit for bit.
+    lin_i + W1[i, h] lies between its values at the path's two ends.
+    ``prune`` keeps the neurons that can win, with their bounds, and a
+    branch whose smaller end exceeds its neuron's bound never sets its min,
+    so only the other branches are summed.  They keep ``linear_layer``'s
+    float operations and ascending branch order, so the winners, lowest
+    index on ties, are ``tropical_pass``'s bit for bit.
     """
     steps = require_count(steps, "steps")
     target = forward(params, x).predicted
@@ -134,9 +135,11 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     slope = np.where(np.arange(2 * params.n_pixels) % 2 == 0, params.scales, -params.scales)
     w1 = params.minplus_weights
     ends = linear_layer(params, baseline + ts[[0, -1], None] * diff)        # (2, 2P)
-    keep, used, candidate = prune(ends[0] + w1.T, ends[1] + w1.T,
-                                  params.maxplus_weights[:, target])
-    w1 = w1[used]
+    start, end = ends[0] + w1.T, ends[1] + w1.T
+    keep, bound = prune(start, end, params.maxplus_weights[:, target])
+    candidate = np.minimum(start[keep], end[keep]) <= bound[:, None]        # (kept, 2P)
+    used = np.flatnonzero(candidate.any(axis=0))
+    candidate, w1 = candidate[:, used], w1[used]
     lin = slope[used, None] * (baseline[used // 2, None] + diff[used // 2, None] * ts)
     cols = np.arange(steps)
     hidden = np.empty((keep.size, steps))
@@ -156,38 +159,31 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
 
 
 def prune(start: np.ndarray, end: np.ndarray,
-          out_bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The neurons and terms that can set max_h(g_h + out_bias_h) between two ends.
+          out_bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neurons that can set max_h(g_h + out_bias_h) between two ends, and their bounds.
 
     ``start`` and ``end`` are (H1, n) rows of min-plus terms, g_h is the min
     of neuron h's row, and each term may take any value that lies between
     its ``start`` and ``end`` values: a Shapley walk holds each pixel at one
     of its two ``pixel_mins``, and each branch sum moves monotonically along
     the integrated-gradients path.  So g_h lies between min(start, end) and
-    its bound min max(start, end) over its row, and rounding is monotone: a
-    neuron whose bound plus its bias falls strictly below the largest lower
-    end plus bias is strictly below the max everywhere, and a term whose
-    smaller end exceeds its neuron's bound never sets that neuron's min.
-    Ties keep the neuron and the term.
+    its bound b_h = min max(start, end) over its row, and rounding is
+    monotone: a neuron whose bound plus its bias falls strictly below the
+    largest lower end plus bias is strictly below the max everywhere.  Ties
+    keep the neuron.
 
-    Returns the kept neurons, the columns holding a candidate term of some
-    kept neuron, and the (kept, columns) candidate mask.
+    Returns the kept neurons and their bounds.  A term whose smaller end
+    exceeds its neuron's bound never sets its min, and each caller derives
+    its own term mask from the bounds.
     """
-    low, high = np.minimum(start, end), np.maximum(start, end)
-    bound = high.min(axis=1)
-    keep = np.flatnonzero(bound + out_bias >= (low.min(axis=1) + out_bias).max())
-    candidate = low[keep] <= bound[keep, None]
-    cols = np.flatnonzero(candidate.any(axis=0))
-    return keep, cols, candidate[:, cols]
+    low, bound = np.minimum(start, end).min(axis=1), np.maximum(start, end).min(axis=1)
+    keep = np.flatnonzero(bound + out_bias >= (low + out_bias).max())
+    return keep, bound[keep]
 
 
 # Shapley permutations are drawn and walked this many at a time, so a call
 # holds at most this many rows of P indices whatever its permutation count.
 _BLOCK = 256
-
-# Largest array, in bytes, of one step of the Shapley event pass: each of its
-# two (events, permutations, kept neurons) slabs of order codes stays at 1 MiB.
-_EVENT_BYTES = 1 << 20
 
 
 def _suffix_records(gray: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,26 +292,23 @@ def _event_credits(events: np.ndarray, gray_codes: np.ndarray, image_codes: np.n
     pixel, holds the top code.  After event i a neuron holds the min of its
     image codes at events 0..i and of its gray codes at the later events;
     the logit is the max over neurons, decoded through ``levels``, and
-    before the first event it is ``gray_logit``.  Permutations are taken a
-    chunk at a time, so each (events, chunk, kept) slab stays within
-    ``_EVENT_BYTES``.
+    before the first event it is ``gray_logit``.  A block takes one
+    (events, n, kept) slab of codes per side: at most P events and H1 kept
+    neurons, so no more cells than the (H1, P, n) position table of a
+    ``_block`` fill.
     """
-    n_kept = gray_codes.shape[1]
-    chunk = max(1, _EVENT_BYTES // (gray_codes.itemsize * len(events) * n_kept))
-    for c in range(0, events.shape[1], chunk):
-        pixels = events[:, c:c + chunk]
-        flipped = np.take(image_codes, pixels, axis=0)      # (events, chunk, kept)
-        left = np.take(gray_codes, pixels, axis=0)
-        for i in range(1, len(flipped)):
-            np.minimum(flipped[i - 1], flipped[i], out=flipped[i])
-        for i in range(len(left) - 2, -1, -1):
-            np.minimum(left[i + 1], left[i], out=left[i])
-        np.minimum(flipped[:-1], left[1:], out=flipped[:-1])
-        logit = flipped[:, :, 0].copy()
-        for j in range(1, n_kept):                     # faster than a max over the short last axis
-            np.maximum(logit, flipped[:, :, j], out=logit)
-        steps = np.diff(np.take(levels, logit), axis=0, prepend=gray_logit)
-        np.add.at(credits, pixels.T.ravel(), steps.T.ravel())
+    flipped = np.take(image_codes, events, axis=0)      # (events, n, kept)
+    left = np.take(gray_codes, events, axis=0)
+    for i in range(1, len(flipped)):
+        np.minimum(flipped[i - 1], flipped[i], out=flipped[i])
+    for i in range(len(left) - 2, -1, -1):
+        np.minimum(left[i + 1], left[i], out=left[i])
+    np.minimum(flipped[:-1], left[1:], out=flipped[:-1])
+    logit = flipped[:, :, 0].copy()
+    for j in range(1, flipped.shape[2]):            # faster than a max over the short last axis
+        np.maximum(logit, flipped[:, :, j], out=logit)
+    steps = np.diff(np.take(levels, logit), axis=0, prepend=gray_logit)
+    np.add.at(credits, events.T.ravel(), steps.T.ravel())
 
 
 def shapley_sampling(params: LmmParams, x, permutations: int = 200,
@@ -334,14 +327,19 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     neuron h's activation is the min of its image terms (``pixel_mins``)
     over the pixels already flipped and its gray terms over the rest.  Only
     the neurons ``prune`` keeps can set the logit, and a kept neuron's
-    activation never exceeds its bound b_h, the min over pixels of the
-    larger of the two terms: so a term above b_h never sets its min.  The
-    image part changes only at a pixel whose image term is at most b_h, and
-    the gray part only where a suffix-min record of the gray terms leaves
-    it.  These steps, over all kept neurons, are the permutation's events.
-    At every event the running mins over the events alone equal the
+    activation never exceeds its ``prune`` bound b_h, so a term above b_h
+    never sets its min.  Each kept neuron's max-plus bias c_h is added to
+    its terms once per call; rounding is monotone, so fl(min(a, b) + c) =
+    min(fl(a + c), fl(b + c)) and every biased activation keeps its bits.
+    One test marks the biased terms at or below fl(b_h + c_h).  t <= u
+    implies fl(t + c) <= fl(u + c), so the marks hold every term at most
+    b_h, and a neuron's marked gray terms are a prefix of its gray ranks.
+    The image part changes only at a marked image term, and the gray part
+    only where a suffix-min record among the marked gray terms leaves it:
+    these steps, over all kept neurons, are the permutation's events.  At
+    every event the running mins over the events alone equal the
     activations: any term at most b_h that sets a min is itself an event,
-    and the extra events of other neurons hold real terms of the state.
+    and every other event holds a real term of the state.
 
     Every other step changes no activation and credits x - x = +0.0.
     Credits start at +0.0 and a sum is -0.0 only if both of its terms are,
@@ -355,17 +353,14 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     one entry per block, model and seed (``_block``).  Events are sorted by position; a
     permutation with fewer events than the most is padded with a dummy
     pixel that changes nothing: its codes are the top code (below).
-    Each kept neuron's max-plus bias is added to its terms once per call:
-    rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c))
-    and every state's biased activation keeps its bits.
 
     The running mins run on order codes, small unsigned integers in the
     order of the biased terms they replace, and the maps keep every bit:
 
     1. A kept neuron's biased activation never exceeds its biased bound
-       fl(b_h + c_h), so a biased term above it never sets a min, and all
-       such terms, and the padding pixel, share one top code.
-    2. The terms at or below the bounds are ranked by one ``np.unique``:
+       fl(b_h + c_h), so an unmarked term never sets a min, and all such
+       terms, and the padding pixel, share one top code.
+    2. The marked terms are ranked by one ``np.unique``:
        ranks keep the order and equal values share a code.  min and max
        only select values, so on codes they select the value they select
        on floats, and that value is ranked.
@@ -377,8 +372,8 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
 
     Codes take ``np.min_scalar_type`` of the top code, uint8 or uint16 at
     the paper's shape, so the gathers and the row-wise ``np.minimum`` over
-    (events, permutations, kept) slabs move a quarter or less of the bytes
-    of float64 terms.  Each of the two slabs holds at most ``_EVENT_BYTES``.
+    (events, permutations, kept) slabs, one per side and block
+    (``_event_credits``), move a quarter or less of float64 terms' bytes.
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
@@ -387,14 +382,12 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
 
     at_gray = pixel_mins(params, np.full(n_pix, GRAY))
     at_image = pixel_mins(params, np.asarray(x, dtype=np.float64))
-    keep = prune(at_gray, at_image, params.maxplus_weights[:, target])[0]
-    gray, image = at_gray[keep], at_image[keep]
-    bound = np.maximum(gray, image).min(axis=1)[:, None]
-    depth = np.count_nonzero(gray <= bound, axis=1)        # gray ranks that may be records
-    hits = np.flatnonzero((image <= bound).any(axis=0))    # pixels whose image term may count
+    keep, bound = prune(at_gray, at_image, params.maxplus_weights[:, target])
     out_bias = params.maxplus_weights[keep, target, None]
-    terms = np.stack([gray, image]) + out_bias              # (2, kept, P) biased terms
-    low = terms <= bound + out_bias                         # the terms that can set a min
+    terms = np.stack([at_gray[keep], at_image[keep]]) + out_bias   # (2, kept, P) biased terms
+    low = terms <= bound[:, None] + out_bias                # the terms that can set a min
+    depth = np.count_nonzero(low[0], axis=1)                # gray ranks that may be records
+    hits = np.flatnonzero(low[1].any(axis=0))               # pixels whose image term may count
     # a 1-D argument, so the inverse is 1-D on numpy 1.24 and on 2.x
     levels, ranks = np.unique(terms[low], return_inverse=True)
     codes = np.full((2, n_pix + 1, keep.size), levels.size,  # row n_pix is the dummy pixel

@@ -250,8 +250,8 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
         gap = _logit_gap(params, x)
         target = forward(params, x).predicted
         if cross_class:
-            kept, _, _ = prune(pixel_mins(params, np.full(n_pix, GRAY)), pixel_mins(params, x),
-                               params.maxplus_weights[:, target])
+            kept = prune(pixel_mins(params, np.full(n_pix, GRAY)), pixel_mins(params, x),
+                         params.maxplus_weights[:, target])[0]
             _check(kept.size < params.n_hidden, "no neuron pruned on a cross-class net")
         for permutations in (1, 1, 1, 4):
             perm_seed = int(rng.integers(1 << 16))

@@ -151,6 +151,14 @@ class TestSynthDataset:
         data = synth_dataset(1, 200, np.array([[0.99], [0.01]]), 0.2, seed=2)
         assert data.images.min() >= 0.0 and data.images.max() <= 1.0
 
+    @pytest.mark.parametrize("n_pixels, width", [(2.0, 2), (0, 0)])
+    def test_n_pixels_must_be_a_count(self, n_pixels, width):
+        with pytest.raises(ParameterError, match="n_pixels"):
+            synth_dataset(n_pixels, 2, np.full((2, width), 0.5), 0.1, 0)
+
+    def test_true_counts_as_one_pixel(self):
+        assert synth_dataset(True, 2, np.full((2, 1), 0.5), 0.1, 0).images.shape == (4, 1)
+
 
 class TestDatasetValidation:
     def test_rejects_out_of_range(self):

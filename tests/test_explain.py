@@ -406,7 +406,8 @@ class TestShapleySampling:
         x = np.array([0.5, 1.0])
         start, end = pixel_mins(params, np.full(2, GRAY)), pixel_mins(params, x)
         assert np.minimum(start, end)[0, 0] == np.maximum(start, end).min() == 0.5
-        assert prune(start, end, params.maxplus_weights[:, 0])[1].tolist() == [0, 1]
+        keep, bound = prune(start, end, params.maxplus_weights[:, 0])
+        assert keep.tolist() == [0] and bound.tolist() == [0.5]
         for seed in range(3):
             got = shapley_sampling(params, x, permutations=1, seed=seed)
             assert got.scores.tobytes() == np.array([0.0, 0.25]).tobytes()
@@ -418,10 +419,10 @@ class TestShapleySampling:
         params = LmmParams(np.ones(4), w1, np.array([[0.0, -1.0], [0.0, -1.0]]))
         x = np.array([1.0, 1.0])
         start, end = pixel_mins(params, np.full(2, GRAY)), pixel_mins(params, x)
-        keep, cols, candidate = prune(start, end, params.maxplus_weights[:, 0])
-        assert keep.tolist() == [0, 1] and cols.tolist() == [0]
-        assert candidate.tolist() == [[True], [True]]
-        assert np.all(np.minimum(start, end)[:, 1] > np.maximum(start, end).min(axis=1))
+        keep, bound = prune(start, end, params.maxplus_weights[:, 0])
+        assert keep.tolist() == [0, 1] and bound.tolist() == [1.0, 0.75]
+        assert np.all(np.minimum(start, end)[:, 0] <= bound)
+        assert np.all(np.minimum(start, end)[:, 1] > bound)
         for permutations in (1, 2, 5):
             got = shapley_sampling(params, x, permutations=permutations, seed=permutations)
             assert got.scores.tobytes() == np.array([0.5, 0.0]).tobytes()
@@ -447,6 +448,9 @@ class TestShapleySampling:
         # Max-plus biases near 2**40, where float64 steps by 2**-12, and
         # min-plus terms about 1e-3 apart: adding a bias rounds distinct
         # terms together, and the map still equals biasing each activation.
+        # Rounding also lifts terms above a bound onto the biased bound, so
+        # the biased test marks more gray ranks or image pixels than the
+        # unbiased one on some images, and those extra events change no bit.
         # 300 permutations cross the 256-permutation block.
         rng = np.random.default_rng(84)
         n_pix, n_hid = 8, 5
@@ -454,7 +458,7 @@ class TestShapleySampling:
                            rng.normal(0.0, 2.0 ** -10, (2 * n_pix, n_hid)),
                            2.0 ** 40 + rng.integers(-1, 2, (n_hid, 2)) * 2.0 ** -12)
         baseline = np.full(n_pix, GRAY)
-        most_kept = 0
+        most_kept = widened = 0
         for _ in range(10):
             x = rng.uniform(0, 1, n_pix)
             target = forward(params, x).predicted
@@ -462,7 +466,14 @@ class TestShapleySampling:
             terms = np.concatenate([start, end], axis=1)
             biased = terms + params.maxplus_weights[:, target, None]
             assert any(np.unique(b).size < np.unique(t).size for t, b in zip(terms, biased))
-            most_kept = max(most_kept, prune(start, end, params.maxplus_weights[:, target])[0].size)
+            keep, bound = prune(start, end, params.maxplus_weights[:, target])
+            most_kept = max(most_kept, keep.size)
+            out_bias = params.maxplus_weights[keep, target, None]
+            plain = np.stack([start[keep], end[keep]]) <= bound[:, None]
+            marked = np.stack([start[keep], end[keep]]) + out_bias <= bound[:, None] + out_bias
+            assert np.all(marked | ~plain)
+            widened += (not np.array_equal(marked[0].sum(axis=1), plain[0].sum(axis=1))
+                        or not np.array_equal(marked[1].any(axis=0), plain[1].any(axis=0)))
             seed = int(rng.integers(1 << 16))
             perms = np.random.default_rng(seed)
             expected = np.zeros(n_pix)
@@ -471,6 +482,7 @@ class TestShapleySampling:
             got = shapley_sampling(params, x, permutations=permutations, seed=seed)
             assert got.scores.tobytes() == (expected / permutations).tobytes()
         assert most_kept >= 3     # several neurons compete for the logit
+        assert widened >= 1       # the biased test adds events on some image
 
     @pytest.mark.parametrize("permutations", [0, 2.5])
     def test_permutations_must_be_a_positive_integer(self, permutations):
@@ -496,10 +508,10 @@ def ranked_terms(params, x):
     """The biased terms at or below each kept neuron's biased bound, the ones Shapley ranks."""
     target = forward(params, x).predicted
     start, end = pixel_mins(params, np.full(params.n_pixels, GRAY)), pixel_mins(params, x)
-    keep = prune(start, end, params.maxplus_weights[:, target])[0]
+    keep, bound = prune(start, end, params.maxplus_weights[:, target])
     out_bias = params.maxplus_weights[keep, target, None]
     terms = np.stack([start[keep], end[keep]]) + out_bias
-    return terms[terms <= np.maximum(*terms).min(axis=1)[:, None]]
+    return terms[terms <= bound[:, None] + out_bias]
 
 
 class TestShapleyEventPass:

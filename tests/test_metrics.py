@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lmmx import (Dataset, DimensionError, ImportanceMap, LmmParams, NumericError, ParameterError,
                   confusion_matrix, fidelity, integrated_gradients, pixel_fragility,
                   shapley_sampling, stability, synth_dataset, timing)
-from lmmx.metrics import MetricsReport, accuracy_from_confusion, compute_report
+from lmmx.metrics import MetricsReport, _unit_map, accuracy_from_confusion, compute_report
 from lmmx.oracles import deletion_fidelity
 from lmmx.selftest import random_params
 
@@ -256,6 +256,27 @@ class TestStability:
         test = synth_model["task"]["test"]
         value = stability(params, lambda p, x: pixel_fragility(p, x), test, m=4, seed=1)
         assert value > 0.0
+
+    @pytest.mark.parametrize("case", [[1e200, 1e200], [1e-200, 1e-300],
+                                      integrated_gradients, shapley_sampling],
+                             ids=["overflow", "underflow", "intgrad", "shapley"])
+    def test_maps_outside_float64_range_normalise(self, case):
+        # The sum of squares of [1e200, 1e200] overflows and that of
+        # [1e-200, 1e-300] underflows to zero; both maps still normalise.
+        # At scales of 1e200, intgrad and Shapley maps overflow the same way,
+        # and stability matches the maps rescaled by 2**-664 into range.
+        if isinstance(case, list):
+            scores = np.array(case)
+            unit = _unit_map(scores)
+            assert np.isclose(np.linalg.norm(unit), 1.0)
+            assert np.allclose(unit * np.linalg.norm(scores / scores[0]), scores / scores[0])
+            return
+        rng = np.random.default_rng(2)
+        params = LmmParams(np.full(8, 1e200), rng.normal(0, 1, (8, 3)), rng.normal(0, 1, (3, 2)))
+        data = Dataset(rng.uniform(0, 1, (3, 4)), np.array([0, 1, 0]), "test")
+        scaled = lambda p, x: ImportanceMap(case(p, x).scores * 2.0 ** -664, "descending")
+        value = stability(params, case, data, m=3)
+        assert value > 0.0 and np.isclose(value, stability(params, scaled, data, m=3))
 
 
 class TestTiming:
