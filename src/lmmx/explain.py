@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NumericError, ParameterError, UnsupportedConfigError, require_count,
-                     require_floats)
+from .errors import (DimensionError, NumericError, ParameterError, UnsupportedConfigError,
+                     require_count, require_floats)
 from .network import LmmParams, forward, linear_layer, pixel_mins
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
@@ -216,8 +216,23 @@ def _suffix_records(gray: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.n
     return key, perm * n_pix + pos.ravel()[at]
 
 
+class _GrayKey(bytes):
+    """The bytes of ``pixel_mins(params, GRAY)`` as a ``_block`` memo key.
+
+    The hash reads every 509th byte, a few hundred bytes at the paper's
+    shape, instead of all 157 kB of a key that is new on every call;
+    equality stays full ``bytes`` equality.  A hash collision between two
+    models costs one comparison and never returns the other model's entry.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self[::509])
+
+
 @functools.lru_cache(maxsize=4)
-def _block(seed: int, n_pix: int, gray: bytes, index: int) -> tuple:
+def _block(seed: int, n_pix: int, gray: _GrayKey, index: int) -> tuple:
     """Block ``index`` of ``_BLOCK`` draws of ``default_rng(seed).permutation(n_pix)`` and its records.
 
     ``gray`` holds the bytes of ``pixel_mins(params, GRAY)``, so a model
@@ -251,9 +266,10 @@ def _blocks(seed: int, n_pix: int, count: int, at_gray: np.ndarray, keep: np.nda
 
     Each block comes with its inverse permutations and the flat indices of
     kept neuron j's gray-term records among its ``depth[j]`` smallest terms.
-    Draws are sequential, so the last block read serves a prefix.
+    Draws are sequential, so the last block read serves a prefix.  The memo
+    key is a ``_GrayKey`` of the gray terms: a sampled hash, full equality.
     """
-    gray, lo = at_gray.tobytes(), keep * n_pix
+    gray, lo = _GrayKey(at_gray), keep * n_pix
     for index, start in enumerate(range(0, count, _BLOCK)):
         block, inv, key, flat, _ = _block(seed, n_pix, gray, index)
         n = min(_BLOCK, count - start)
@@ -268,19 +284,26 @@ def _events(block: np.ndarray, inv: np.ndarray, records: np.ndarray,
 
     The events are the positions in ``records`` (flat k * P + position) and
     the positions of the pixels ``hits``; a position marked twice is one
-    event.
+    event.  Both kinds are flat keys k * P + position, in the smallest
+    unsigned type that holds (n + 1) * P (uint32 at the paper's shape, half
+    the bytes of int64 to sort).  One sort puts them in (permutation,
+    position) order with each repeat next to its twin, a neighbour compare
+    drops the repeats, and ``np.searchsorted`` finds where each permutation
+    starts.
     """
     n, n_pix = block.shape
-    marked = np.zeros((n, n_pix), dtype=bool)
-    marked.ravel()[records] = True
-    marked[np.arange(n)[:, None], inv[:, hits]] = True
-    at = np.flatnonzero(marked)                        # (permutation, position) order
-    perm = at // n_pix
-    counts = np.bincount(perm, minlength=n)
-    events = np.full((counts.max(), n), n_pix)
-    events[np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts), perm] = \
-        block.ravel()[at]
-    return events
+    dtype = np.min_scalar_type((n + 1) * n_pix)
+    at = np.concatenate([records, (np.arange(0, n * n_pix, n_pix, dtype=dtype)[:, None]
+                                   + inv[:, hits]).ravel()],
+                        dtype=dtype, casting="unsafe")        # every key is below n * P
+    at.sort()
+    at = at[np.concatenate(([True], at[1:] != at[:-1]))]
+    starts = np.searchsorted(at, np.arange(0, (n + 1) * n_pix, n_pix, dtype=dtype))
+    counts = np.diff(starts)
+    perm = np.repeat(np.arange(n), counts)
+    events = np.full(counts.max() * n, n_pix)
+    events[(np.arange(at.size) - starts[perm]) * n + perm] = block.ravel()[at]
+    return events.reshape(-1, n)
 
 
 def _event_credits(events: np.ndarray, gray_codes: np.ndarray, image_codes: np.ndarray,
@@ -295,7 +318,9 @@ def _event_credits(events: np.ndarray, gray_codes: np.ndarray, image_codes: np.n
     before the first event it is ``gray_logit``.  A block takes one
     (events, n, kept) slab of codes per side: at most P events and H1 kept
     neurons, so no more cells than the (H1, P, n) position table of a
-    ``_block`` fill.
+    ``_block`` fill.  The max over neurons is one ``np.maximum.reduce``
+    over a kept-major copy of the slab; max only selects, so the codes are
+    those of any other reduction order.
     """
     flipped = np.take(image_codes, events, axis=0)      # (events, n, kept)
     left = np.take(gray_codes, events, axis=0)
@@ -304,9 +329,8 @@ def _event_credits(events: np.ndarray, gray_codes: np.ndarray, image_codes: np.n
     for i in range(len(left) - 2, -1, -1):
         np.minimum(left[i + 1], left[i], out=left[i])
     np.minimum(flipped[:-1], left[1:], out=flipped[:-1])
-    logit = flipped[:, :, 0].copy()
-    for j in range(1, flipped.shape[2]):            # faster than a max over the short last axis
-        np.maximum(logit, flipped[:, :, j], out=logit)
+    # the copy pays: a reduce over strided kept slices, or .max(axis=2), is slower
+    logit = np.maximum.reduce(np.ascontiguousarray(flipped.transpose(2, 0, 1)), axis=0)
     steps = np.diff(np.take(levels, logit), axis=0, prepend=gray_logit)
     np.add.at(credits, events.T.ravel(), steps.T.ravel())
 
@@ -321,6 +345,14 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     permutations, so each permutation's credits telescope to
     z_c(x) - z_c(gray image).  The permutations are the first
     ``permutations`` draws of ``default_rng(seed).permutation(P)``.
+
+    The predicted class c is argmax_d max_h (min_p at_image[h, p] + W2[h, d])
+    over the image's ``pixel_mins`` table, which the walk needs anyway, with
+    no ``forward`` pass; the input gets ``forward``'s checks and messages.
+    Each table entry is one of the sums ``tropical_pass`` reduces, so each
+    row min equals ``forward``'s hidden value up to the sign of a zero, and
+    so does each logit.  ``np.argmax`` only compares, and +0.0 and -0.0
+    compare equal, so c is ``forward``'s class, the lowest index on ties.
 
     Only the steps where the logit can change are evaluated, and the maps
     are bit-equal to evaluating every step.  In every state of a walk,
@@ -350,9 +382,11 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
 
     Each block of ``_BLOCK`` permutations and its gray records depend only
     on the seed, the block's index and the gray terms, and are memoized in
-    one entry per block, model and seed (``_block``).  Events are sorted by position; a
-    permutation with fewer events than the most is padded with a dummy
-    pixel that changes nothing: its codes are the top code (below).
+    one entry per block, model and seed (``_block``), keyed by the gray
+    terms' bytes with a sampled hash (``_GrayKey``).  ``_events`` sorts each
+    block's events by position; a permutation with fewer events than the
+    most is padded with a dummy pixel that changes nothing: its codes are
+    the top code (below).
 
     The running mins run on order codes, small unsigned integers in the
     order of the biased terms they replace, and the maps keep every bit:
@@ -377,14 +411,19 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
-    target = forward(params, x).predicted
+    x = require_floats(x, "input", NumericError)
     n_pix = params.n_pixels
+    if x.shape != (n_pix,):
+        raise DimensionError(f"expected input of length {n_pix}, got shape {x.shape}")
 
     at_gray = pixel_mins(params, np.full(n_pix, GRAY))
-    at_image = pixel_mins(params, np.asarray(x, dtype=np.float64))
-    keep, bound = prune(at_gray, at_image, params.maxplus_weights[:, target])
-    out_bias = params.maxplus_weights[keep, target, None]
-    terms = np.stack([at_gray[keep], at_image[keep]]) + out_bias   # (2, kept, P) biased terms
+    at_image = pixel_mins(params, x)
+    w2 = params.maxplus_weights
+    target = np.argmax((at_image.min(axis=1)[:, None] + w2).max(axis=0))
+    keep, bound = prune(at_gray, at_image, w2[:, target])
+    out_bias = w2[keep, target, None]
+    terms = np.stack([at_gray[keep], at_image[keep]])      # (2, kept, P) biased terms
+    terms += out_bias
     low = terms <= bound[:, None] + out_bias                # the terms that can set a min
     depth = np.count_nonzero(low[0], axis=1)                # gray ranks that may be records
     hits = np.flatnonzero(low[1].any(axis=0))               # pixels whose image term may count

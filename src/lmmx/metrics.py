@@ -161,16 +161,19 @@ def fidelity(params: LmmParams, explainer, data: Dataset, steps: int = 28) -> fl
 
 def _unit_map(scores: np.ndarray) -> np.ndarray:
     """L2-normalize; a zero map stays zero.  Infinite scores (degenerate fragility maps
-    only) are first replaced by the largest finite score, and a map whose norm leaves
-    float64's range (inf, or 0 for a nonzero map) is first divided by its largest |score|."""
+    only) are first replaced by the largest finite score, and a nonzero map whose sum of
+    squares is not a normal float64 (inf, subnormal or 0, so its norm would overflow or
+    lose bits) is first divided by its largest |score|.  The norm is
+    ``np.linalg.norm``'s, the root of ``scores.dot(scores)``, so other maps keep their bits."""
     finite = np.isfinite(scores)
     if not finite.all():
         scores = np.where(finite, scores, scores[finite].max() if finite.any() else 0.0)
     with np.errstate(over="ignore", under="ignore"):
-        norm = np.linalg.norm(scores)
-        if not np.isfinite(norm) or (norm == 0 and scores.any()):
+        square = scores.dot(scores)
+        if not np.isfinite(square) or (square < np.finfo(float).tiny and scores.any()):
             scores = scores / np.abs(scores).max()
-            norm = np.linalg.norm(scores)
+            square = scores.dot(scores)
+        norm = np.sqrt(square)
         return scores / norm if norm > 0 else np.zeros_like(scores)
 
 

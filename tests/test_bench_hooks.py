@@ -33,8 +33,8 @@ def test_install_then_uninstall_restores_every_hook():
         params = lmmx.LmmParams(np.ones(4), np.zeros((4, 2)), np.eye(2))
         with tracer.span("root"):
             lmmx.explain.shapley_sampling(params, np.array([0.25, 0.75]), permutations=2)
-        assert [span[0] for span in tracer.spans] == ["root", "explain.shapley_sampling",
-                                                       "network.forward"]
+        # Shapley reads its predicted class from its own terms, without forward
+        assert [span[0] for span in tracer.spans] == ["root", "explain.shapley_sampling"]
     finally:
         tracer.uninstall()
     for module, attr, original in patched:

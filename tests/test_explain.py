@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmmx import (SCALE_FLOOR, ImportanceMap, LmmParams, MedoidSet, ParameterError,
-                  UnsupportedConfigError, forward, init_params, integrated_gradients,
-                  pixel_fragility, shapley_sampling)
+from lmmx import (SCALE_FLOOR, DimensionError, ImportanceMap, LmmParams, MedoidSet,
+                  NumericError, ParameterError, UnsupportedConfigError, forward, init_params,
+                  integrated_gradients, pixel_fragility, shapley_sampling)
 from lmmx import explain
 from lmmx.explain import GRAY, prune
 from lmmx.network import pixel_mins
@@ -490,6 +490,39 @@ class TestShapleySampling:
         with pytest.raises(ParameterError):
             shapley_sampling(params, np.full(3, 0.25), permutations=permutations)
 
+    @pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)],
+                             ids=["dyadic", "plus-minus-zero", "minus-plus-zero"])
+    def test_tied_logits_take_the_lowest_class(self, signs):
+        # Neuron h is sign_h * x_h, the only neuron of class h.  At x = 0.25
+        # the logits tie at 0.25; at x = 0 they tie at zeros of the signs
+        # given (a -0.0 weight on a -0.0 minus branch keeps -0.0).  Class 0
+        # credits pixel 0 and class 1 pixel 1, so the map shows the class.
+        w1 = np.full((4, 2), 10.0)
+        w1[0 if signs[0] > 0 else 1, 0] = w1[2 if signs[1] > 0 else 3, 1] = -0.0
+        params = LmmParams(np.ones(4), w1, np.array([[-0.0, -10.0], [-10.0, -0.0]]))
+        x = np.full(2, 0.25 if signs == (1.0, 1.0) else 0.0)
+        logits = forward(params, x).logits
+        assert logits[0] == logits[1]
+        assert np.signbit(logits).tolist() == [s < 0 and x[0] == 0 for s in signs]
+        for permutations, seed in ((1, 0), (3, 5)):
+            got = shapley_sampling(params, x, permutations=permutations, seed=seed)
+            assert got.scores.tobytes() == walked(params, x, permutations, seed).tobytes()
+            other = sampled_walk_deltas(params, x, 1, permutations, seed)
+            assert got.scores.tobytes() != other.tobytes()
+
+    def test_input_errors_match_forward(self):
+        params = random_params(np.random.default_rng(46), 3, 3, 2)
+        for bad, error in (([0.25, np.nan, 0.5], NumericError), (np.full(4, 0.25), DimensionError),
+                           (np.full((1, 3), 0.25), DimensionError)):
+            with pytest.raises(error) as expected:
+                forward(params, bad)
+            with pytest.raises(error) as got:
+                shapley_sampling(params, bad, permutations=2)
+            assert str(got.value) == str(expected.value)
+            assert got.value.exit_code == (3 if error is NumericError else 2)
+            with pytest.raises(ParameterError):      # counts are checked before the input
+                shapley_sampling(params, bad, permutations=0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(45)
         params = random_params(rng, 4, 3, 2)
@@ -628,6 +661,11 @@ class TestShapleyRecordMemo:
         info = explain._block.cache_info()
         assert (info.misses, info.hits) == (4, 10)
 
+    def test_colliding_keys_compare_in_full(self, monkeypatch):
+        # every key hashes alike, so only full equality tells the models apart
+        monkeypatch.setattr(explain._GrayKey, "__hash__", lambda key: 0)
+        self.test_two_models_alternate()
+
     def test_weights_changed_in_place_get_new_records(self):
         rng = np.random.default_rng(92)
         params = dyadic_params(rng, 6, 4, 2)
@@ -648,12 +686,47 @@ class TestShapleyRecordMemo:
             shapley_sampling(params, x, permutations=2)
         info = explain._block.cache_info()
         assert info.currsize == info.maxsize == 4 and info.misses == 6
-        gray = pixel_mins(params, np.full(4, GRAY)).tobytes()
+        gray = explain._GrayKey(pixel_mins(params, np.full(4, GRAY)))   # the key _blocks builds
         block, inv, key, flat, _ = explain._block(0, 4, gray, 0)
         for part in (block, inv, key, flat):     # draws, inverses, record keys and flat indices
             with pytest.raises(ValueError):
                 part[0] = 0
         assert explain._block.cache_info().hits == 1
+
+
+def reference_events(block, inv, records, hits):
+    """``_events`` by its definition: mark each (permutation, position) in an (n, P)
+    table, then read each permutation's marked pixels in walk order."""
+    n, n_pix = block.shape
+    marked = np.zeros((n, n_pix), dtype=bool)
+    marked.ravel()[records] = True
+    marked[np.arange(n)[:, None], inv[:, hits]] = True
+    rows = [block[k, marked[k]] for k in range(n)]
+    most = max(row.size for row in rows)
+    return np.stack([np.pad(row, (0, most - row.size), constant_values=n_pix) for row in rows], 1)
+
+
+class TestEvents:
+    @pytest.mark.parametrize("n_pix, n", [(784, 256), (784, 200), (6, 3), (1, 2)])
+    def test_matches_the_mark_table(self, n_pix, n):
+        # records from gray terms of 4 levels, so ranks tie, over two neurons
+        # with the same terms: every record is one of two neurons at once
+        rng = np.random.default_rng(n_pix + n)
+        block = np.stack([rng.permutation(n_pix) for _ in range(n)])
+        inv = np.argsort(block, axis=1).astype(np.min_scalar_type(n_pix - 1))
+        gray = rng.integers(0, 4, n_pix).astype(np.float64)
+        key, flat = explain._suffix_records(np.stack([gray, gray]), inv)
+        depth = min(n_pix, 5)
+        records = flat[(key % n_pix < depth)]
+        # the pixel of rank 0 is a record in every permutation
+        hits = np.union1d(rng.choice(n_pix, min(n_pix, 2), replace=False),
+                          np.argsort(gray, kind="stable")[:1])
+        hit_flat = (np.arange(n)[:, None] * n_pix + inv[:, hits]).ravel()
+        assert np.unique(records).size < records.size          # two neurons' record
+        assert np.isin(hit_flat, records).any()                # a hit that is a record
+        got = explain._events(block, inv, records, hits)
+        expected = reference_events(block, inv, records, hits)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def reference_records(gray, inv):

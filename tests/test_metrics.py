@@ -257,19 +257,22 @@ class TestStability:
         value = stability(params, lambda p, x: pixel_fragility(p, x), test, m=4, seed=1)
         assert value > 0.0
 
-    @pytest.mark.parametrize("case", [[1e200, 1e200], [1e-200, 1e-300],
+    @pytest.mark.parametrize("case", [[1e200, 1e200], [1e-200, 1e-300], [1e-160, 1e-160],
                                       integrated_gradients, shapley_sampling],
-                             ids=["overflow", "underflow", "intgrad", "shapley"])
+                             ids=["overflow", "underflow", "subnormal", "intgrad", "shapley"])
     def test_maps_outside_float64_range_normalise(self, case):
-        # The sum of squares of [1e200, 1e200] overflows and that of
-        # [1e-200, 1e-300] underflows to zero; both maps still normalise.
-        # At scales of 1e200, intgrad and Shapley maps overflow the same way,
-        # and stability matches the maps rescaled by 2**-664 into range.
+        # The sum of squares of [1e200, 1e200] overflows, that of
+        # [1e-200, 1e-300] underflows to zero, and that of [1e-160, 1e-160]
+        # is subnormal, so its root is about 6e-6 off; each map normalises
+        # exactly as its rescaled copy does.  At scales of 1e200, intgrad and
+        # Shapley maps overflow the same way, and stability matches the maps
+        # rescaled by 2**-664 into range.
         if isinstance(case, list):
             scores = np.array(case)
             unit = _unit_map(scores)
             assert np.isclose(np.linalg.norm(unit), 1.0)
-            assert np.allclose(unit * np.linalg.norm(scores / scores[0]), scores / scores[0])
+            rescaled = scores / scores[0]       # scores[0] is the largest |score|
+            assert unit.tobytes() == (rescaled / np.linalg.norm(rescaled)).tobytes()
             return
         rng = np.random.default_rng(2)
         params = LmmParams(np.full(8, 1e200), rng.normal(0, 1, (8, 3)), rng.normal(0, 1, (3, 2)))
