@@ -11,14 +11,15 @@ wall-clock).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from .data import export_map, load_model, load_npz_dataset, save_model
-from .errors import LmmError, ParameterError, require_count
+from .errors import LmmError, ParameterError, require_count, require_positive
 from .explain import integrated_gradients, pixel_fragility, shapley_sampling
 from .medoids import STRATEGIES, init_params, require_k0, select_medoids
-from .metrics import accuracy_from_confusion, compute_report, confusion_matrix, require_sigma
+from .metrics import accuracy_from_confusion, compute_report, confusion_matrix
 from .selftest import run_selftest
 from .training import TrainConfig, calibrate_temperature, require_target, train
 
@@ -27,11 +28,11 @@ METHODS = ("fragility", "intgrad", "shapley")
 
 def _make_explainer(name: str, seed: int, ig_steps: int, permutations: int):
     if name == "fragility":
-        return lambda params, x: pixel_fragility(params, x)
+        return pixel_fragility
     if name == "intgrad":
-        return lambda params, x: integrated_gradients(params, x, steps=ig_steps)
+        return functools.partial(integrated_gradients, steps=ig_steps)
     if name == "shapley":
-        return lambda params, x: shapley_sampling(params, x, permutations=permutations, seed=seed)
+        return functools.partial(shapley_sampling, permutations=permutations, seed=seed)
     raise ParameterError(f"unknown method '{name}' (expected one of {METHODS})")
 
 
@@ -137,7 +138,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    require_sigma(args.sigma)
+    require_positive(args.sigma, "sigma")
     if args.limit < 0:
         raise ParameterError(f"--limit must be >= 0 (0 = all images), got {args.limit}")
     names = [m.strip() for m in args.methods.split(",") if m.strip()]

@@ -79,6 +79,13 @@ def require_real(value, name: str) -> float:
     return float(value)
 
 
+def require_positive(value, name: str) -> float:
+    """``value`` as a float, if it is a finite real number > 0; otherwise a ParameterError."""
+    if require_real(value, name) <= 0:
+        raise ParameterError(f"{name} must be > 0")
+    return float(value)
+
+
 def require_floats(value, name: str, error: type[LmmError], finite: bool = True) -> np.ndarray:
     """``value`` as a float64 array, if it holds bool, integer or float entries and no
     NaN (nor, unless ``finite`` is False, an infinity); otherwise ``error``.
@@ -95,6 +102,15 @@ def require_floats(value, name: str, error: type[LmmError], finite: bool = True)
     if not (np.isfinite(arr).all() if finite else not np.isnan(arr).any()):
         raise error(f"{name} must not hold {'non-finite' if finite else 'NaN'} values")
     return arr
+
+
+def require_input(value, length: int) -> np.ndarray:
+    """One input as float64: ``require_floats`` as "input", then a ``DimensionError``
+    unless its shape is (length,)."""
+    x = require_floats(value, "input", NumericError)
+    if x.shape != (length,):
+        raise DimensionError(f"expected input of length {length}, got shape {x.shape}")
+    return x
 
 
 def require_int64(values, name: str) -> np.ndarray:

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionError, NumericError, ParameterError, UnsupportedConfigError,
-                     require_count, require_floats)
-from .network import LmmParams, forward, linear_layer, pixel_mins
+from .errors import (NumericError, ParameterError, UnsupportedConfigError, require_count,
+                     require_floats)
+# forward is unused here, but benchmarks/spans.py wraps it under this name
+from .network import LmmParams, forward, image_terms, linear_layer, pixel_mins  # noqa: F401
 
 ASCENDING = "ascending"     # smaller score = more important (fragility)
 DESCENDING = "descending"   # larger |score| = more important (attributions)
@@ -83,22 +84,25 @@ def pixel_fragility(params: LmmParams, x) -> ImportanceMap:
     the min over h of the plus side is its value at max_h a_h, and of the
     minus side its value at min_h b_h.  Each numerator keeps the
     reference's float operations, so every score equals the reference's,
-    with one division per pixel and side.  Only the sign of a zero score
-    can differ, where terms tie at zero with opposite signs (which needs a
-    -0.0 weight or pixel); the reference's sign there already depends on
-    the reduction order.  Rankings (so deletion fidelity), the stability
-    ratio and the PGM export ignore that sign; the CSV export prints it.
+    with one division per pixel and side, up to the sign of a zero: g_h,
+    the logits and the class come from ``image_terms``, whose row mins
+    differ from ``forward``'s argmin-picked sums only in that sign, and
+    operands equal as reals give results equal as reals.  Terms that tie at
+    zero with opposite signs (which needs a -0.0 weight or pixel) can also
+    flip it; the reference's sign there already depends on the reduction
+    order.  Rankings (so deletion fidelity), the stability ratio and the
+    PGM export ignore it; the CSV export prints it.
     """
     if params.n_classes != 2:
         raise UnsupportedConfigError("pixel fragility is defined for binary classifiers only")
-    trace = forward(params, x)
-    x = np.asarray(x, dtype=np.float64)
+    x, _, hidden, logits = image_terms(params, x)
+    predicted = np.argmax(logits)
     own = np.argmax(params.maxplus_weights, axis=1)
-    opposite = np.flatnonzero(own != trace.predicted)
+    opposite = np.flatnonzero(own != predicted)
     if opposite.size == 0:
         return ImportanceMap(np.full(params.n_pixels, np.inf), ASCENDING)
-    g = trace.hidden[opposite]
-    s = trace.logits[trace.predicted] - (g + params.maxplus_weights[opposite, own[opposite]])
+    g = hidden[opposite]
+    s = logits[predicted] - (g + params.maxplus_weights[opposite, own[opposite]])
     reach = params.minplus_weights[0::2, opposite]      # (P, len(opposite)) copies
     drop = params.minplus_weights[1::2, opposite]
     np.subtract(g - s, reach, out=reach)
@@ -127,20 +131,20 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     index on ties, are ``tropical_pass``'s bit for bit.
     """
     steps = require_count(steps, "steps")
-    target = forward(params, x).predicted
-    baseline = np.full(params.n_pixels, GRAY)
-    diff = np.asarray(x, dtype=np.float64) - baseline
+    x, _, _, logits = image_terms(params, x)
+    target = np.argmax(logits)
+    diff = x - GRAY
 
     ts = (np.arange(steps) + 0.5) / steps
     slope = np.where(np.arange(2 * params.n_pixels) % 2 == 0, params.scales, -params.scales)
     w1 = params.minplus_weights
-    ends = linear_layer(params, baseline + ts[[0, -1], None] * diff)        # (2, 2P)
+    ends = linear_layer(params, GRAY + ts[[0, -1], None] * diff)        # (2, 2P)
     start, end = ends[0] + w1.T, ends[1] + w1.T
     keep, bound = prune(start, end, params.maxplus_weights[:, target])
     candidate = np.minimum(start[keep], end[keep]) <= bound[:, None]        # (kept, 2P)
     used = np.flatnonzero(candidate.any(axis=0))
     candidate, w1 = candidate[:, used], w1[used]
-    lin = slope[used, None] * (baseline[used // 2, None] + diff[used // 2, None] * ts)
+    lin = slope[used, None] * (GRAY + diff[used // 2, None] * ts)
     cols = np.arange(steps)
     hidden = np.empty((keep.size, steps))
     winners = np.empty((keep.size, steps), dtype=np.intp)                 # rows of lin
@@ -243,10 +247,8 @@ def _block(seed: int, n_pix: int, gray: _GrayKey, index: int) -> tuple:
     ranks, all read-only, and the generator state after the draws.  An
     entry holds about 2.9 MB at P = 784, H1 = 25: 1.6 MB of draws, the
     key's 157 kB of terms, 401 kB of uint16 positions, and 16 bytes per
-    record (about 46,000).  Filling it holds about 3 bytes per neuron,
-    rank and draw at once, about 15 MB there, while ``_suffix_records``
-    takes its one pass over every neuron's ranks; the process peak is
-    set earlier, by the model build.
+    record (about 46,000).  Filling it holds ``_suffix_records``' table,
+    about 15 MB there; the process peak is set earlier, by the model build.
     """
     rng = np.random.default_rng(seed)
     if index:
@@ -344,15 +346,8 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     of the predicted-class logit it causes; scores average the credits over
     permutations, so each permutation's credits telescope to
     z_c(x) - z_c(gray image).  The permutations are the first
-    ``permutations`` draws of ``default_rng(seed).permutation(P)``.
-
-    The predicted class c is argmax_d max_h (min_p at_image[h, p] + W2[h, d])
-    over the image's ``pixel_mins`` table, which the walk needs anyway, with
-    no ``forward`` pass; the input gets ``forward``'s checks and messages.
-    Each table entry is one of the sums ``tropical_pass`` reduces, so each
-    row min equals ``forward``'s hidden value up to the sign of a zero, and
-    so does each logit.  ``np.argmax`` only compares, and +0.0 and -0.0
-    compare equal, so c is ``forward``'s class, the lowest index on ties.
+    ``permutations`` draws of ``default_rng(seed).permutation(P)``.  The
+    class c is ``image_terms``' argmax, from the table the walk needs anyway.
 
     Only the steps where the logit can change are evaluated, and the maps
     are bit-equal to evaluating every step.  In every state of a walk,
@@ -380,13 +375,9 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     so each pixel's credits are summed in permutation order, the order of
     a walk through every step.
 
-    Each block of ``_BLOCK`` permutations and its gray records depend only
-    on the seed, the block's index and the gray terms, and are memoized in
-    one entry per block, model and seed (``_block``), keyed by the gray
-    terms' bytes with a sampled hash (``_GrayKey``).  ``_events`` sorts each
-    block's events by position; a permutation with fewer events than the
-    most is padded with a dummy pixel that changes nothing: its codes are
-    the top code (below).
+    Blocks of ``_BLOCK`` permutations and their gray records are memoized
+    (``_block``).  ``_events`` pads a permutation with fewer events than the
+    most with a dummy pixel whose codes are the top code (below).
 
     The running mins run on order codes, small unsigned integers in the
     order of the biased terms they replace, and the maps keep every bit:
@@ -405,21 +396,15 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
        is never -0.0, leaves it as it was.
 
     Codes take ``np.min_scalar_type`` of the top code, uint8 or uint16 at
-    the paper's shape, so the gathers and the row-wise ``np.minimum`` over
-    (events, permutations, kept) slabs, one per side and block
-    (``_event_credits``), move a quarter or less of float64 terms' bytes.
+    the paper's shape: a quarter or less of float64 terms' bytes to move.
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
-    x = require_floats(x, "input", NumericError)
+    _, at_image, _, logits = image_terms(params, x)
+    target = np.argmax(logits)
     n_pix = params.n_pixels
-    if x.shape != (n_pix,):
-        raise DimensionError(f"expected input of length {n_pix}, got shape {x.shape}")
-
     at_gray = pixel_mins(params, np.full(n_pix, GRAY))
-    at_image = pixel_mins(params, x)
     w2 = params.maxplus_weights
-    target = np.argmax((at_image.min(axis=1)[:, None] + w2).max(axis=0))
     keep, bound = prune(at_gray, at_image, w2[:, target])
     out_bias = w2[keep, target, None]
     terms = np.stack([at_gray[keep], at_image[keep]])      # (2, kept, P) biased terms

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.spatial.distance import cdist  # noqa: F401
 
 from .data import PIXEL_LEVELS, Dataset
-from .errors import (DataError, DimensionError, NumericError, ParameterError, require_count,
-                     require_floats, require_int64, require_real)
+from .errors import (DataError, DimensionError, ParameterError, require_count, require_floats,
+                     require_input, require_int64, require_real)
 from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
@@ -232,8 +232,6 @@ def init_params(medoids: MedoidSet, k0: float = 1.0) -> LmmParams:
 
 def nearest_medoid_predict(medoids: MedoidSet, x) -> int:
     """Class of the L-infinity-nearest medoid (lowest index on ties)."""
-    x = require_floats(x, "input", NumericError)
-    if x.shape != (medoids.vectors.shape[1],):
-        raise DimensionError(f"expected input of length {medoids.vectors.shape[1]}, got shape {x.shape}")
+    x = require_input(x, medoids.vectors.shape[1])
     dist = np.max(np.abs(medoids.vectors - x[None, :]), axis=1)
     return int(medoids.labels[int(np.argmin(dist))])

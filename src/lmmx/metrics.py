@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionError, ParameterError, require_count, require_real
+from .errors import DataError, DimensionError, ParameterError, require_count, require_positive
 from .explain import GRAY, ImportanceMap
 # batch_logits is unused here, but benchmarks/spans.py wraps it under this name
 from .network import (LmmParams, batch_logits, batch_predict, pixel_mins,  # noqa: F401
@@ -177,19 +177,12 @@ def _unit_map(scores: np.ndarray) -> np.ndarray:
         return scores / norm if norm > 0 else np.zeros_like(scores)
 
 
-def require_sigma(sigma) -> float:
-    """``sigma`` as a float, or ``ParameterError`` unless it is a real number > 0."""
-    if require_real(sigma, "sigma") <= 0:
-        raise ParameterError("sigma must be > 0")
-    return float(sigma)
-
-
 class _Stability:
     """Perturbation ratios of one image at a time; image i draws from the i-th of
     ``SeedSequence(seed).spawn(n)``, so an image's ratio does not depend on the others."""
 
     def __init__(self, sigma: float, m: int, seed: int, n: int):
-        self.sigma = require_sigma(sigma)
+        self.sigma = require_positive(sigma, "sigma")
         self.ratios = np.empty(require_count(m, "m"))     # scratch, one entry per perturbation
         self.seeds = np.random.SeedSequence(require_count(seed, "seed", 0)).spawn(n)
 

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, require_floats, require_real
+from .errors import (DimensionError, NumericError, ParameterError, require_floats, require_input,
+                     require_positive)
 
 # Positive floor for the linear scales.  Keeping every scale at or above this
 # value fixes the sign pattern of the linear layer (plus branch strictly
@@ -70,9 +71,7 @@ class LmmParams:
             raise ParameterError("need at least 2 classes")
         if np.any(self.scales < SCALE_FLOOR):
             raise ParameterError(f"all scales must be >= {SCALE_FLOOR}")
-        self.temperature = require_real(self.temperature, "temperature")
-        if self.temperature <= 0:
-            raise ParameterError("temperature must be > 0")
+        self.temperature = require_positive(self.temperature, "temperature")
 
     @property
     def n_pixels(self) -> int:
@@ -165,11 +164,20 @@ def pixel_mins(params: LmmParams, x) -> np.ndarray:
     return np.minimum(pre[:, 0::2], pre[:, 1::2])
 
 
+def image_terms(params: LmmParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One checked input (P,) as float64, its ``pixel_mins`` table (H1, P), the
+    row mins (H1,) and the logits max_h(hidden_h + W2[h, :]) (C,).  Table
+    entries are sums ``tropical_pass`` reduces, so the row mins and logits
+    equal ``forward``'s up to the sign of a zero, which ``np.argmax`` ignores."""
+    x = require_input(x, params.n_pixels)
+    mins = pixel_mins(params, x)
+    hidden = mins.min(axis=1)
+    return x, mins, hidden, (hidden[:, None] + params.maxplus_weights).max(axis=0)
+
+
 def forward(params: LmmParams, x) -> ForwardTrace:
     """Evaluate the network on one input and record the active path."""
-    x = require_floats(x, "input", NumericError)
-    if x.shape != (params.n_pixels,):
-        raise DimensionError(f"expected input of length {params.n_pixels}, got shape {x.shape}")
+    x = require_input(x, params.n_pixels)
     return ForwardTrace._make(a[0] for a in tropical_pass(params, x[None]))
 
 
@@ -188,9 +196,7 @@ def batch_predict(params: LmmParams, images: np.ndarray) -> np.ndarray:
 
 def softmax_rows(z, temperature: float) -> np.ndarray:
     """Tempered softmax of logits (C,) or rows (N, C) over the last axis, max-subtracted."""
-    temperature = require_real(temperature, "temperature")
-    if temperature <= 0:
-        raise ParameterError("temperature must be > 0")
+    temperature = require_positive(temperature, "temperature")
     z = require_floats(z, "logits", NumericError)
     if z.ndim == 0 or z.shape[-1] == 0:
         raise DimensionError(f"logits need a non-empty last axis, got shape {z.shape}")

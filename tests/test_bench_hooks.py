@@ -31,10 +31,15 @@ def test_install_then_uninstall_restores_every_hook():
         for module, attr, original in patched:
             assert getattr(module, attr) is not original
         params = lmmx.LmmParams(np.ones(4), np.zeros((4, 2)), np.eye(2))
+        x = np.array([0.25, 0.75])
         with tracer.span("root"):
-            lmmx.explain.shapley_sampling(params, np.array([0.25, 0.75]), permutations=2)
-        # Shapley reads its predicted class from its own terms, without forward
-        assert [span[0] for span in tracer.spans] == ["root", "explain.shapley_sampling"]
+            lmmx.explain.pixel_fragility(params, x)
+            lmmx.explain.integrated_gradients(params, x, steps=2)
+            lmmx.explain.shapley_sampling(params, x, permutations=2)
+        # every explainer reads its class from the image's own terms, without forward
+        assert [span[0] for span in tracer.spans] == [
+            "root", "explain.pixel_fragility", "explain.integrated_gradients",
+            "explain.shapley_sampling"]
     finally:
         tracer.uninstall()
     for module, attr, original in patched:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a tiny archive: subcommands, exit codes, determinism."""
 
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import lmmx
 from lmmx import selftest
-from lmmx.cli import run
+from lmmx.cli import METHODS, _make_explainer, run
 from lmmx import (TrainConfig, confusion_matrix, init_params, select_medoids, synth_dataset,
                   train)
 from lmmx.data import _HEADER, load_model, load_npz_dataset
@@ -235,6 +236,16 @@ class TestExplain:
                     "--index", "999", "--method", "fragility",
                     "--out", str(tmp_path / "x.pgm")])
         assert code == 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_explainers_survive_pickling(self, method):
+        # worker processes under any start method receive their explainer pickled
+        rng = np.random.default_rng(12)
+        params = selftest.random_params(rng, 9, 4, 2)
+        x = rng.uniform(0.0, 1.0, 9)
+        explainer = _make_explainer(method, seed=3, ig_steps=7, permutations=11)
+        clone = pickle.loads(pickle.dumps(explainer))
+        assert clone(params, x).scores.tobytes() == explainer(params, x).scores.tobytes()
 
 
 class TestMetrics:

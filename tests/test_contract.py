@@ -21,7 +21,7 @@ from lmmx import (Dataset, ImportanceMap, LmmError, LmmParams, MedoidSet, TrainC
                   pixel_fragility, select_medoids, shapley_sampling, stability, subgradient,
                   synth_dataset, timing)
 from lmmx.errors import require_floats
-from lmmx.network import softmax_rows
+from lmmx.network import image_terms, softmax_rows
 
 JUNK = (0, -1, 2.5, 3.0, math.nan, math.inf, True, "3", None)
 
@@ -125,6 +125,7 @@ ARRAY_ARGUMENTS = {
                                  lambda v: MedoidSet(_MEDOIDS.vectors, _MEDOIDS.labels, v)),
     "ImportanceMap.scores": (np.zeros(2), lambda v: ImportanceMap(v, "ascending")),
     "forward.x": (_X, lambda v: forward(_PARAMS, v)),
+    "image_terms.x": (_X, lambda v: image_terms(_PARAMS, v)),
     "batch_logits.images": (_DATA.images, lambda v: batch_logits(_PARAMS, v)),
     "batch_predict.images": (_DATA.images, lambda v: batch_predict(_PARAMS, v)),
     "nearest_medoid_predict.x": (_X, lambda v: nearest_medoid_predict(_MEDOIDS, v)),
@@ -188,6 +189,7 @@ def test_each_input_is_checked_once():
     # and an explainer's map checks its own scores once
     cases = {
         "forward": (lambda: forward(_PARAMS, _X), {"input": 1}),
+        "image_terms": (lambda: image_terms(_PARAMS, _X), {"input": 1}),
         "batch_logits": (lambda: batch_logits(_PARAMS, _DATA.images), {"batch": 1}),
         "batch_predict": (lambda: batch_predict(_PARAMS, _DATA.images), {"batch": 1}),
         "subgradient": (lambda: subgradient(_PARAMS, _DATA.images, _DATA.labels),

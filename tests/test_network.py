@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lmmx import (DimensionError, LmmParams, NumericError, ParameterError, batch_logits,
                   batch_predict, forward)
 
-from lmmx.network import linear_layer, pixel_mins, softmax_rows, tropical_pass
+from lmmx.network import image_terms, linear_layer, pixel_mins, softmax_rows, tropical_pass
 from lmmx.oracles import brute_forward
 from lmmx.selftest import check_forward_oracle, dyadic_params, random_params
 
@@ -202,6 +202,30 @@ class TestPixelMins:
         hidden = tropical_pass(params, rows).hidden
         for i, x in enumerate(rows):
             assert np.array_equal(pixel_mins(params, x).min(axis=1), hidden[i])
+
+
+class TestImageTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(walk_nets(n_rows=1), st.data())
+    def test_class_hidden_and_logits_equal_forwards(self, net, data):
+        # -0.0 in some zero weights and pixels: a row min and forward's argmin-picked
+        # sum may then differ in the sign of a zero, which == and argmax ignore
+        params, rows = net
+
+        def signed(a):
+            zeros = np.flatnonzero(a == 0)
+            flip = data.draw(st.lists(st.booleans(), min_size=zeros.size, max_size=zeros.size))
+            a = a.copy()
+            a.flat[zeros[np.array(flip, dtype=bool)]] = -0.0
+            return a
+
+        params = LmmParams(params.scales, signed(params.minplus_weights),
+                           signed(params.maxplus_weights))
+        x = signed(rows[0])
+        trace = forward(params, x)
+        _, _, hidden, logits = image_terms(params, x)
+        assert np.argmax(logits) == trace.predicted
+        assert np.all(hidden == trace.hidden) and np.all(logits == trace.logits)
 
 
 class TestParams:
