@@ -112,7 +112,8 @@ def load_npz_dataset(path) -> dict[str, Dataset]:
             raise FormatError(
                 f"members '{split}_images' and '{split}_labels' disagree on sample count"
             )
-        flat = images.reshape(images.shape[0], -1).astype(np.float64) / PIXEL_LEVELS
+        flat = images.reshape(images.shape[0], -1).astype(np.float64)
+        flat /= PIXEL_LEVELS  # in place: one float64 copy per split
         out[split] = Dataset(flat, labels, split=split)
     return out
 

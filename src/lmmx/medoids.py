@@ -14,8 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-# cdist is unused here, but benchmarks/spans.py wraps it under this name
-from scipy.spatial.distance import cdist  # noqa: F401
 
 from .data import PIXEL_LEVELS, Dataset
 from .errors import (DataError, DimensionError, ParameterError, require_count, require_floats,
@@ -24,6 +22,19 @@ from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
 _ROWS, _COLS = 16, 64  # uint8 distance block shape (measured best)
+_LEVEL_ROWS = 256  # rows per float64 block of the on-grid check and uint8 conversion
+_UPDATE_CELLS = 1 << 18  # uint8 cells per row chunk of a greedy cost update (measured best)
+
+
+def cdist(*args, **kwargs):
+    """scipy's ``scipy.spatial.distance.cdist``, imported on first call.
+
+    Nothing in lmmx calls it: ``benchmarks/spans.py`` wraps this name.
+    Importing scipy here rather than at module level keeps it out of every
+    lmmx process (about 37 MB of resident memory and 0.3 s per import).
+    """
+    from scipy.spatial.distance import cdist as scipy_cdist
+    return scipy_cdist(*args, **kwargs)
 
 
 @dataclass
@@ -109,8 +120,27 @@ def _stripe(units: np.ndarray, dist: np.ndarray, i0: int) -> None:
         dist[j0:j0 + _COLS, i0:i0 + _ROWS] = block.T
 
 
-def _chebyshev_matrix(points: np.ndarray) -> np.ndarray:
-    """All pairwise Chebyshev distances of ``points``, in whole pixel levels.
+def _pixel_levels(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``points[rows]`` as uint8 pixel levels, or ``DataError`` for an entry off
+    the loader's k / PIXEL_LEVELS grid.
+
+    Converts _LEVEL_ROWS rows at a time, so its float64 temporaries are three
+    blocks of _LEVEL_ROWS x P (4.8 MB at P = 784) at any row count.
+    """
+    units = np.empty((rows.size, points.shape[1]), np.uint8)
+    for i0 in range(0, rows.size, _LEVEL_ROWS):
+        block = points[rows[i0:i0 + _LEVEL_ROWS]]
+        levels = np.rint(block * PIXEL_LEVELS)
+        if not np.array_equal(levels / PIXEL_LEVELS, block):
+            raise DataError(f"the greedy medoid build needs pixels on the k / {PIXEL_LEVELS} grid "
+                            f"(k = 0..{PIXEL_LEVELS}), as an archive loads them")
+        units[i0:i0 + _LEVEL_ROWS] = levels
+    return units
+
+
+def _chebyshev_matrix(points: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """All pairwise Chebyshev distances of ``points[rows]`` (every row by
+    default), in whole pixel levels.
 
     Every entry must lie on the loader's k / PIXEL_LEVELS grid, as in every
     archive ``load_npz_dataset`` reads; the distances are then an exact
@@ -122,16 +152,13 @@ def _chebyshev_matrix(points: np.ndarray) -> np.ndarray:
     levels, so the matrix is byte-equal in any order the stripes run.  The
     off-grid check runs before any worker starts; if a stripe raises or
     the caller is interrupted, the stripes not yet started are cancelled,
-    and no worker outlives the call.  Memory: the n x n uint8 result plus
-    3 * _ROWS * _COLS * P bytes of block temporaries per worker (2.4 MB at
-    P = 784).
+    and no worker outlives the call.  Memory: the n x n uint8 result and
+    the n x P uint8 levels, plus ``_pixel_levels``' float64 blocks (4.8 MB
+    at P = 784) before the pool starts and 3 * _ROWS * _COLS * P bytes of
+    block temporaries per worker (2.4 MB at P = 784) while it runs.
     """
-    levels = np.rint(points * PIXEL_LEVELS)
-    if not np.array_equal(levels / PIXEL_LEVELS, points):
-        raise DataError(f"the greedy medoid build needs pixels on the k / {PIXEL_LEVELS} grid "
-                        f"(k = 0..{PIXEL_LEVELS}), as an archive loads them")
-    units = levels.astype(np.uint8)
-    n = points.shape[0]
+    units = _pixel_levels(points, np.arange(points.shape[0]) if rows is None else rows)
+    n = units.shape[0]
     dist = np.empty((n, n), np.uint8)
     starts = range(0, n, _ROWS)
     pool = ThreadPoolExecutor(min(_usable_cpus(), len(starts)))
@@ -143,30 +170,47 @@ def _chebyshev_matrix(points: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _greedy_kmedoids(points: np.ndarray, quota: int) -> list[int]:
-    """Greedy PAM build step under the Chebyshev distance.
+def _greedy_kmedoids(points: np.ndarray, quota: int, rows: np.ndarray | None = None) -> list[int]:
+    """Greedy PAM build step under the Chebyshev distance, over ``points[rows]``
+    (every row by default); returns positions within those rows.
 
     Repeatedly adds the point minimizing the summed distance from every
     class member to its nearest chosen medoid.  Ties go to the lowest
-    index.  Needs the n x n uint8 ``_chebyshev_matrix``, and each pick holds
-    one more n x n uint8 temporary: 2 n**2 bytes (24 MB at n = 3,494), plus
-    about 2.4 MB (at P = 784) of block temporaries per worker while the
-    matrix is built.  Its row stripes run on every usable CPU, and the
-    matrix is byte-equal in any order they run, so the picks are the same
-    on any host and any core count.
+    index.  The costs start as the column sums of the n x n uint8
+    ``_chebyshev_matrix`` (no medoid yet), and each pick lowers them in
+    place: only the rows j whose nearest distance fell change, and column
+    c loses min(D[j, c], old_j) - min(D[j, c], new_j) over them.  Every
+    cost is a whole number of levels, kept in int64, so it equals the full
+    sum over the matrix and equal costs are true ties.
 
-    Every cost is a whole number of levels below 2**53, so its float64 sum
-    is exact in any order and equal costs are true ties.
+    Memory: the matrix (12 MB at n = 3,494) and what ``_chebyshev_matrix``
+    holds while it builds it, then two uint8 row chunks of _UPDATE_CELLS
+    cells and one row of uint32 sums per update; no n x n temporary.  The
+    matrix is byte-equal on any core count, so the picks are the same on
+    any host.
     """
-    dist = _chebyshev_matrix(points)
-    nearest = np.full(dist.shape[0], dist.max(), dist.dtype)  # no medoid yet: nothing lies farther
+    dist = _chebyshev_matrix(points, rows)
+    n = dist.shape[0]
+    costs = dist.sum(axis=0, dtype=np.int64)
+    nearest = np.full(n, dist.max(), dist.dtype)  # no medoid yet: nothing lies farther
+    taken = np.zeros(n, bool)
+    chunk = max(1, _UPDATE_CELLS // n)
     chosen: list[int] = []
     for _ in range(quota):
-        costs = np.minimum(dist, nearest[:, None]).sum(axis=0, dtype=np.float64)
-        costs[chosen] = np.inf  # never pick the same sample twice
-        best = int(np.argmin(costs))
+        best = int(np.argmin(np.where(taken, np.iinfo(np.int64).max, costs)))
         chosen.append(best)
-        nearest = np.minimum(nearest, dist[best])  # the row equals the column
+        taken[best] = True
+        if len(chosen) == quota:
+            break
+        row = dist[best]  # the row equals the column
+        fell = np.flatnonzero(row < nearest)
+        for j0 in range(0, fell.size, chunk):
+            j = fell[j0:j0 + chunk]
+            block = dist[j]
+            drop = np.minimum(block, nearest[j, None])
+            drop -= np.minimum(block, row[j, None], out=block)  # new <= old: no wraparound
+            costs -= drop.sum(axis=0, dtype=np.uint32)  # at most 255 * chunk per column
+        np.minimum(nearest, row, out=nearest)
     return chosen
 
 
@@ -198,8 +242,7 @@ def select_medoids(train: Dataset, n_medoids: int, strategy: str = "greedy-kmedo
         if strategy == "random":
             sel = np.sort(rng.choice(members, size=quota, replace=False))
         else:
-            local = _greedy_kmedoids(train.images[members], quota)
-            sel = members[local]
+            sel = members[_greedy_kmedoids(train.images, quota, members)]
         picked.append(sel)
     indices = np.concatenate(picked)
     return MedoidSet(train.images[indices], train.labels[indices], indices)

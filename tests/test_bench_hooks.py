@@ -60,3 +60,13 @@ def test_greedy_build_records_one_span_on_one_thread(monkeypatch):
         tracer.uninstall()
     assert [span[0] for span in tracer.spans] == ["medoids.select_medoids"]
     assert tracer.spans[0][2] is not None and tracer._stack == []
+
+
+def test_the_cdist_hook_target_is_scipys_chebyshev_cdist():
+    from scipy.spatial.distance import cdist
+
+    a = np.array([[0.0, 0.5], [1.0, 0.25]])
+    b = np.array([[0.25, 0.0], [0.75, 1.0], [1.0, 1.0]])
+    got = lmmx.medoids.cdist(a, b, "chebyshev")
+    assert np.array_equal(got, cdist(a, b, "chebyshev"))
+    assert np.array_equal(got, [[0.5, 0.75, 1.0], [0.75, 0.75, 0.75]])

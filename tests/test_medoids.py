@@ -1,6 +1,8 @@
 """Medoid selection, nearest-medoid initialization, and their equivalence."""
 
 import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,6 +149,22 @@ class TestSelectMedoids:
         select_medoids(train, 8, "greedy-kmedoids", seed=0)
         assert threading.active_count() == before
 
+    def test_greedy_build_holds_one_uint8_matrix(self, monkeypatch):
+        # one class of 1,000 grid rows at P = 784 (6.3 MB of float64 pixels): the build
+        # may hold the n x n matrix and the n x P levels, plus a fixed allowance for
+        # the float64 level blocks, two workers' stripe temporaries and the update chunks
+        use_workers(monkeypatch, 2)
+        n, n_pix = 1000, 784
+        images = grid_points(np.random.default_rng(3), n, n_pix)
+        train = Dataset(images, np.zeros(n, np.int64), "train")
+        tracemalloc.start()
+        try:
+            select_medoids(train, 10, "greedy-kmedoids", seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n + n * n_pix + 8 * 2**20
+
     def test_off_grid_images_need_the_random_strategy(self):
         rng = np.random.default_rng(9)
         train = Dataset(rng.uniform(0, 1, (30, 2)), np.repeat([0, 1], 15), "train")
@@ -170,6 +188,14 @@ def tied_points(draw):
     distinct = rng.integers(0, top + 1, (draw(st.integers(1, 6)), n_pix)) / PIXEL_LEVELS
     points = distinct[rng.integers(0, distinct.shape[0], n)]
     return points, draw(st.integers(1, n))
+
+
+@st.composite
+def tied_subsets(draw):
+    """``tied_points`` with a sorted subset of their rows that holds at least ``quota``."""
+    points, quota = draw(tied_points())
+    rows = draw(st.sets(st.integers(0, points.shape[0] - 1), min_size=quota))
+    return points, np.array(sorted(rows)), quota
 
 
 # candidates 2, 5, 6 and 7 all cost 340 levels; in float64 sums of k/255
@@ -247,6 +273,16 @@ class TestGreedyKMedoids:
     def test_exact_cost_tie_goes_to_lowest_index(self):
         assert brute_greedy_kmedoids(EXACT_TIE, 2) == [2, 3]
         assert _greedy_kmedoids(EXACT_TIE, 2) == [2, 3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_subsets(), st.integers(1, 700))
+    @example((EXACT_TIE, np.arange(8), 8), 1)
+    def test_in_place_cost_updates_match_the_reference(self, case, cells):
+        # update chunks from one cell to whole updates, over a subset of the rows
+        points, rows, quota = case
+        with mock.patch.object(medoids, "_UPDATE_CELLS", cells):
+            picks = _greedy_kmedoids(points, quota, rows)
+        assert picks == brute_greedy_kmedoids(points[rows], quota)
 
 
 class TestInitParams:

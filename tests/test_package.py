@@ -1,4 +1,4 @@
-"""The package's public names and option surface.
+"""The package's public names, option surface and imports.
 
 ``__all__`` lists only names that exist, and the parameters of every public
 callable and the flags of every ``lmmx`` subcommand match a literal table, so
@@ -7,6 +7,9 @@ a change that adds or removes a knob shows in the diff of this file.
 
 import argparse
 import inspect
+import os
+import subprocess
+import sys
 
 import lmmx
 from lmmx import cli
@@ -80,3 +83,14 @@ def test_subcommand_flags_match_the_table():
                          if flag not in ("-h", "--help"))
              for name, sub in commands.choices.items()}
     assert found == FLAGS
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, lmmx.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
