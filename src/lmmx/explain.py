@@ -121,14 +121,26 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     winners at kinks).  A midpoint rule with ``steps`` points approximates
     the path integral.
 
-    Only the branches that can win are evaluated along the path.  The
-    points t increase and rounding is monotone, so each min-plus sum
-    lin_i + W1[i, h] lies between its values at the path's two ends.
-    ``prune`` keeps the neurons that can win, with their bounds, and a
-    branch whose smaller end exceeds its neuron's bound never sets its min,
-    so only the other branches are summed.  They keep ``linear_layer``'s
-    float operations and ascending branch order, so the winners, lowest
-    index on ties, are ``tropical_pass``'s bit for bit.
+    Only the branches that can win are evaluated along the path.  Each
+    branch's linear value is monotone in t and the points t increase, so
+    its values lie between a0 and a1, its values at the path's two ends.
+    Rounding is monotone, so fl(a + w) is monotone in a and each min-plus
+    sum lin_i + W1[i, h] lies between fl(min(a0, a1) + w) =
+    min(fl(a0 + w), fl(a1 + w)) and the same with max: the low and high
+    tables are two (2P,) vectors of end values plus W1, and ``prune`` takes
+    them as the terms' ends.  For pixels in [0, 1] an end value is never
+    zero: ``GRAY`` is 0.5, |diff| <= 0.5 and t < 1, so |fl(t * diff)| < 0.5
+    (t would round to 1 only beyond 2**53 steps).  A pixel with diff == 0
+    has bit-equal ends, and the tables are only compared, never summed into
+    a map, so the sign of a zero never matters.  ``prune`` keeps the neurons
+    that can win, with their bounds, and a branch whose low end exceeds its
+    neuron's bound never sets its min, so only the other branches are
+    summed.  The path's linear layer is built steps-major, (steps, used
+    branches); multiplication commutes in IEEE arithmetic, so it keeps
+    ``linear_layer``'s bits.  Each kept neuron's candidate columns are
+    gathered in ascending branch order and reduced along contiguous rows,
+    so the winners, lowest index on ties, are ``tropical_pass``'s bit for
+    bit, and their sums are redone once for all kept neurons.
     """
     steps = require_count(steps, "steps")
     x, _, _, logits = image_terms(params, x)
@@ -138,22 +150,22 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     ts = (np.arange(steps) + 0.5) / steps
     slope = np.where(np.arange(2 * params.n_pixels) % 2 == 0, params.scales, -params.scales)
     w1 = params.minplus_weights
-    ends = linear_layer(params, GRAY + ts[[0, -1], None] * diff)        # (2, 2P)
-    start, end = ends[0] + w1.T, ends[1] + w1.T
-    keep, bound = prune(start, end, params.maxplus_weights[:, target])
-    candidate = np.minimum(start[keep], end[keep]) <= bound[:, None]        # (kept, 2P)
+    ends = linear_layer(params, GRAY + ts[[0, -1], None] * diff)     # (2, 2P)
+    low = ends.min(axis=0) + w1.T                                    # (H1, 2P)
+    keep, bound = prune(low, ends.max(axis=0) + w1.T, params.maxplus_weights[:, target])
+    candidate = low[keep] <= bound[:, None]                          # (kept, 2P)
     used = np.flatnonzero(candidate.any(axis=0))
-    candidate, w1 = candidate[:, used], w1[used]
-    lin = slope[used, None] * (GRAY + diff[used // 2, None] * ts)
-    cols = np.arange(steps)
-    hidden = np.empty((keep.size, steps))
-    winners = np.empty((keep.size, steps), dtype=np.intp)                 # rows of lin
+    candidate = candidate[:, used]
+    lin = slope[used] * (GRAY + ts[:, None] * diff[used // 2])       # (steps, used)
+    winners = np.empty((keep.size, steps), dtype=np.intp)            # columns of lin
     for j, h in enumerate(keep):
         rows = np.flatnonzero(candidate[j])
-        sums = lin[rows] + w1[rows, h, None]
-        best = np.argmin(sums, axis=0)
-        hidden[j] = sums[best, cols]
-        winners[j] = rows[best]
+        sums = np.take(lin, rows, axis=1)                            # (steps, rows)
+        sums += w1[used[rows], h]
+        np.take(rows, np.argmin(sums, axis=1), out=winners[j])
+    cols = np.arange(steps)
+    # the winning sums redone: the same float additions, so equal bit for bit
+    hidden = lin[cols, winners] + w1[used[winners], keep[:, None]]
     h_star = np.argmax(hidden + params.maxplus_weights[keep, target, None], axis=0)
     branch = used[winners[h_star, cols]]
     mean_grad = np.zeros(params.n_pixels)
@@ -162,26 +174,31 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     return ImportanceMap(diff * mean_grad, DESCENDING)
 
 
-def prune(start: np.ndarray, end: np.ndarray,
+def prune(low: np.ndarray, high: np.ndarray,
           out_bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The neurons that can set max_h(g_h + out_bias_h) between two ends, and their bounds.
+    """The neurons that can set max_h(g_h + out_bias_h), and their bounds.
 
-    ``start`` and ``end`` are (H1, n) rows of min-plus terms, g_h is the min
-    of neuron h's row, and each term may take any value that lies between
-    its ``start`` and ``end`` values: a Shapley walk holds each pixel at one
-    of its two ``pixel_mins``, and each branch sum moves monotonically along
-    the integrated-gradients path.  So g_h lies between min(start, end) and
-    its bound b_h = min max(start, end) over its row, and rounding is
-    monotone: a neuron whose bound plus its bias falls strictly below the
-    largest lower end plus bias is strictly below the max everywhere.  Ties
-    keep the neuron.
+    ``low`` and ``high`` are (H1, n) rows of each min-plus term's low and
+    high end, g_h is the min of neuron h's row, and each term may take any
+    value between its ends.  A Shapley walk holds each pixel at one of its
+    two ``pixel_mins``, so the caller passes their ``np.minimum`` and
+    ``np.maximum``.  Along the integrated-gradients path each branch's
+    linear value a moves monotonically between its end values a0 and a1,
+    and rounding is monotone, so its sum fl(a + w) stays between
+    fl(min(a0, a1) + w) = min(fl(a0 + w), fl(a1 + w)) and the same with
+    max: two vectors of end values plus W1 give both tables.  So g_h lies
+    between min(low) over its row and its bound b_h = min(high) over its
+    row, and a neuron whose bound plus its bias falls strictly below the
+    largest row min of ``low`` plus bias is strictly below the max
+    everywhere, since fl(u + c) is monotone in u too.  Ties keep the
+    neuron.
 
-    Returns the kept neurons and their bounds.  A term whose smaller end
+    Returns the kept neurons and their bounds.  A term whose low end
     exceeds its neuron's bound never sets its min, and each caller derives
     its own term mask from the bounds.
     """
-    low, bound = np.minimum(start, end).min(axis=1), np.maximum(start, end).min(axis=1)
-    keep = np.flatnonzero(bound + out_bias >= (low + out_bias).max())
+    bound = high.min(axis=1)
+    keep = np.flatnonzero(bound + out_bias >= (low.min(axis=1) + out_bias).max())
     return keep, bound[keep]
 
 
@@ -405,7 +422,8 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     n_pix = params.n_pixels
     at_gray = pixel_mins(params, np.full(n_pix, GRAY))
     w2 = params.maxplus_weights
-    keep, bound = prune(at_gray, at_image, w2[:, target])
+    keep, bound = prune(np.minimum(at_gray, at_image), np.maximum(at_gray, at_image),
+                        w2[:, target])
     out_bias = w2[keep, target, None]
     terms = np.stack([at_gray[keep], at_image[keep]])      # (2, kept, P) biased terms
     terms += out_bias

@@ -250,7 +250,8 @@ def check_shapley_efficiency(trials: int = 20, seed: int = 4) -> None:
         gap = _logit_gap(params, x)
         target = forward(params, x).predicted
         if cross_class:
-            kept = prune(pixel_mins(params, np.full(n_pix, GRAY)), pixel_mins(params, x),
+            gray, image = pixel_mins(params, np.full(n_pix, GRAY)), pixel_mins(params, x)
+            kept = prune(np.minimum(gray, image), np.maximum(gray, image),
                          params.maxplus_weights[:, target])[0]
             _check(kept.size < params.n_hidden, "no neuron pruned on a cross-class net")
         for permutations in (1, 1, 1, 4):
