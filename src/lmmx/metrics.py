@@ -190,11 +190,10 @@ class _Stability:
               imap: ImportanceMap) -> float:
         """Mean over m perturbations of image ``i`` of the unit map's change over the
         input's; ``imap`` is the map of the clean image ``x``."""
-        # one draw of all m rows: the stream of m draws of one row each
-        noise = np.random.default_rng(self.seeds[i]).normal(0.0, self.sigma,
-                                                            (self.ratios.size, x.size))
+        rng = np.random.default_rng(self.seeds[i])
         base = _unit_map(imap.scores)
-        for j, xp in enumerate(np.clip(x + noise, 0.0, 1.0)):
+        for j in range(self.ratios.size):
+            xp = np.clip(x + rng.normal(0.0, self.sigma, x.size), 0.0, 1.0)
             den = float(np.linalg.norm(xp - x))
             if den == 0.0:
                 self.ratios[j] = 0.0

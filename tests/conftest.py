@@ -3,10 +3,6 @@
 The chest-X-ray archive is not bundled; tests that need it look for
 ``$LMMX_PNEUMONIA_NPZ`` or ``data/pneumoniamnist.npz`` under the repo root
 and are skipped with a notice when neither exists.
-
-``HYPOTHESIS_PROFILE=ci`` selects the Hypothesis profile CI runs under: no
-deadline, as everywhere in the suite, and every falsifying example printed
-with the ``@reproduce_failure`` blob that replays it.
 """
 
 import os
@@ -14,14 +10,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from lmmx import (Dataset, TrainConfig, calibrate_temperature, init_params, load_npz_dataset,
                   select_medoids, synth_dataset, train)
 from lmmx.data import PIXEL_LEVELS
-
-settings.register_profile("ci", print_blob=True, deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -10,7 +10,7 @@ from lmmx import (SCALE_FLOOR, DimensionError, ImportanceMap, LmmParams, MedoidS
                   integrated_gradients, pixel_fragility, shapley_sampling)
 from lmmx import explain
 from lmmx.explain import GRAY, prune
-from lmmx.network import image_terms, linear_layer, pixel_mins
+from lmmx.network import pixel_mins
 from lmmx.oracles import (exact_shapley, extended_sensitivity, fragility_bruteforce_flip,
                           neuron_class, path_integral_attribution, sampled_walk_deltas,
                           sensitivity, slack, walk_deltas)
@@ -260,11 +260,34 @@ class TestIntegratedGradients:
     @given(st.data())
     def test_pruned_path_matches_oracle_on_ties(self, data):
         # tie-heavy dyadic nets: duplicated neurons and branches, pixels equal
-        # to the baseline, and max-plus biases wide enough to prune neurons
+        # to the baseline, at 0 and at 1, and max-plus biases wide enough to
+        # prune neurons; one step makes both path ends one point, and the gray
+        # image has no path at all
         params, (x,) = data.draw(walk_nets(n_rows=1))
+        if data.draw(st.booleans()):
+            x = np.full(params.n_pixels, GRAY)
         steps = data.draw(st.integers(1, 70))
         target = forward(params, x).predicted
         oracle = path_integral_attribution(params, x, target, steps)
+        got = integrated_gradients(params, x, steps=steps)
+        assert got.scores.tobytes() == oracle.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 70), medoid=st.booleans())
+    def test_matches_oracle_on_bench_shape_nets(self, seed, steps, medoid):
+        # P = 784, H1 = 25, C = 2.  A medoid-init net (k0 = 5) of k / 255
+        # medoids has branches that tie across neurons, a random net none; the
+        # image lies near a medoid, with 80 pixels set to 0, 1 or GRAY
+        rng = np.random.default_rng(seed)
+        n_pix, n_hid = 784, 25
+        vectors = rng.integers(0, 256, (n_hid, n_pix)) / 255.0
+        if medoid:
+            params = init_params(MedoidSet(vectors, np.arange(n_hid) % 2, np.arange(n_hid)), 5.0)
+        else:
+            params = random_params(rng, n_pix, n_hid, 2)
+        x = np.clip(vectors[rng.integers(n_hid)] + rng.integers(-20, 21, n_pix) / 255.0, 0.0, 1.0)
+        x[rng.choice(n_pix, 80, replace=False)] = rng.choice([0.0, 1.0, GRAY], 80)
+        oracle = path_integral_attribution(params, x, forward(params, x).predicted, steps)
         got = integrated_gradients(params, x, steps=steps)
         assert got.scores.tobytes() == oracle.tobytes()
 
@@ -321,108 +344,6 @@ class TestIntegratedGradients:
             checked += 1
             total = integrated_gradients(params, x, steps=1000).scores.sum()
             assert abs(total - gap) <= 0.05 * abs(gap)
-
-
-def two_end_prune(start, end, out_bias):
-    """The bound rule on the two end tables, as ``prune`` read them before it took each
-    term's low and high end: the kept neurons and their bounds min max(start, end)."""
-    low, bound = np.minimum(start, end).min(axis=1), np.maximum(start, end).min(axis=1)
-    keep = np.flatnonzero(bound + out_bias >= (low + out_bias).max())
-    return keep, bound[keep]
-
-
-def frozen_integrated_gradients(params, x, steps):
-    """Integrated-gradients scores from the path's two end tables and a branch-major
-    winner pass: a frozen copy of the earlier implementation, which the library's
-    maps must equal byte for byte."""
-    x, _, _, logits = image_terms(params, x)
-    target = np.argmax(logits)
-    diff = x - GRAY
-    ts = (np.arange(steps) + 0.5) / steps
-    slope = np.where(np.arange(2 * params.n_pixels) % 2 == 0, params.scales, -params.scales)
-    w1 = params.minplus_weights
-    ends = linear_layer(params, GRAY + ts[[0, -1], None] * diff)
-    start, end = ends[0] + w1.T, ends[1] + w1.T
-    keep, bound = two_end_prune(start, end, params.maxplus_weights[:, target])
-    candidate = np.minimum(start[keep], end[keep]) <= bound[:, None]
-    used = np.flatnonzero(candidate.any(axis=0))
-    candidate, w1 = candidate[:, used], w1[used]
-    lin = slope[used, None] * (GRAY + diff[used // 2, None] * ts)
-    cols = np.arange(steps)
-    hidden = np.empty((keep.size, steps))
-    winners = np.empty((keep.size, steps), dtype=np.intp)
-    for j, h in enumerate(keep):
-        rows = np.flatnonzero(candidate[j])
-        sums = lin[rows] + w1[rows, h, None]
-        best = np.argmin(sums, axis=0)
-        hidden[j] = sums[best, cols]
-        winners[j] = rows[best]
-    h_star = np.argmax(hidden + params.maxplus_weights[keep, target, None], axis=0)
-    branch = used[winners[h_star, cols]]
-    mean_grad = np.zeros(params.n_pixels)
-    np.add.at(mean_grad, branch // 2, slope[branch])
-    mean_grad /= steps
-    return diff * mean_grad
-
-
-class TestIntegratedGradientsFrozen:
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_tie_heavy_dyadic_nets(self, data):
-        # pixels on the k / 4 grid, so at 0, at 1 and at GRAY; one step makes
-        # both path ends one point, and the gray image has no path at all
-        params, (x,) = data.draw(walk_nets(n_rows=1))
-        if data.draw(st.booleans()):
-            x = np.full(params.n_pixels, GRAY)
-        steps = data.draw(st.integers(1, 70))
-        got = integrated_gradients(params, x, steps=steps)
-        assert got.scores.tobytes() == frozen_integrated_gradients(params, x, steps).tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 70), medoid=st.booleans())
-    def test_bench_shape_nets(self, seed, steps, medoid):
-        # P = 784, H1 = 25, C = 2.  A medoid-init net (k0 = 5) of k / 255
-        # medoids has branches that tie across neurons, a random net none; the
-        # image lies near a medoid, with 80 pixels set to 0, 1 or GRAY
-        rng = np.random.default_rng(seed)
-        n_pix, n_hid = 784, 25
-        vectors = rng.integers(0, 256, (n_hid, n_pix)) / 255.0
-        if medoid:
-            params = init_params(MedoidSet(vectors, np.arange(n_hid) % 2, np.arange(n_hid)), 5.0)
-        else:
-            params = random_params(rng, n_pix, n_hid, 2)
-        x = np.clip(vectors[rng.integers(n_hid)] + rng.integers(-20, 21, n_pix) / 255.0, 0.0, 1.0)
-        x[rng.choice(n_pix, 80, replace=False)] = rng.choice([0.0, 1.0, GRAY], 80)
-        got = integrated_gradients(params, x, steps=steps)
-        assert got.scores.tobytes() == frozen_integrated_gradients(params, x, steps).tobytes()
-
-
-class TestPrune:
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_low_and_high_ends_match_the_two_end_rule(self, data):
-        # k / 4 tables: terms tie across ends, along rows and between neurons
-        n_hid, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-
-        def grid(*shape):
-            size = int(np.prod(shape))
-            values = data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
-            return np.array(values, dtype=np.float64).reshape(shape) / 4.0
-
-        start, end, out_bias = grid(n_hid, n), grid(n_hid, n), grid(n_hid)
-        keep, bound = prune(np.minimum(start, end), np.maximum(start, end), out_bias)
-        want_keep, want_bound = two_end_prune(start, end, out_bias)
-        assert np.array_equal(keep, want_keep)
-        assert bound.tobytes() == want_bound.tobytes()
-
-    def test_threshold_tie_keeps_the_neuron(self):
-        # The threshold is the largest row min of low plus bias, 0.5 (neurons
-        # 0 and 1).  Neuron 0's bound plus bias meets it exactly and is kept;
-        # neuron 2's, 0.25, falls below it.
-        low = np.array([[0.5, 1.0], [0.25, 2.0], [0.0, 1.0]])
-        high = np.array([[0.5, 2.0], [3.0, 4.0], [0.25, 2.0]])
-        keep, bound = prune(low, high, np.array([0.0, 0.25, 0.0]))
-        assert keep.tolist() == [0, 1] and bound.tolist() == [0.5, 3.0]
 
 
 class TestShapleySampling:

@@ -214,24 +214,6 @@ class TestExplainerShape:
         assert 0.0 < fidelity(self.params, explainer, self.data, steps=2) <= 1.0
 
 
-def row_draw_stability(params, explainer, data, sigma, m, seed):
-    """``stability`` with one ``rng.normal`` call per perturbation, and the number of
-    perturbations that clipped back onto their image."""
-    means, clipped = [], 0
-    for x, seq in zip(data.images, np.random.SeedSequence(seed).spawn(data.n_samples)):
-        rng = np.random.default_rng(seq)
-        base = _unit_map(explainer(params, x).scores)
-        ratios = []
-        for _ in range(m):
-            xp = np.clip(x + rng.normal(0.0, sigma, x.size), 0.0, 1.0)
-            den = float(np.linalg.norm(xp - x))
-            clipped += den == 0.0
-            ratios.append(0.0 if den == 0.0 else
-                          float(np.linalg.norm(_unit_map(explainer(params, xp).scores) - base)) / den)
-        means.append(float(np.mean(ratios)))
-    return float(np.mean(means)), clipped
-
-
 class TestStability:
     def test_constant_map_gives_zero(self, synth_model):
         params = synth_model["params"]
@@ -262,29 +244,6 @@ class TestStability:
         assert a == b
         c = stability(params, explainer, test, m=3, seed=12)
         assert a != c
-
-    @pytest.mark.parametrize("m, n_pix", [(1, 1), (3, 5), (10, 784)])
-    def test_one_block_draw_is_the_stream_of_row_draws(self, m, n_pix):
-        # an image's m perturbations are one (m, P) normal draw: the values,
-        # in order, of m draws of P each from the same generator
-        for seq in np.random.SeedSequence(0).spawn(5):
-            rows = np.random.default_rng(seq)
-            block = np.random.default_rng(seq).normal(0.0, 0.05, (m, n_pix))
-            assert block.tobytes() == np.stack([rows.normal(0.0, 0.05, n_pix)
-                                                for _ in range(m)]).tobytes()
-
-    def test_equals_row_draws_when_perturbations_clip_away(self, synth_model):
-        # Two-pixel images at 0 and 1: a perturbation whose noise points out
-        # of [0, 1] at both pixels clips back onto the image and scores 0, and
-        # still takes its draw, so the later perturbations keep theirs.
-        corners = Dataset(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.25, 1.0]]),
-                          np.array([0, 1, 0, 1, 0]), "test")
-        explainer = lambda p, x: integrated_gradients(p, x, steps=10)
-        for params, data in ((random_params(np.random.default_rng(9), 2, 3, 2), corners),
-                             (synth_model["params"], synth_model["task"]["test"])):
-            want, clipped = row_draw_stability(params, explainer, data, 0.05, 6, 3)
-            assert stability(params, explainer, data, sigma=0.05, m=6, seed=3) == want > 0.0
-            assert clipped > 0 or data is not corners
 
     @pytest.mark.parametrize("m", [0, 2.5])
     def test_m_must_be_a_positive_integer(self, m, synth_model):
