@@ -8,15 +8,16 @@
  *      fall in permutation k, and the positions of the ``hits`` pixels;
  *   2. read the marked positions in ascending order, so the events come in
  *      walk order, each position once;
- *   3. run each kept neuron's gray codes as a suffix min backward over the
- *      events, then its image codes as a prefix min forward; after event i
- *      the neuron's code is the min of the two, and the logit's code is the
- *      max over kept neurons;
- *   4. add levels[code after event i] - levels[code before it] to the
+ *   3. run each kept neuron's biased gray terms as a suffix min backward
+ *      over the events, then its image terms as a prefix min forward; after
+ *      event i the neuron's activation is the min of the two, and the
+ *      logit is the max over kept neurons;
+ *   4. add the logit after event i minus the logit before it to the
  *      flipped pixel's credit, starting from ``gray_logit``.
  *
- * Codes only select (min and max), so they are the numpy pass's codes, and
- * the credits take the same float64 subtractions and additions in the same
+ * The terms need no mask (``shapley_sampling`` says why) and min and max
+ * only select, so the logits are the numpy pass's decoded values, and the
+ * credits take the same float64 subtractions and additions in the same
  * order, permutation by permutation: every map keeps its bits.
  *
  * Built by ``lmmx._native`` as a plain shared library with the
@@ -24,6 +25,7 @@
  * and called through ctypes.  No Python API is used.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -54,31 +56,28 @@ static int lowest_bit(uint64_t bits)
 
 /* Adds the block's event credits to ``credits`` (P + 1 doubles).  Returns 0;
  * -1 when its scratch cannot be allocated, having added nothing; -2 when a
- * record, hit, drawn pixel or decoded code is out of range, having added an
- * unspecified part of the credits.
+ * record, hit or drawn pixel is out of range, having added an unspecified
+ * part of the credits.
  *
  * block        (n, P) pixel at each position of each permutation, and
  * inv          (n, P) position of each pixel, both unsigned of ``width`` bytes
  * records      flat k * P + position of the gray-term records, k < n
  * hits         the pixels whose image term may set a min
- * gray_codes   (P + 1, kept) order codes of the biased gray and image
- * image_codes  terms; row P, the padding pixel, holds the top code
- * levels       the value of each of the ``n_levels`` codes
+ * gray_terms   (P, kept) biased gray and image terms of the kept neurons,
+ * image_terms  pixel-major
  */
 int lmmx_shapley_block(int64_t n, int64_t n_pix, int64_t kept, const void *block,
                        const void *inv, int64_t width, const int64_t *records,
                        int64_t n_records, const int64_t *hits, int64_t n_hits,
-                       const int32_t *gray_codes, const int32_t *image_codes,
-                       const double *levels, int64_t n_levels, double gray_logit,
-                       double *credits)
+                       const double *gray_terms, const double *image_terms,
+                       double gray_logit, double *credits)
 {
     const int64_t cells = n * n_pix;
-    const int32_t top = gray_codes[n_pix * kept];
     /* bit k * P + position marks an event: the flat keys index it directly */
     uint64_t *marks = calloc((size_t)(cells / 64 + 1), sizeof *marks);
     int64_t *events = malloc((size_t)n_pix * sizeof *events);
-    int32_t *suffix = malloc((size_t)((n_pix + 1) * kept) * sizeof *suffix);
-    int32_t *prefix = malloc((size_t)kept * sizeof *prefix);
+    double *suffix = malloc((size_t)((n_pix + 1) * kept) * sizeof *suffix);
+    double *prefix = malloc((size_t)kept * sizeof *prefix);
     if (!marks || !events || !suffix || !prefix) {
         free(marks);
         free(events);
@@ -127,34 +126,27 @@ int lmmx_shapley_block(int64_t n, int64_t n_pix, int64_t kept, const void *block
         if (status)
             break;
 
-        int32_t *after = suffix + m * kept;       /* gray codes of events i + 1 .. m - 1 */
+        double *after = suffix + m * kept;        /* gray terms of events i + 1 .. m - 1 */
         for (int64_t j = 0; j < kept; j++)
-            after[j] = top;
+            after[j] = prefix[j] = INFINITY;
         for (int64_t i = m - 1; i >= 0; i--) {
-            const int32_t *gray = gray_codes + events[i] * kept;
-            int32_t *at = suffix + i * kept;
+            const double *gray = gray_terms + events[i] * kept;
+            double *at = suffix + i * kept;
             for (int64_t j = 0; j < kept; j++)
                 at[j] = gray[j] < at[j + kept] ? gray[j] : at[j + kept];
         }
 
-        for (int64_t j = 0; j < kept; j++)
-            prefix[j] = top;
         double before = gray_logit;
         for (int64_t i = 0; i < m; i++) {
-            const int32_t *image = image_codes + events[i] * kept;
-            const int32_t *later = suffix + (i + 1) * kept;
-            int32_t logit = 0;
+            const double *image = image_terms + events[i] * kept;
+            const double *later = suffix + (i + 1) * kept;
+            double now = -INFINITY;
             for (int64_t j = 0; j < kept; j++) {
-                const int32_t flipped = image[j] < prefix[j] ? image[j] : prefix[j];
-                const int32_t code = flipped < later[j] ? flipped : later[j];
+                const double flipped = image[j] < prefix[j] ? image[j] : prefix[j];
+                const double activation = flipped < later[j] ? flipped : later[j];
                 prefix[j] = flipped;
-                logit = code > logit ? code : logit;
+                now = activation > now ? activation : now;
             }
-            if (logit >= n_levels) {
-                status = -2;
-                break;
-            }
-            const double now = levels[logit];
             credits[events[i]] += now - before;
             before = now;
         }

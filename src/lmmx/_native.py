@@ -8,10 +8,13 @@ The first call in a process compiles ``_native.c`` with the interpreter's
 own C compiler (``sysconfig``'s ``CC``, with ``-O3 -shared -fPIC``, no
 fast-math and no ``-march``) in a child process, or loads the library an
 earlier process left in the cache, ``$XDG_CACHE_HOME/lmmx`` or
-``~/.cache/lmmx`` (mode 0o700).  The file is named by a hash of the
-source, the compiler command and the platform, written under a temporary
-name and moved into place with ``os.replace``, so concurrent processes
-never see half a file.  It ends with the sha256 of the library before
+``~/.cache/lmmx`` (mode 0o700).  The file is ``_native-<tag>-<hash>.so``:
+the tag is a short hash of the platform and the extension suffix, and the
+hash one of the source, the compiler command and the tag.  It is written
+under a temporary name and moved into place with ``os.replace``, so
+concurrent processes never see half a file, and then the tag's other
+libraries, stale builds, are removed; another interpreter's tag keeps its
+own.  It ends with the sha256 of the library before
 it; a file whose digest does not match, a truncated one say, is rebuilt
 before it is loaded.  A cache directory that cannot be written, or is not the user's
 own, gives way to a private temporary directory for the compile.  Every
@@ -21,6 +24,7 @@ warning; only ``lmmx selftest`` prints ``status()``.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -79,37 +83,34 @@ def _intact(path: Path) -> bool:
 
 
 def _bind(path: Path):
-    """The block pass of the library at ``path``, wrapped to take the numpy pass's arrays."""
+    """The block pass of the library at ``path``, wrapped to take numpy arrays."""
     fn = ctypes.CDLL(str(path)).lmmx_shapley_block
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, i64, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, i64,
-                   ctypes.c_double, ptr]
+    fn.argtypes = [i64, i64, i64, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ctypes.c_double,
+                   ptr]
     fn.restype = ctypes.c_int
 
-    def block_credits(block, inv, records, hits, codes, levels, gray_logit, credits):
+    def block_credits(block, inv, records, hits, terms, gray_logit, credits):
         """Add the block's event credits to ``credits``, as ``_event_credits`` of ``_events``.
 
-        ``block`` and ``inv`` share one unsigned dtype, and ``codes`` is the
-        (2, P + 1, kept) stack of gray and image codes.  Arrays are converted
-        to the dtypes and layout the kernel reads and their shapes checked
-        here; the kernel checks every index it reads.
+        ``block`` and ``inv`` share one unsigned dtype, and ``terms`` is the
+        (2, P, kept) stack of biased gray and image terms.  Shapes and
+        dtypes are checked here; the kernel checks every index it reads.
         """
         block, inv = np.ascontiguousarray(block), np.ascontiguousarray(inv)
         records = np.ascontiguousarray(records, dtype=np.int64)
         hits = np.ascontiguousarray(hits, dtype=np.int64)
-        codes = np.ascontiguousarray(codes, dtype=np.int32)
-        levels = np.ascontiguousarray(levels, dtype=np.float64)
+        terms = np.ascontiguousarray(terms, dtype=np.float64)
         n, n_pix = block.shape
-        kept = codes.shape[2]
+        kept = terms.shape[-1]
         if (block.dtype.kind != "u" or inv.dtype != block.dtype or inv.shape != block.shape
-                or records.ndim != 1 or hits.ndim != 1 or codes.shape != (2, n_pix + 1, kept)
-                or levels.ndim != 1 or credits.shape != (n_pix + 1,)
+                or records.ndim != 1 or hits.ndim != 1 or terms.shape != (2, n_pix, kept)
+                or credits.shape != (n_pix + 1,)
                 or credits.dtype != np.float64 or not credits.flags.c_contiguous):
             raise ValueError("Shapley block arrays do not match the kernel's layout")
         status = fn(n, n_pix, kept, block.ctypes.data, inv.ctypes.data, block.itemsize,
                     records.ctypes.data, records.size, hits.ctypes.data, hits.size,
-                    codes.ctypes.data, codes[1].ctypes.data, levels.ctypes.data, levels.size,
-                    gray_logit, credits.ctypes.data)
+                    terms.ctypes.data, terms[1].ctypes.data, gray_logit, credits.ctypes.data)
         if status == -1:
             raise MemoryError("cannot allocate the Shapley kernel's scratch")
         if status:
@@ -127,12 +128,18 @@ def _build(command: list[str]):
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
     if not _private(cache):
         raise PermissionError(f"{cache} is not private to this user")
+    platform = [sysconfig.get_platform(), str(sysconfig.get_config_var("EXT_SUFFIX"))]
+    tag = hashlib.sha256("\0".join(platform).encode()).hexdigest()[:8]
     key = hashlib.sha256(b"\0".join([SOURCE.read_bytes(), shlex.join(command + [*_FLAGS]).encode(),
-                                     sysconfig.get_platform().encode(),
-                                     str(sysconfig.get_config_var("EXT_SUFFIX")).encode()]))
-    path = cache / f"_native-{key.hexdigest()[:16]}.so"
+                                     tag.encode()]))
+    path = cache / f"_native-{tag}-{key.hexdigest()[:16]}.so"
     if not _intact(path):
         os.replace(_compile(command, cache), path)
+        # older builds of this tag are stale; a process that has one mapped keeps it
+        for stale in cache.glob(f"_native-{tag}-*.so"):
+            if stale != path:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     return _bind(path), f"native ({path})"
 
 

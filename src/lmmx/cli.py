@@ -5,7 +5,9 @@ Subcommands: ``train``, ``evaluate``, ``explain``, ``metrics`` and
 sizes, such as ``--m`` or ``--steps``, need more memory than can be
 allocated), 2 data/format error or a path that cannot be read or written,
 3 numeric error; each ``LmmError`` class names its own.  Every failure
-prints one ``error:`` line to stderr, never a traceback.  Every run is fully determined by its
+prints one ``error:`` line to stderr, never a traceback.  A stdout closed
+early, as by ``| head``, ends the run with exit code 1 and nothing on
+stderr.  Every run is fully determined by its
 flags and seed (timing figures in metrics reports excepted, being
 wall-clock).
 """
@@ -163,11 +165,16 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _cmd_selftest(args) -> int:
+    return 0 if run_selftest() else 3
+
+
 _HANDLERS = {
     "train": _cmd_train,
     "evaluate": _cmd_evaluate,
     "explain": _cmd_explain,
     "metrics": _cmd_metrics,
+    "selftest": _cmd_selftest,
 }
 
 
@@ -179,8 +186,6 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse prints usage itself
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "selftest":
-            return 0 if run_selftest() else 3
         # a bad count is a usage error before anything is opened, whatever the method
         for name, floor in (("seed", 0), ("h1", 1), ("steps", 1), ("m", 1), ("ig_steps", 1),
                             ("permutations", 1)):
@@ -192,7 +197,13 @@ def run(argv) -> int:
             open(path, "a", encoding="utf-8").close()  # append mode truncates nothing
             if not existed:
                 os.remove(path)
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at shutdown
+        return code
+    except BrokenPipeError:  # stdout closed early, as by `| head`: not a path error
+        # shutdown flushes stdout again, so its leftover output goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except LmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

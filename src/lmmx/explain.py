@@ -149,7 +149,6 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     diff = x - GRAY
 
     ts = (np.arange(steps) + 0.5) / steps
-    slope = np.where(np.arange(2 * params.n_pixels) % 2 == 0, params.scales, -params.scales)
     w1 = params.minplus_weights
     ends = linear_layer(params, GRAY + ts[[0, -1], None] * diff)     # (2, 2P)
     low = ends.min(axis=0) + w1.T                                    # (H1, 2P)
@@ -157,7 +156,8 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     candidate = low[keep] <= bound[:, None]                          # (kept, 2P)
     used = np.flatnonzero(candidate.any(axis=0))
     candidate = candidate[:, used]
-    lin = slope[used] * (GRAY + ts[:, None] * diff[used // 2])       # (steps, used)
+    slope = np.where(used % 2 == 0, params.scales[used], -params.scales[used])  # signed scales
+    lin = slope * (GRAY + ts[:, None] * diff[used // 2])             # (steps, used)
     winners = np.empty((keep.size, steps), dtype=np.intp)            # columns of lin
     for j, h in enumerate(keep):
         rows = np.flatnonzero(candidate[j])
@@ -168,9 +168,9 @@ def integrated_gradients(params: LmmParams, x, steps: int = 50) -> ImportanceMap
     # the winning sums redone: the same float additions, so equal bit for bit
     hidden = lin[cols, winners] + w1[used[winners], keep[:, None]]
     h_star = np.argmax(hidden + params.maxplus_weights[keep, target, None], axis=0)
-    branch = used[winners[h_star, cols]]
+    picked = winners[h_star, cols]                                   # columns of lin
     mean_grad = np.zeros(params.n_pixels)
-    np.add.at(mean_grad, branch // 2, slope[branch])
+    np.add.at(mean_grad, used[picked] // 2, slope[picked])
     mean_grad /= steps
     return ImportanceMap(diff * mean_grad, DESCENDING)
 
@@ -331,13 +331,40 @@ def _events(block: np.ndarray, inv: np.ndarray, records: np.ndarray,
     return events.reshape(-1, n)
 
 
+def _order_codes(terms: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2, P + 1, kept) order codes of the (2, kept, P) biased ``terms``, and their ``levels``.
+
+    The numpy pass's codes are small unsigned integers in the order of the
+    terms they replace (uint8 or uint16 at the paper's shape, a quarter or
+    less of the bytes to move), and the maps keep every bit:
+
+    1. A kept neuron's biased activation never exceeds its biased bound
+       fl(b_h + c_h), so an unmarked term never sets a min, and all such
+       terms, and the padding pixel of row P, share one top code.
+    2. The marked terms are ranked by one ``np.unique``:
+       ranks keep the order and equal values share a code.  min and max
+       only select values, so on codes they select the value they select
+       on floats, and that value is ranked.
+    3. Decoding the logit through the sorted values returns that value's
+       bits, except that ``np.unique`` merges +0.0 and -0.0.  A decoded
+       zero of the other sign changes no nonzero step of the logit, only
+       the sign of a zero step, and adding either zero to a credit, which
+       is never -0.0, leaves it as it was.
+    """
+    # a 1-D argument, so the inverse is 1-D on numpy 1.24 and on 2.x
+    levels, ranks = np.unique(terms[low], return_inverse=True)
+    codes = np.full((2, terms.shape[2] + 1, terms.shape[1]), levels.size,
+                    dtype=np.min_scalar_type(levels.size))
+    codes[:, :-1].transpose(0, 2, 1)[low] = ranks
+    return codes, np.append(levels, np.inf)
+
+
 def _event_credits(events: np.ndarray, gray_codes: np.ndarray, image_codes: np.ndarray,
                    levels: np.ndarray, gray_logit: float, credits: np.ndarray) -> None:
     """Add each event's change of the logit to its pixel's credit, in (permutation, event) order.
 
-    ``gray_codes`` and ``image_codes`` are (P + 1, kept) order codes of the
-    biased terms, indices into ``levels``, whose last row, the padding
-    pixel, holds the top code.  After event i a neuron holds the min of its
+    ``gray_codes``, ``image_codes`` and ``levels`` come from
+    ``_order_codes``.  After event i a neuron holds the min of its
     image codes at events 0..i and of its gray codes at the later events;
     the logit is the max over neurons, decoded through ``levels``, and
     before the first event it is ``gray_logit``.  A block takes one
@@ -401,34 +428,16 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     Blocks of ``_BLOCK`` permutations and their gray records are memoized
     (``_block``).  Each block's event pass runs in the C kernel of
     ``lmmx._native``, compiled on the first call in a process or loaded
-    from the user's cache.  It marks each permutation's events in a bitset
-    and adds the credits with the same float operations, in the same
-    order, as the numpy pass (``_events``, then ``_event_credits``), which
-    runs only where no kernel can be built; both give byte-equal maps.
-    ``_events`` pads a permutation with fewer events than the most with a
-    dummy pixel whose codes are the top code (below); the kernel walks each
-    permutation's own events.
-
-    The running mins run on order codes, small unsigned integers in the
-    order of the biased terms they replace, and the maps keep every bit:
-
-    1. A kept neuron's biased activation never exceeds its biased bound
-       fl(b_h + c_h), so an unmarked term never sets a min, and all such
-       terms, and the padding pixel, share one top code.
-    2. The marked terms are ranked by one ``np.unique``:
-       ranks keep the order and equal values share a code.  min and max
-       only select values, so on codes they select the value they select
-       on floats, and that value is ranked.
-    3. Decoding the logit through the sorted values returns that value's
-       bits, except that ``np.unique`` merges +0.0 and -0.0.  A decoded
-       zero of the other sign changes no nonzero step of the logit, only
-       the sign of a zero step, and adding either zero to a credit, which
-       is never -0.0, leaves it as it was.
-
-    The numpy pass takes codes as ``np.min_scalar_type`` of the top code,
-    uint8 or uint16 at the paper's shape: a quarter or less of float64
-    terms' bytes to move.  The kernel takes them as int32 whatever their
-    count.
+    from the user's cache.  It marks each permutation's events in a bitset,
+    runs the mins and the max on the biased terms themselves, and adds the
+    credits with the numpy pass's float operations in its order (that pass,
+    ``_order_codes``, ``_events`` and ``_event_credits``, runs only where no
+    kernel can be built).  Both give byte-equal maps, and the kernel needs
+    no mask: every term it reads at an event is a real term of the walk's
+    state, so the min over the events is at least the activation, and the
+    term that sets the activation is at most b_h, so marked (a hit or a
+    gray record), so an event.  The logits are the numpy pass's up to the
+    sign of a zero, which only zero steps see (point 3 of ``_order_codes``).
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
@@ -445,19 +454,17 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     low = terms <= bound[:, None] + out_bias                # the terms that can set a min
     depth = np.count_nonzero(low[0], axis=1)                # gray ranks that may be records
     hits = np.flatnonzero(low[1].any(axis=0))               # pixels whose image term may count
-    # a 1-D argument, so the inverse is 1-D on numpy 1.24 and on 2.x
-    levels, ranks = np.unique(terms[low], return_inverse=True)
-    kernel = _native.kernel()
-    codes = np.full((2, n_pix + 1, keep.size), levels.size,  # row n_pix is the dummy pixel
-                    dtype=np.int32 if kernel else np.min_scalar_type(levels.size))
-    codes[:, :-1].transpose(0, 2, 1)[low] = ranks
-    levels = np.append(levels, np.inf)
     gray_logit = terms[0].min(axis=1).max()
+    kernel = _native.kernel()
+    if kernel:
+        table = np.ascontiguousarray(terms.transpose(0, 2, 1))     # (2, P, kept)
+    else:
+        codes, levels = _order_codes(terms, low)
 
     credits = np.zeros(n_pix + 1)
     for block, inv, records in _blocks(seed, n_pix, permutations, at_gray, keep, depth):
         if kernel:
-            kernel(block, inv, records, hits, codes, levels, gray_logit, credits)
+            kernel(block, inv, records, hits, table, gray_logit, credits)
         else:
             _event_credits(_events(block, inv, records, hits), codes[0], codes[1], levels,
                            gray_logit, credits)

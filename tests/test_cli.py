@@ -533,6 +533,17 @@ class TestUsageAndSelftest:
         assert proc.returncode == 3, proc.stderr
         assert "selftest forward-vs-bruteforce: FAIL" in proc.stdout
 
+    def test_closed_stdout_exits_one_quietly(self):
+        # the reader takes one line and closes the pipe, as `lmmx selftest | head -1` does
+        with subprocess.Popen([sys.executable, "-m", "lmmx.cli", "selftest"], env=package_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first.startswith("selftest shapley-path: ")
+        assert (code, stderr) == (1, "")
+
     def test_console_entry_point_under_a_minute(self):
         import time
         start = time.perf_counter()

@@ -597,8 +597,8 @@ class TestShapleyEventPass:
         # np.unique merges +0.0 and -0.0 into one code.  In the walk that
         # flips pixel 1 first the logit goes -0.5, +0.0, -0.0, so one of the
         # two zeros decodes with the other sign: pixel 0's step is -0.0 on
-        # floats and +0.0 on codes, and either added to its +0.0 credit
-        # gives +0.0.
+        # floats (the kernel) and +0.0 on codes (the numpy pass), and either
+        # added to its +0.0 credit gives +0.0.
         w1 = np.array([[0.5, -0.25], [-0.0, 0.5], [0.0, 0.25], [-0.0, -0.0]])
         params = LmmParams(np.ones(4), w1, np.array([[-0.0, -0.0], [-0.0, 0.0]]))
         x = np.zeros(2)

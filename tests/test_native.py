@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import lmmx
 from lmmx import MedoidSet, _native, init_params, shapley_sampling
+from lmmx.explain import GRAY, _blocks, prune
+from lmmx.network import image_terms, pixel_mins
 from lmmx.selftest import random_params
 
 from strategies import walk_nets
@@ -33,6 +35,17 @@ def both_paths(params, x, permutations, seed):
     return native, numpy
 
 
+def bench_shape_net(seed, medoid):
+    """(params, x) at P = 784, H1 = 25, C = 2: uint16 draws, and about a dozen kept neurons."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(0, 256, (25, 784)) / 255.0
+    if medoid:
+        params = init_params(MedoidSet(vectors, np.arange(25) % 2, np.arange(25)), 5.0)
+    else:
+        params = random_params(rng, 784, 25, 2)
+    return params, np.clip(vectors[rng.integers(25)] + rng.integers(-20, 21, 784) / 255.0, 0, 1)
+
+
 @pytest.mark.parametrize("walk_seed", [0, 7])
 @pytest.mark.parametrize("permutations", [1, 7, 256, 257, 600, 1100])
 class TestBothPaths:
@@ -46,16 +59,96 @@ class TestBothPaths:
     @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), medoid=st.booleans())
     def test_equal_maps_on_bench_shape_nets(self, kernel, permutations, walk_seed, seed, medoid):
-        # P = 784, H1 = 25, C = 2: uint16 draws, and about a dozen kept neurons
-        rng = np.random.default_rng(seed)
-        vectors = rng.integers(0, 256, (25, 784)) / 255.0
-        if medoid:
-            params = init_params(MedoidSet(vectors, np.arange(25) % 2, np.arange(25)), 5.0)
-        else:
-            params = random_params(rng, 784, 25, 2)
-        x = np.clip(vectors[rng.integers(25)] + rng.integers(-20, 21, 784) / 255.0, 0.0, 1.0)
+        params, x = bench_shape_net(seed, medoid)
         native, numpy = both_paths(params, x, permutations, walk_seed)
         assert native == numpy
+
+
+def walk_tables(params, x, permutations, seed):
+    """``shapley_sampling``'s kernel arguments: (terms, low, hits, gray_logit, blocks).
+
+    ``terms`` is the (2, P, kept) table the kernel reads and ``low`` its mask
+    of the terms that can set a min.
+    """
+    _, at_image, _, logits = image_terms(params, x)
+    out_bias = params.maxplus_weights[:, np.argmax(logits)]
+    at_gray = pixel_mins(params, np.full(params.n_pixels, GRAY))
+    keep, bound = prune(np.minimum(at_gray, at_image), np.maximum(at_gray, at_image), out_bias)
+    terms = np.stack([at_gray[keep], at_image[keep]]) + out_bias[keep, None]
+    low = terms <= (bound + out_bias[keep])[:, None]
+    blocks = _blocks(seed, params.n_pixels, permutations, at_gray, keep,
+                     np.count_nonzero(low[0], axis=1))
+    return (terms.transpose(0, 2, 1), low.transpose(0, 2, 1),
+            np.flatnonzero(low[1].any(axis=0)), terms[0].min(axis=1).max(), list(blocks))
+
+
+def kernel_credits(kernel, terms, hits, gray_logit, blocks):
+    credits = np.zeros(terms.shape[1] + 1)
+    for block, inv, records in blocks:
+        kernel(block, inv, records, hits, terms, gray_logit, credits)
+    return credits
+
+
+class TestMasking:
+    """Every term the kernel reads at an event is a real term of the state, so an
+    unmarked term, at +inf or at its own value, never sets what it returns."""
+
+    def assert_unmasked_equal(self, kernel, params, x, permutations):
+        terms, low, hits, gray_logit, blocks = walk_tables(params, x, permutations, 5)
+        credits = kernel_credits(kernel, terms, hits, gray_logit, blocks)
+        assert (credits[:-1] / permutations).tobytes() == shapley_sampling(
+            params, x, permutations=permutations, seed=5).scores.tobytes()
+        masked = kernel_credits(kernel, np.where(low, terms, np.inf), hits, gray_logit, blocks)
+        assert masked.tobytes() == credits.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from([9, 300]))
+    def test_on_tie_heavy_nets(self, kernel, data, permutations):
+        params, (x,) = data.draw(walk_nets(n_rows=1))
+        self.assert_unmasked_equal(kernel, params, x, permutations)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), medoid=st.booleans())
+    def test_on_bench_shape_nets(self, kernel, seed, medoid):
+        self.assert_unmasked_equal(kernel, *bench_shape_net(seed, medoid), 300)
+
+
+class TestKernelErrors:
+    """Each index the kernel reads is checked: a bad one raises, and no credit turns non-finite."""
+
+    @pytest.fixture
+    def args(self):
+        rng = np.random.default_rng(3)
+        block = np.stack([rng.permutation(10) for _ in range(3)]).astype(np.uint8)
+        inv = np.argsort(block, axis=1).astype(np.uint8)
+        return dict(block=block, inv=inv, records=np.array([0, 14]), hits=np.array([2]),
+                    terms=rng.uniform(-1, 1, (2, 10, 4)), gray_logit=0.25, credits=np.zeros(11))
+
+    def raises(self, kernel, args):
+        with pytest.raises(ValueError):
+            kernel(**args)
+        assert np.isfinite(args["credits"]).all()
+
+    def test_valid_arguments_run(self, kernel, args):
+        kernel(**args)
+        assert np.isfinite(args["credits"]).all() and args["credits"].any()
+
+    def test_record_past_the_block(self, kernel, args):
+        args["records"] = np.array([0, 3 * 10])
+        self.raises(kernel, args)
+
+    def test_hit_past_the_pixels(self, kernel, args):
+        args["hits"] = np.array([2, 10])
+        self.raises(kernel, args)
+
+    def test_drawn_pixel_past_the_pixels(self, kernel, args):
+        args["block"][1, 4] = 10            # position 4 of permutation 1 is record 14
+        self.raises(kernel, args)
+
+    @pytest.mark.parametrize("shape", [(2, 11, 4), (3, 10, 4), (2, 10), (10, 4)])
+    def test_terms_of_another_shape(self, kernel, args, shape):
+        args["terms"] = np.zeros(shape)
+        self.raises(kernel, args)
 
 
 class TestFallback:
@@ -113,6 +206,25 @@ class TestCache:
         assert (second.returncode, second.stdout, second.stderr) == (0, first.stdout, "")
         assert (library.stat().st_ino, library.stat().st_mtime_ns) == (built.st_ino,
                                                                       built.st_mtime_ns)
+
+    def test_a_build_removes_the_stale_libraries_of_its_tag(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "lmmx"
+        cache.mkdir(mode=0o700)
+        other = cache / "_native-othertag-0123456789abcdef.so"      # another interpreter's
+        other.write_bytes(b"a library of another platform\n")
+        edited = tmp_path / "_native.c"
+        edited.write_text(_native.SOURCE.read_text() + "/* an earlier version */\n")
+        source = _native.SOURCE
+        monkeypatch.setattr(_native, "SOURCE", edited)
+        assert _native._load.__wrapped__()[0] is not None
+        (stale,) = set(cache.iterdir()) - {other}
+        monkeypatch.setattr(_native, "SOURCE", source)
+        _, status = _native._load.__wrapped__()
+        (fresh,) = set(cache.iterdir()) - {other}
+        assert fresh != stale and status == f"native ({fresh})"
+        assert fresh.name.split("-")[1] == stale.name.split("-")[1]      # one tag
+        assert other.read_bytes() == b"a library of another platform\n"
 
     def test_truncated_library_is_rebuilt(self, kernel, tmp_path):
         first = package_run(tmp_path, STATUS)
