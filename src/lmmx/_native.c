@@ -2,17 +2,18 @@
  *
  * The numpy pass this replaces is ``_events`` followed by ``_event_credits``;
  * see their docstrings and ``shapley_sampling``'s for why the events alone
- * decide every step of the logit.  Per permutation k of the block:
+ * decide every step of the logit.  ``_blocks`` makes the block's event keys,
+ * k * P + position, once for both passes, so the kernel only walks and
+ * credits.  Per permutation k of the block:
  *
- *   1. mark the event positions in a bitset: the gray-term records that
- *      fall in permutation k, and the positions of the ``hits`` pixels;
- *   2. read the marked positions in ascending order, so the events come in
- *      walk order, each position once;
- *   3. run each kept neuron's biased gray terms as a suffix min backward
+ *   1. read the marked positions of permutation k in ascending order from
+ *      a bitset of every key, so the events come in walk order, each
+ *      position once;
+ *   2. run each kept neuron's biased gray terms as a suffix min backward
  *      over the events, then its image terms as a prefix min forward; after
  *      event i the neuron's activation is the min of the two, and the
  *      logit is the max over kept neurons;
- *   4. add the logit after event i minus the logit before it to the
+ *   3. add the logit after event i minus the logit before it to the
  *      flipped pixel's credit, starting from ``gray_logit``.
  *
  * The terms need no mask (``shapley_sampling`` says why) and min and max
@@ -56,24 +57,23 @@ static int lowest_bit(uint64_t bits)
 
 /* Adds the block's event credits to ``credits`` (P + 1 doubles).  Returns 0;
  * -1 when its scratch cannot be allocated, having added nothing; -2 when a
- * record, hit or drawn pixel is out of range, having added an unspecified
- * part of the credits.
+ * key is out of range, having added nothing, or a drawn pixel is, having
+ * added an unspecified part of the credits.
  *
- * block        (n, P) pixel at each position of each permutation, and
- * inv          (n, P) position of each pixel, both unsigned of ``width`` bytes
- * records      flat k * P + position of the gray-term records, k < n
- * hits         the pixels whose image term may set a min
+ * block        (n, P) pixel at each position of each permutation, unsigned
+ *              of ``width`` bytes
+ * keys         k * P + position of every event, k < n, in any order and
+ *              with repeats
  * gray_terms   (P, kept) biased gray and image terms of the kept neurons,
  * image_terms  pixel-major
  */
 int lmmx_shapley_block(int64_t n, int64_t n_pix, int64_t kept, const void *block,
-                       const void *inv, int64_t width, const int64_t *records,
-                       int64_t n_records, const int64_t *hits, int64_t n_hits,
+                       int64_t width, const int64_t *keys, int64_t n_keys,
                        const double *gray_terms, const double *image_terms,
                        double gray_logit, double *credits)
 {
     const int64_t cells = n * n_pix;
-    /* bit k * P + position marks an event: the flat keys index it directly */
+    /* bit k * P + position marks an event: the keys index it directly */
     uint64_t *marks = calloc((size_t)(cells / 64 + 1), sizeof *marks);
     int64_t *events = malloc((size_t)n_pix * sizeof *events);
     double *suffix = malloc((size_t)((n_pix + 1) * kept) * sizeof *suffix);
@@ -86,27 +86,15 @@ int lmmx_shapley_block(int64_t n, int64_t n_pix, int64_t kept, const void *block
         return -1;
     }
     int status = 0;
-    for (int64_t r = 0; r < n_records; r++) {
-        if (records[r] < 0 || records[r] >= cells) {
+    for (int64_t r = 0; r < n_keys; r++) {
+        if (keys[r] < 0 || keys[r] >= cells) {
             status = -2;
             break;
         }
-        marks[records[r] / 64] |= (uint64_t)1 << (records[r] % 64);
-    }
-    for (int64_t h = 0; h < n_hits && !status; h++) {
-        if (hits[h] < 0 || hits[h] >= n_pix)
-            status = -2;
+        marks[keys[r] / 64] |= (uint64_t)1 << (keys[r] % 64);
     }
     for (int64_t k = 0; k < n && !status; k++) {
         const int64_t first = k * n_pix, end = first + n_pix;
-        for (int64_t h = 0; h < n_hits; h++) {
-            const int64_t pos = entry(inv, width, first + hits[h]);
-            if (pos >= n_pix) {
-                status = -2;
-                break;
-            }
-            marks[(first + pos) / 64] |= (uint64_t)1 << ((first + pos) % 64);
-        }
         int64_t m = 0;
         for (int64_t w = first / 64; w <= (end - 1) / 64 && !status; w++) {
             uint64_t bits = marks[w];

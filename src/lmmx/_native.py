@@ -12,11 +12,14 @@ earlier process left in the cache, ``$XDG_CACHE_HOME/lmmx`` or
 the tag is a short hash of the platform and the extension suffix, and the
 hash one of the source, the compiler command and the tag.  It is written
 under a temporary name and moved into place with ``os.replace``, so
-concurrent processes never see half a file, and then the tag's other
-libraries, stale builds, are removed; another interpreter's tag keeps its
-own.  It ends with the sha256 of the library before
-it; a file whose digest does not match, a truncated one say, is rebuilt
-before it is loaded.  A cache directory that cannot be written, or is not the user's
+concurrent processes never see half a file.  It ends with the sha256 of the
+library before it; a file whose digest does not match, a truncated one
+say, is rebuilt before it is loaded.  Each load refreshes its library's
+mtime, so two sources used in turn, say two checkouts on one interpreter,
+each keep theirs.  A new build keeps its tag's ``_KEEP`` most recently
+used libraries and removes the rest of the tag and every untagged
+``_native-<hash>.so`` an older lmmx left; another interpreter's tag keeps
+its own.  A cache directory that cannot be written, or is not the user's
 own, gives way to a private temporary directory for the compile.  Every
 failure falls back to the numpy pass silently, with no output and no
 warning; only ``lmmx selftest`` prints ``status()``.
@@ -41,6 +44,7 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_native.c")
 _FLAGS = ("-O3", "-shared", "-fPIC")
 _DIGEST = 32      # bytes of the sha256 trailer
+_KEEP = 4         # libraries of one tag the cache keeps
 
 
 def _cache_dir() -> Path:
@@ -86,37 +90,49 @@ def _bind(path: Path):
     """The block pass of the library at ``path``, wrapped to take numpy arrays."""
     fn = ctypes.CDLL(str(path)).lmmx_shapley_block
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, i64, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ctypes.c_double,
-                   ptr]
+    fn.argtypes = [i64, i64, i64, ptr, i64, ptr, i64, ptr, ptr, ctypes.c_double, ptr]
     fn.restype = ctypes.c_int
 
-    def block_credits(block, inv, records, hits, terms, gray_logit, credits):
+    def block_credits(block, keys, terms, gray_logit, credits):
         """Add the block's event credits to ``credits``, as ``_event_credits`` of ``_events``.
 
-        ``block`` and ``inv`` share one unsigned dtype, and ``terms`` is the
-        (2, P, kept) stack of biased gray and image terms.  Shapes and
-        dtypes are checked here; the kernel checks every index it reads.
+        ``block`` holds unsigned draws, ``keys`` the event keys of
+        ``explain._blocks`` and ``terms`` the (2, P, kept) stack of biased
+        gray and image terms.  Shapes and dtypes are checked here; the
+        kernel checks every index it reads.
         """
-        block, inv = np.ascontiguousarray(block), np.ascontiguousarray(inv)
-        records = np.ascontiguousarray(records, dtype=np.int64)
-        hits = np.ascontiguousarray(hits, dtype=np.int64)
+        block = np.ascontiguousarray(block)
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
         terms = np.ascontiguousarray(terms, dtype=np.float64)
         n, n_pix = block.shape
         kept = terms.shape[-1]
-        if (block.dtype.kind != "u" or inv.dtype != block.dtype or inv.shape != block.shape
-                or records.ndim != 1 or hits.ndim != 1 or terms.shape != (2, n_pix, kept)
+        if (block.dtype.kind != "u" or keys.ndim != 1 or terms.shape != (2, n_pix, kept)
                 or credits.shape != (n_pix + 1,)
                 or credits.dtype != np.float64 or not credits.flags.c_contiguous):
             raise ValueError("Shapley block arrays do not match the kernel's layout")
-        status = fn(n, n_pix, kept, block.ctypes.data, inv.ctypes.data, block.itemsize,
-                    records.ctypes.data, records.size, hits.ctypes.data, hits.size,
-                    terms.ctypes.data, terms[1].ctypes.data, gray_logit, credits.ctypes.data)
+        status = fn(n, n_pix, kept, block.ctypes.data, block.itemsize, keys.ctypes.data,
+                    keys.size, terms.ctypes.data, terms[1].ctypes.data, gray_logit,
+                    credits.ctypes.data)
         if status == -1:
             raise MemoryError("cannot allocate the Shapley kernel's scratch")
         if status:
             raise ValueError("a Shapley block index is out of range")
 
     return block_credits
+
+
+def _evict(cache: Path, tag: str, fresh: Path) -> None:
+    """Remove the tag's libraries but ``fresh`` and the ``_KEEP - 1`` others used last, and
+    every untagged one; a process that has one mapped keeps it."""
+    def used(path):
+        with contextlib.suppress(OSError):
+            return path.stat().st_mtime_ns
+        return 0
+
+    tagged = sorted(set(cache.glob(f"_native-{tag}-*.so")) - {fresh}, key=used, reverse=True)
+    for stale in tagged[_KEEP - 1:] + list(cache.glob("_native-" + "[0-9a-f]" * 16 + ".so")):
+        with contextlib.suppress(OSError):
+            stale.unlink()
 
 
 def _build(command: list[str]):
@@ -133,13 +149,12 @@ def _build(command: list[str]):
     key = hashlib.sha256(b"\0".join([SOURCE.read_bytes(), shlex.join(command + [*_FLAGS]).encode(),
                                      tag.encode()]))
     path = cache / f"_native-{tag}-{key.hexdigest()[:16]}.so"
-    if not _intact(path):
+    if _intact(path):
+        with contextlib.suppress(OSError):
+            os.utime(path)
+    else:
         os.replace(_compile(command, cache), path)
-        # older builds of this tag are stale; a process that has one mapped keeps it
-        for stale in cache.glob(f"_native-{tag}-*.so"):
-            if stale != path:
-                with contextlib.suppress(OSError):
-                    stale.unlink()
+        _evict(cache, tag, path)
     return _bind(path), f"native ({path})"
 
 

@@ -283,44 +283,43 @@ def _block(seed: int, n_pix: int, gray: _GrayKey, index: int) -> tuple:
 
 
 def _blocks(seed: int, n_pix: int, count: int, at_gray: np.ndarray, keep: np.ndarray,
-            depth: np.ndarray):
+            depth: np.ndarray, hits: np.ndarray):
     """The first ``count`` draws of ``default_rng(seed).permutation(n_pix)``, in blocks.
 
-    Each block comes with its inverse permutations and the flat indices of
-    kept neuron j's gray-term records among its ``depth[j]`` smallest terms.
-    Draws are sequential, so the last block read serves a prefix.  The memo
-    key is a ``_GrayKey`` of the gray terms: a sampled hash, full equality.
+    Each block of n draws comes with its event keys, one int64 array of
+    k * P + position that both block passes read: the records of kept neuron
+    j's gray terms among its ``depth[j]`` smallest, then the position of
+    every pixel of ``hits`` in each permutation k < n.  The keys are unsorted
+    and a position that is both is there twice.  Draws are sequential, so
+    the last block read serves a prefix.  The memo key is a ``_GrayKey`` of
+    the gray terms: a sampled hash, full equality.
     """
     gray, lo = _GrayKey(at_gray), keep * n_pix
     for index, start in enumerate(range(0, count, _BLOCK)):
         block, inv, key, flat, _ = _block(seed, n_pix, gray, index)
         n = min(_BLOCK, count - start)
-        taken = np.concatenate([flat[a:b] for a, b in zip(np.searchsorted(key, lo),
-                                                           np.searchsorted(key, lo + depth))])
-        yield block[:n], inv[:n], taken[taken < n * n_pix]
+        records = np.concatenate([flat[a:b] for a, b in zip(np.searchsorted(key, lo),
+                                                             np.searchsorted(key, lo + depth))])
+        hit = np.arange(0, n * n_pix, n_pix)[:, None] + inv[:n, hits]
+        yield block[:n], np.concatenate([records[records < n * n_pix], hit.ravel()])
 
 
-def _events(block: np.ndarray, inv: np.ndarray, records: np.ndarray,
-            hits: np.ndarray) -> np.ndarray:
+def _events(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Each permutation's event pixels in walk order, (most events, n), padded with pixel P.
 
     With ``_event_credits`` this is the numpy pass of one block, which runs
     only where the compiled kernel (``lmmx._native``) cannot be built.
 
-    The events are the positions in ``records`` (flat k * P + position) and
-    the positions of the pixels ``hits``; a position marked twice is one
-    event.  Both kinds are flat keys k * P + position, in the smallest
-    unsigned type that holds (n + 1) * P (uint32 at the paper's shape, half
-    the bytes of int64 to sort).  One sort puts them in (permutation,
-    position) order with each repeat next to its twin, a neighbour compare
-    drops the repeats, and ``np.searchsorted`` finds where each permutation
-    starts.
+    ``keys`` are ``_blocks``' flat k * P + position, each below n * P, in any
+    order and with repeats.  Cast to the smallest unsigned type that holds
+    (n + 1) * P (uint32 at the paper's shape, half the bytes of int64 to
+    sort), one sort puts them in (permutation, position) order with each
+    repeat next to its twin, a neighbour compare drops the repeats, and
+    ``np.searchsorted`` finds where each permutation starts.
     """
     n, n_pix = block.shape
     dtype = np.min_scalar_type((n + 1) * n_pix)
-    at = np.concatenate([records, (np.arange(0, n * n_pix, n_pix, dtype=dtype)[:, None]
-                                   + inv[:, hits]).ravel()],
-                        dtype=dtype, casting="unsafe")        # every key is below n * P
+    at = keys.astype(dtype)
     at.sort()
     at = at[np.concatenate(([True], at[1:] != at[:-1]))]
     starts = np.searchsorted(at, np.arange(0, (n + 1) * n_pix, n_pix, dtype=dtype))
@@ -332,7 +331,7 @@ def _events(block: np.ndarray, inv: np.ndarray, records: np.ndarray,
 
 
 def _order_codes(terms: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(2, P + 1, kept) order codes of the (2, kept, P) biased ``terms``, and their ``levels``.
+    """(2, P + 1, kept) order codes of the (2, P, kept) biased ``terms``, and their ``levels``.
 
     The numpy pass's codes are small unsigned integers in the order of the
     terms they replace (uint8 or uint16 at the paper's shape, a quarter or
@@ -353,9 +352,9 @@ def _order_codes(terms: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     # a 1-D argument, so the inverse is 1-D on numpy 1.24 and on 2.x
     levels, ranks = np.unique(terms[low], return_inverse=True)
-    codes = np.full((2, terms.shape[2] + 1, terms.shape[1]), levels.size,
+    codes = np.full((2, terms.shape[1] + 1, terms.shape[2]), levels.size,
                     dtype=np.min_scalar_type(levels.size))
-    codes[:, :-1].transpose(0, 2, 1)[low] = ranks
+    codes[:, :-1][low] = ranks
     return codes, np.append(levels, np.inf)
 
 
@@ -426,18 +425,20 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     a walk through every step.
 
     Blocks of ``_BLOCK`` permutations and their gray records are memoized
-    (``_block``).  Each block's event pass runs in the C kernel of
-    ``lmmx._native``, compiled on the first call in a process or loaded
-    from the user's cache.  It marks each permutation's events in a bitset,
-    runs the mins and the max on the biased terms themselves, and adds the
-    credits with the numpy pass's float operations in its order (that pass,
-    ``_order_codes``, ``_events`` and ``_event_credits``, runs only where no
-    kernel can be built).  Both give byte-equal maps, and the kernel needs
-    no mask: every term it reads at an event is a real term of the walk's
-    state, so the min over the events is at least the activation, and the
-    term that sets the activation is at most b_h, so marked (a hit or a
-    gray record), so an event.  The logits are the numpy pass's up to the
-    sign of a zero, which only zero steps see (point 3 of ``_order_codes``).
+    (``_block``), and ``_blocks`` makes each block's event keys once.  The
+    biased terms are one pixel-major (2, P, kept) table.  Each block's
+    event pass runs in the C kernel of ``lmmx._native``, compiled on the
+    first call in a process or loaded from the user's cache.  It marks the
+    keys in a bitset, runs the mins and the max on the table itself, and
+    adds the credits with the numpy pass's float operations in its order
+    (that pass, ``_order_codes``, ``_events`` and ``_event_credits``, runs
+    only where no kernel can be built).  Both give byte-equal maps, and the
+    kernel needs no mask: every term it reads at an event is a real term of
+    the walk's state, so the min over the events is at least the
+    activation, and the term that sets the activation is at most b_h, so
+    marked (a hit or a gray record), so an event.  The logits are the numpy
+    pass's up to the sign of a zero, which only zero steps see (point 3 of
+    ``_order_codes``).
     """
     permutations = require_count(permutations, "permutations")
     seed = require_count(seed, "seed", 0)
@@ -448,24 +449,21 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     w2 = params.maxplus_weights
     keep, bound = prune(np.minimum(at_gray, at_image), np.maximum(at_gray, at_image),
                         w2[:, target])
-    out_bias = w2[keep, target, None]
-    terms = np.stack([at_gray[keep], at_image[keep]])      # (2, kept, P) biased terms
+    out_bias = w2[keep, target]
+    terms = np.stack([at_gray[keep].T, at_image[keep].T])     # (2, P, kept) biased terms
     terms += out_bias
-    low = terms <= bound[:, None] + out_bias                # the terms that can set a min
-    depth = np.count_nonzero(low[0], axis=1)                # gray ranks that may be records
-    hits = np.flatnonzero(low[1].any(axis=0))               # pixels whose image term may count
-    gray_logit = terms[0].min(axis=1).max()
+    low = terms <= bound + out_bias                          # the terms that can set a min
+    depth = np.count_nonzero(low[0], axis=0)                 # gray ranks that may be records
+    hits = np.flatnonzero(low[1].any(axis=1))                # pixels whose image term may count
+    gray_logit = terms[0].min(axis=0).max()
     kernel = _native.kernel()
-    if kernel:
-        table = np.ascontiguousarray(terms.transpose(0, 2, 1))     # (2, P, kept)
-    else:
+    if not kernel:
         codes, levels = _order_codes(terms, low)
 
     credits = np.zeros(n_pix + 1)
-    for block, inv, records in _blocks(seed, n_pix, permutations, at_gray, keep, depth):
+    for block, keys in _blocks(seed, n_pix, permutations, at_gray, keep, depth, hits):
         if kernel:
-            kernel(block, inv, records, hits, table, gray_logit, credits)
+            kernel(block, keys, terms, gray_logit, credits)
         else:
-            _event_credits(_events(block, inv, records, hits), codes[0], codes[1], levels,
-                           gray_logit, credits)
+            _event_credits(_events(block, keys), codes[0], codes[1], levels, gray_logit, credits)
     return ImportanceMap(credits[:n_pix] / permutations, DESCENDING)

@@ -722,13 +722,12 @@ class TestShapleyRecordMemo:
         assert explain._block.cache_info().hits == 1
 
 
-def reference_events(block, inv, records, hits):
+def reference_events(block, keys):
     """``_events`` by its definition: mark each (permutation, position) in an (n, P)
     table, then read each permutation's marked pixels in walk order."""
     n, n_pix = block.shape
     marked = np.zeros((n, n_pix), dtype=bool)
-    marked.ravel()[records] = True
-    marked[np.arange(n)[:, None], inv[:, hits]] = True
+    marked.ravel()[keys] = True
     rows = [block[k, marked[k]] for k in range(n)]
     most = max(row.size for row in rows)
     return np.stack([np.pad(row, (0, most - row.size), constant_values=n_pix) for row in rows], 1)
@@ -752,8 +751,9 @@ class TestEvents:
         hit_flat = (np.arange(n)[:, None] * n_pix + inv[:, hits]).ravel()
         assert np.unique(records).size < records.size          # two neurons' record
         assert np.isin(hit_flat, records).any()                # a hit that is a record
-        got = explain._events(block, inv, records, hits)
-        expected = reference_events(block, inv, records, hits)
+        keys = rng.permutation(np.concatenate([records, hit_flat]))     # _blocks' keys, shuffled
+        got = explain._events(block, keys)
+        expected = reference_events(block, keys)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 

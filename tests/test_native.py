@@ -1,8 +1,11 @@
 """The compiled Shapley block kernel: equal maps on both paths, its fallback and its cache."""
 
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 from unittest import mock
 
@@ -65,27 +68,27 @@ class TestBothPaths:
 
 
 def walk_tables(params, x, permutations, seed):
-    """``shapley_sampling``'s kernel arguments: (terms, low, hits, gray_logit, blocks).
+    """``shapley_sampling``'s kernel arguments: (terms, low, gray_logit, blocks).
 
-    ``terms`` is the (2, P, kept) table the kernel reads and ``low`` its mask
-    of the terms that can set a min.
+    ``terms`` is the (2, P, kept) table the kernel reads, ``low`` its mask
+    of the terms that can set a min, and ``blocks`` the (block, keys) pairs
+    of ``_blocks``.
     """
     _, at_image, _, logits = image_terms(params, x)
     out_bias = params.maxplus_weights[:, np.argmax(logits)]
     at_gray = pixel_mins(params, np.full(params.n_pixels, GRAY))
     keep, bound = prune(np.minimum(at_gray, at_image), np.maximum(at_gray, at_image), out_bias)
-    terms = np.stack([at_gray[keep], at_image[keep]]) + out_bias[keep, None]
-    low = terms <= (bound + out_bias[keep])[:, None]
+    terms = np.stack([at_gray[keep].T, at_image[keep].T]) + out_bias[keep]
+    low = terms <= bound + out_bias[keep]
     blocks = _blocks(seed, params.n_pixels, permutations, at_gray, keep,
-                     np.count_nonzero(low[0], axis=1))
-    return (terms.transpose(0, 2, 1), low.transpose(0, 2, 1),
-            np.flatnonzero(low[1].any(axis=0)), terms[0].min(axis=1).max(), list(blocks))
+                     np.count_nonzero(low[0], axis=0), np.flatnonzero(low[1].any(axis=1)))
+    return terms, low, terms[0].min(axis=0).max(), list(blocks)
 
 
-def kernel_credits(kernel, terms, hits, gray_logit, blocks):
+def kernel_credits(kernel, terms, gray_logit, blocks):
     credits = np.zeros(terms.shape[1] + 1)
-    for block, inv, records in blocks:
-        kernel(block, inv, records, hits, terms, gray_logit, credits)
+    for block, keys in blocks:
+        kernel(block, keys, terms, gray_logit, credits)
     return credits
 
 
@@ -94,11 +97,11 @@ class TestMasking:
     unmarked term, at +inf or at its own value, never sets what it returns."""
 
     def assert_unmasked_equal(self, kernel, params, x, permutations):
-        terms, low, hits, gray_logit, blocks = walk_tables(params, x, permutations, 5)
-        credits = kernel_credits(kernel, terms, hits, gray_logit, blocks)
+        terms, low, gray_logit, blocks = walk_tables(params, x, permutations, 5)
+        credits = kernel_credits(kernel, terms, gray_logit, blocks)
         assert (credits[:-1] / permutations).tobytes() == shapley_sampling(
             params, x, permutations=permutations, seed=5).scores.tobytes()
-        masked = kernel_credits(kernel, np.where(low, terms, np.inf), hits, gray_logit, blocks)
+        masked = kernel_credits(kernel, np.where(low, terms, np.inf), gray_logit, blocks)
         assert masked.tobytes() == credits.tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -113,6 +116,32 @@ class TestMasking:
         self.assert_unmasked_equal(kernel, *bench_shape_net(seed, medoid), 300)
 
 
+class TestKeys:
+    """The kernel reads its keys as a set: any order and any repeats give the same credits."""
+
+    def assert_as_a_set(self, kernel, terms, gray_logit, blocks, rng):
+        unique = kernel_credits(kernel, terms, gray_logit,
+                                [(block, np.unique(keys)) for block, keys in blocks])
+        shuffled = kernel_credits(kernel, terms, gray_logit,
+                                  [(block, rng.permutation(np.concatenate([keys, keys[::3]])))
+                                   for block, keys in blocks])
+        assert kernel_credits(kernel, terms, gray_logit, blocks).tobytes() == unique.tobytes()
+        assert shuffled.tobytes() == unique.tobytes()
+
+    def test_a_gray_record_that_is_a_hit(self, kernel):
+        params, x = bench_shape_net(4, True)
+        terms, _, gray_logit, blocks = walk_tables(params, x, 300, 0)
+        assert all(np.unique(keys).size < keys.size for _, keys in blocks)
+        self.assert_as_a_set(kernel, terms, gray_logit, blocks, np.random.default_rng(1))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.sampled_from([9, 300]), st.integers(0, 2 ** 32 - 1))
+    def test_on_tie_heavy_nets(self, kernel, data, permutations, shuffle):
+        params, (x,) = data.draw(walk_nets(n_rows=1))
+        terms, _, gray_logit, blocks = walk_tables(params, x, permutations, 5)
+        self.assert_as_a_set(kernel, terms, gray_logit, blocks, np.random.default_rng(shuffle))
+
+
 class TestKernelErrors:
     """Each index the kernel reads is checked: a bad one raises, and no credit turns non-finite."""
 
@@ -120,8 +149,9 @@ class TestKernelErrors:
     def args(self):
         rng = np.random.default_rng(3)
         block = np.stack([rng.permutation(10) for _ in range(3)]).astype(np.uint8)
-        inv = np.argsort(block, axis=1).astype(np.uint8)
-        return dict(block=block, inv=inv, records=np.array([0, 14]), hits=np.array([2]),
+        inv = np.argsort(block, axis=1)
+        hit = np.arange(0, 30, 10) + inv[:, 2]                  # pixel 2 in each permutation
+        return dict(block=block, keys=np.concatenate([[14, 0], hit, [14]]),
                     terms=rng.uniform(-1, 1, (2, 10, 4)), gray_logit=0.25, credits=np.zeros(11))
 
     def raises(self, kernel, args):
@@ -134,21 +164,32 @@ class TestKernelErrors:
         assert np.isfinite(args["credits"]).all() and args["credits"].any()
 
     def test_record_past_the_block(self, kernel, args):
-        args["records"] = np.array([0, 3 * 10])
+        args["keys"] = np.array([0, 3 * 10])
         self.raises(kernel, args)
 
-    def test_hit_past_the_pixels(self, kernel, args):
-        args["hits"] = np.array([2, 10])
+    def test_negative_key(self, kernel, args):
+        args["keys"] = np.array([0, -1])
         self.raises(kernel, args)
 
     def test_drawn_pixel_past_the_pixels(self, kernel, args):
-        args["block"][1, 4] = 10            # position 4 of permutation 1 is record 14
+        args["block"][1, 4] = 10            # position 4 of permutation 1 is key 14
         self.raises(kernel, args)
 
     @pytest.mark.parametrize("shape", [(2, 11, 4), (3, 10, 4), (2, 10), (10, 4)])
     def test_terms_of_another_shape(self, kernel, args, shape):
         args["terms"] = np.zeros(shape)
         self.raises(kernel, args)
+
+
+def test_source_compiles_with_every_warning_an_error(tmp_path):
+    cc = sysconfig.get_config_var("CC")
+    command = shlex.split(cc) if cc else []
+    if not command or shutil.which(command[0]) is None:
+        pytest.skip("no C compiler here")
+    proc = subprocess.run(command + ["-Wall", "-Wextra", "-Werror", *_native._FLAGS, "-o",
+                                     str(tmp_path / "kernel.so"), str(_native.SOURCE)],
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestFallback:
@@ -174,9 +215,11 @@ class TestFallbackReasons:
         assert capsys.readouterr() == ("", "")
 
     def test_compile_failure_is_silent(self, tmp_path, monkeypatch, capsys):
-        broken = tmp_path / "broken.c"
-        broken.write_text("this is not C\n")
-        monkeypatch.setattr(_native, "SOURCE", broken)
+        # a compiler that exists and fails, on any host: the interpreter exiting 1
+        failing = shlex.join([sys.executable, "-c", "raise SystemExit(1)"])
+        config = sysconfig.get_config_var
+        monkeypatch.setattr(_native.sysconfig, "get_config_var",
+                            lambda name: failing if name == "CC" else config(name))
         assert _native._load.__wrapped__() == (None, "numpy (compile failed)")
         assert capsys.readouterr() == ("", "")
         assert [p.name for p in (tmp_path / "lmmx").iterdir()] == []    # no temporary left
@@ -201,30 +244,62 @@ class TestCache:
         (library,) = (tmp_path / "lmmx").iterdir()           # no temporary file left
         assert first.stdout == f"native ({library})\n"
         assert (tmp_path / "lmmx").stat().st_mode & 0o777 == 0o700
-        built = library.stat()
+        built, whole = library.stat(), library.read_bytes()
         second = package_run(tmp_path, STATUS)
         assert (second.returncode, second.stdout, second.stderr) == (0, first.stdout, "")
-        assert (library.stat().st_ino, library.stat().st_mtime_ns) == (built.st_ino,
-                                                                      built.st_mtime_ns)
+        assert (library.stat().st_ino, library.read_bytes()) == (built.st_ino, whole)
+        assert library.stat().st_mtime_ns >= built.st_mtime_ns     # the load marks it used
 
-    def test_a_build_removes_the_stale_libraries_of_its_tag(self, kernel, tmp_path, monkeypatch):
+    @pytest.fixture
+    def sources(self, tmp_path, monkeypatch):
+        """Load the library of the real ``SOURCE`` or of an edited copy, in a private cache;
+        returns (load, compiled), ``compiled`` listing each build's source."""
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        cache = tmp_path / "lmmx"
-        cache.mkdir(mode=0o700)
-        other = cache / "_native-othertag-0123456789abcdef.so"      # another interpreter's
-        other.write_bytes(b"a library of another platform\n")
         edited = tmp_path / "_native.c"
-        edited.write_text(_native.SOURCE.read_text() + "/* an earlier version */\n")
-        source = _native.SOURCE
-        monkeypatch.setattr(_native, "SOURCE", edited)
-        assert _native._load.__wrapped__()[0] is not None
-        (stale,) = set(cache.iterdir()) - {other}
-        monkeypatch.setattr(_native, "SOURCE", source)
-        _, status = _native._load.__wrapped__()
-        (fresh,) = set(cache.iterdir()) - {other}
-        assert fresh != stale and status == f"native ({fresh})"
-        assert fresh.name.split("-")[1] == stale.name.split("-")[1]      # one tag
-        assert other.read_bytes() == b"a library of another platform\n"
+        edited.write_text(_native.SOURCE.read_text() + "/* another version */\n")
+        real, compile_, compiled = _native.SOURCE, _native._compile, []
+
+        def counting(command, directory):
+            compiled.append(_native.SOURCE)
+            return compile_(command, directory)
+
+        def load(source):
+            monkeypatch.setattr(_native, "SOURCE", {"real": real, "edited": edited}[source])
+            found, status = _native._load.__wrapped__()
+            assert found is not None
+            return Path(status[len("native ("):-1])
+
+        monkeypatch.setattr(_native, "_compile", counting)
+        return load, compiled
+
+    def test_two_sources_in_turn_compile_once_each(self, kernel, tmp_path, sources):
+        load, compiled = sources
+        first = {source: load(source) for source in ("real", "edited")}
+        inodes = {source: path.stat().st_ino for source, path in first.items()}
+        for source in ("real", "edited", "real", "edited"):
+            path = load(source)
+            assert (path, path.stat().st_ino) == (first[source], inodes[source])
+        assert len(compiled) == 2
+        assert set((tmp_path / "lmmx").iterdir()) == set(first.values())
+
+    def test_a_build_keeps_its_tags_libraries_used_last(self, kernel, tmp_path, sources):
+        load, compiled = sources
+        used = load("edited")
+        tag = used.name.split("-")[1]
+        cache = used.parent
+        older = [cache / f"_native-{tag}-{i:016x}.so" for i in range(3)]    # least recent first
+        for age, path in enumerate(older):
+            path.write_bytes(b"an older build\n")
+            os.utime(path, ns=(10 ** 18 + age, 10 ** 18 + age))
+        untagged = cache / "_native-42364320e5c88995.so"        # an older lmmx's name
+        other = cache / "_native-othertag-0123456789abcdef.so"   # another interpreter's
+        for path in (untagged, other):
+            path.write_bytes(b"a library\n")
+        os.utime(used, ns=(10 ** 18 - 1, 10 ** 18 - 1))      # built before all of them
+        assert load("edited") == used                           # but used since
+        fresh = load("real")
+        assert len(compiled) == 2
+        assert set(cache.iterdir()) == {fresh, used, *older[1:], other}
 
     def test_truncated_library_is_rebuilt(self, kernel, tmp_path):
         first = package_run(tmp_path, STATUS)
