@@ -1,10 +1,12 @@
-/* One block of the Shapley event pass of lmmx.explain.shapley_sampling.
+/* The two compiled kernels of lmmx, in one plain shared library.
  *
- * The numpy pass this replaces is ``_events`` followed by ``_event_credits``;
- * see their docstrings and ``shapley_sampling``'s for why the events alone
- * decide every step of the logit.  ``_blocks`` makes the block's event keys,
- * k * P + position, once for both passes, so the kernel only walks and
- * credits.  Per permutation k of the block:
+ * lmmx_shapley_block: one block of the Shapley event pass of
+ * lmmx.explain.shapley_sampling.  The numpy pass this replaces is
+ * ``_events`` followed by ``_event_credits``; see their docstrings and
+ * ``shapley_sampling``'s for why the events alone decide every step of the
+ * logit.  ``_blocks`` makes the block's event keys, k * P + position, once
+ * for both passes, so the kernel only walks and credits.  Per permutation k
+ * of the block:
  *
  *   1. read the marked positions of permutation k in ascending order from
  *      a bitset of every key, so the events come in walk order, each
@@ -21,9 +23,15 @@
  * credits take the same float64 subtractions and additions in the same
  * order, permutation by permutation: every map keeps its bits.
  *
+ * lmmx_chebyshev_stripe: one row stripe of the uint8 Chebyshev distance
+ * matrix of lmmx.medoids._chebyshev_matrix, as ``medoids._stripe``'s numpy
+ * blocks fill it.  Distances are whole pixel levels, max |a - b| over the
+ * pixels, so every cell is exact and the matrix is byte-equal on both paths.
+ *
  * Built by ``lmmx._native`` as a plain shared library with the
  * interpreter's C compiler at -O3, with no fast-math and no -march flag,
- * and called through ctypes.  No Python API is used.
+ * and called through ctypes, which releases the GIL for the call.  No
+ * Python API is used.
  */
 
 #include <math.h>
@@ -144,4 +152,43 @@ int lmmx_shapley_block(int64_t n, int64_t n_pix, int64_t kept, const void *block
     free(suffix);
     free(prefix);
     return status;
+}
+
+/* Fills rows i0 .. i1 - 1 of the (n, n) uint8 Chebyshev matrix ``dist``
+ * from the diagonal on, and each value's transpose, from the (n, P) uint8
+ * pixel levels ``units``.  The caller checks 0 <= i0 < i1 <= n.  Cell
+ * (x, y) is written only by the stripe that holds min(x, y), so stripes on
+ * different threads write disjoint cells.  Four rows of the stripe go
+ * against each later row at once, so each of its bytes is read once per
+ * four distances.
+ */
+void lmmx_chebyshev_stripe(int64_t n, int64_t n_pix, const uint8_t *units, uint8_t *dist,
+                           int64_t i0, int64_t i1)
+{
+    for (int64_t i = i0; i < i1; i += 4) {
+        const int64_t rows = i1 - i < 4 ? i1 - i : 4;
+        const uint8_t *a0 = units + i * n_pix;          /* past the stripe: row i again */
+        const uint8_t *a1 = rows > 1 ? a0 + n_pix : a0;
+        const uint8_t *a2 = rows > 2 ? a0 + 2 * n_pix : a0;
+        const uint8_t *a3 = rows > 3 ? a0 + 3 * n_pix : a0;
+        for (int64_t j = i; j < n; j++) {
+            const uint8_t *b = units + j * n_pix;
+            uint8_t m0 = 0, m1 = 0, m2 = 0, m3 = 0;
+            for (int64_t p = 0; p < n_pix; p++) {
+                const uint8_t v = b[p];
+                const uint8_t d0 = a0[p] > v ? a0[p] - v : v - a0[p];
+                const uint8_t d1 = a1[p] > v ? a1[p] - v : v - a1[p];
+                const uint8_t d2 = a2[p] > v ? a2[p] - v : v - a2[p];
+                const uint8_t d3 = a3[p] > v ? a3[p] - v : v - a3[p];
+                m0 = d0 > m0 ? d0 : m0;
+                m1 = d1 > m1 ? d1 : m1;
+                m2 = d2 > m2 ? d2 : m2;
+                m3 = d3 > m3 ? d3 : m3;
+            }
+            /* row i + r against j < i + r is its own stripe's cell: the same value */
+            const uint8_t m[4] = {m0, m1, m2, m3};
+            for (int64_t r = 0; r < rows; r++)
+                dist[(i + r) * n + j] = dist[j * n + i + r] = m[r];
+        }
+    }
 }

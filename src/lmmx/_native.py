@@ -1,8 +1,12 @@
-"""The compiled Shapley block pass (``_native.c``), built on first use.
+"""The compiled kernels (``_native.c``), built on first use.
 
-``kernel()`` returns a callable that does what ``explain._events`` and
-``explain._event_credits`` do for one block, or None where no kernel can be
-built; ``status()`` says which, and why.  Nothing is compiled at import.
+``kernel()`` returns a ``Kernel`` of the library's two functions, or None
+where no library can be built; ``status()`` says which, and why.  Nothing is
+compiled at import.  ``Kernel.shapley_block`` does what ``explain._events``
+and ``explain._event_credits`` do for one Shapley block, and
+``Kernel.chebyshev_stripe`` what ``medoids._stripe``'s numpy blocks do for
+one row stripe of the medoid distance matrix.  Both paths of each give the
+same bytes.
 
 The first call in a process compiles ``_native.c`` with the interpreter's
 own C compiler (``sysconfig``'s ``CC``, with ``-O3 -shared -fPIC``, no
@@ -21,8 +25,10 @@ used libraries and removes the rest of the tag and every untagged
 ``_native-<hash>.so`` an older lmmx left; another interpreter's tag keeps
 its own.  A cache directory that cannot be written, or is not the user's
 own, gives way to a private temporary directory for the compile.  Every
-failure falls back to the numpy pass silently, with no output and no
-warning; only ``lmmx selftest`` prints ``status()``.
+failure falls back to the numpy passes silently, with no output and no
+warning; only ``lmmx selftest`` prints ``status()``.  A caller that runs a
+kernel on threads calls ``kernel()`` first in its own thread, so no thread
+waits on the first compile.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +52,13 @@ SOURCE = Path(__file__).with_name("_native.c")
 _FLAGS = ("-O3", "-shared", "-fPIC")
 _DIGEST = 32      # bytes of the sha256 trailer
 _KEEP = 4         # libraries of one tag the cache keeps
+
+
+class Kernel(NamedTuple):
+    """The compiled library's functions, each wrapped to take numpy arrays."""
+
+    shapley_block: Callable
+    chebyshev_stripe: Callable
 
 
 def _cache_dir() -> Path:
@@ -86,12 +100,16 @@ def _intact(path: Path) -> bool:
     return len(data) > _DIGEST and hashlib.sha256(data[:-_DIGEST]).digest() == data[-_DIGEST:]
 
 
-def _bind(path: Path):
-    """The block pass of the library at ``path``, wrapped to take numpy arrays."""
-    fn = ctypes.CDLL(str(path)).lmmx_shapley_block
+def _bind(path: Path) -> Kernel:
+    """The functions of the library at ``path``, wrapped to take numpy arrays."""
+    library = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, i64, ptr, i64, ptr, i64, ptr, ptr, ctypes.c_double, ptr]
-    fn.restype = ctypes.c_int
+    block_fn = library.lmmx_shapley_block
+    block_fn.argtypes = [i64, i64, i64, ptr, i64, ptr, i64, ptr, ptr, ctypes.c_double, ptr]
+    block_fn.restype = ctypes.c_int
+    stripe_fn = library.lmmx_chebyshev_stripe
+    stripe_fn.argtypes = [i64, i64, ptr, ptr, i64, i64]
+    stripe_fn.restype = None
 
     def block_credits(block, keys, terms, gray_logit, credits):
         """Add the block's event credits to ``credits``, as ``_event_credits`` of ``_events``.
@@ -110,15 +128,28 @@ def _bind(path: Path):
                 or credits.shape != (n_pix + 1,)
                 or credits.dtype != np.float64 or not credits.flags.c_contiguous):
             raise ValueError("Shapley block arrays do not match the kernel's layout")
-        status = fn(n, n_pix, kept, block.ctypes.data, block.itemsize, keys.ctypes.data,
-                    keys.size, terms.ctypes.data, terms[1].ctypes.data, gray_logit,
-                    credits.ctypes.data)
+        status = block_fn(n, n_pix, kept, block.ctypes.data, block.itemsize, keys.ctypes.data,
+                          keys.size, terms.ctypes.data, terms[1].ctypes.data, gray_logit,
+                          credits.ctypes.data)
         if status == -1:
             raise MemoryError("cannot allocate the Shapley kernel's scratch")
         if status:
             raise ValueError("a Shapley block index is out of range")
 
-    return block_credits
+    def chebyshev_stripe(units, dist, i0, i1):
+        """Fill rows i0:i1 of ``dist`` from the diagonal on, and their transposes.
+
+        ``units`` is the C-contiguous (n, P) uint8 pixel levels and ``dist``
+        the C-contiguous (n, n) uint8 matrix; both and ``0 <= i0 < i1 <= n``
+        are checked here, before the kernel runs, since it checks nothing.
+        """
+        if (units.dtype != np.uint8 or dist.dtype != np.uint8 or units.ndim != 2
+                or dist.shape != (units.shape[0],) * 2 or not units.flags.c_contiguous
+                or not dist.flags.c_contiguous or not 0 <= i0 < i1 <= units.shape[0]):
+            raise ValueError("Chebyshev stripe arrays do not match the kernel's layout")
+        stripe_fn(*units.shape, units.ctypes.data, dist.ctypes.data, i0, i1)
+
+    return Kernel(block_credits, chebyshev_stripe)
 
 
 def _evict(cache: Path, tag: str, fresh: Path) -> None:
@@ -160,7 +191,7 @@ def _build(command: list[str]):
 
 @functools.cache
 def _load():
-    """(kernel or None, status line); the first call compiles or loads the library."""
+    """(``Kernel`` or None, status line); the first call compiles or loads the library."""
     cc = sysconfig.get_config_var("CC")
     command = shlex.split(cc) if cc else []
     if not command or shutil.which(command[0]) is None:
@@ -182,11 +213,11 @@ def _load():
     return found, "native (compiled into a temporary directory: cache unwritable)"
 
 
-def kernel():
-    """The compiled block pass, or None where no kernel can be built here."""
+def kernel() -> Kernel | None:
+    """The compiled library's functions, or None where no library can be built here."""
     return _load()[0]
 
 
 def status() -> str:
-    """Which Shapley path runs: ``native (<library>)``, or ``numpy (<why>)``."""
+    """Which path both kernels run: ``native (<library>)``, or ``numpy (<why>)``."""
     return _load()[1]

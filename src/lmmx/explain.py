@@ -350,11 +350,14 @@ def _order_codes(terms: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.nda
        the sign of a zero step, and adding either zero to a credit, which
        is never -0.0, leaves it as it was.
     """
-    # a 1-D argument, so the inverse is 1-D on numpy 1.24 and on 2.x
-    levels, ranks = np.unique(terms[low], return_inverse=True)
+    # kept-major views: the marks come in longer runs, which np.unique sorts and the
+    # scatter writes faster; both read them in one order.  A 1-D argument, so the
+    # inverse is 1-D on numpy 1.24 and on 2.x
+    marks = low.transpose(0, 2, 1)
+    levels, ranks = np.unique(terms.transpose(0, 2, 1)[marks], return_inverse=True)
     codes = np.full((2, terms.shape[1] + 1, terms.shape[2]), levels.size,
                     dtype=np.min_scalar_type(levels.size))
-    codes[:, :-1][low] = ranks
+    codes[:, :-1].transpose(0, 2, 1)[marks] = ranks
     return codes, np.append(levels, np.inf)
 
 
@@ -427,8 +430,8 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     Blocks of ``_BLOCK`` permutations and their gray records are memoized
     (``_block``), and ``_blocks`` makes each block's event keys once.  The
     biased terms are one pixel-major (2, P, kept) table.  Each block's
-    event pass runs in the C kernel of ``lmmx._native``, compiled on the
-    first call in a process or loaded from the user's cache.  It marks the
+    event pass runs in the C kernel of ``lmmx._native``, compiled on first
+    use in a process or loaded from the user's cache.  It marks the
     keys in a bitset, runs the mins and the max on the table itself, and
     adds the credits with the numpy pass's float operations in its order
     (that pass, ``_order_codes``, ``_events`` and ``_event_credits``, runs
@@ -463,7 +466,7 @@ def shapley_sampling(params: LmmParams, x, permutations: int = 200,
     credits = np.zeros(n_pix + 1)
     for block, keys in _blocks(seed, n_pix, permutations, at_gray, keep, depth, hits):
         if kernel:
-            kernel(block, keys, terms, gray_logit, credits)
+            kernel.shapley_block(block, keys, terms, gray_logit, credits)
         else:
             _event_credits(_events(block, keys), codes[0], codes[1], levels, gray_logit, credits)
     return ImportanceMap(credits[:n_pix] / permutations, DESCENDING)

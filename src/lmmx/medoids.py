@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .data import PIXEL_LEVELS, Dataset
 from .errors import (DataError, DimensionError, ParameterError, require_count, require_floats,
                      require_input, require_int64, require_real)
 from .network import SCALE_FLOOR, LmmParams, linear_layer
 
 STRATEGIES = ("random", "greedy-kmedoids")
-_ROWS, _COLS = 16, 64  # uint8 distance block shape (measured best)
+_ROWS, _COLS = 16, 64  # rows per stripe; uint8 block shape of the numpy stripe (measured best)
 _LEVEL_ROWS = 256  # rows per float64 block of the on-grid check and uint8 conversion
 _UPDATE_CELLS = 1 << 18  # uint8 cells per row chunk of a greedy cost update (measured best)
 
@@ -108,10 +109,22 @@ def _usable_cpus() -> int:
 def _stripe(units: np.ndarray, dist: np.ndarray, i0: int) -> None:
     """Fill rows i0:i0+_ROWS of ``dist`` from the diagonal on, and their transposes.
 
-    Runs on a pool thread and calls NumPy only: NumPy's uint8 loops
-    release the GIL, and tracers that wrap package functions at their
-    module attributes (``benchmarks/spans.py``) assume one thread.
+    The pool's unit of work: the compiled stripe of ``lmmx._native`` where a
+    kernel can be built, ``_numpy_stripe`` elsewhere.  Both release the GIL
+    and write the same exact levels, and neither calls anything that
+    ``benchmarks/spans.py`` wraps, since its tracers assume one thread.
+    ``_chebyshev_matrix`` resolves ``_native.kernel()`` before the pool
+    starts, so here it is a cached lookup.
     """
+    kernel = _native.kernel()
+    if kernel:
+        kernel.chebyshev_stripe(units, dist, i0, min(i0 + _ROWS, units.shape[0]))
+    else:
+        _numpy_stripe(units, dist, i0)
+
+
+def _numpy_stripe(units: np.ndarray, dist: np.ndarray, i0: int) -> None:
+    """``_stripe`` where no kernel can be built: (_ROWS, _COLS) blocks of max(a, b) - min(a, b)."""
     a = units[i0:i0 + _ROWS, None]
     for j0 in range(i0, units.shape[0], _COLS):
         b = units[None, j0:j0 + _COLS]
@@ -144,22 +157,25 @@ def _chebyshev_matrix(points: np.ndarray, rows: np.ndarray | None = None) -> np.
 
     Every entry must lie on the loader's k / PIXEL_LEVELS grid, as in every
     archive ``load_npz_dataset`` reads; the distances are then an exact
-    uint8 matrix, built from (_ROWS, _COLS) blocks of max(a, b) - min(a, b)
-    over the upper triangle, each block written with its transpose.
+    uint8 matrix, built in stripes of _ROWS rows over the upper triangle,
+    each value written with its transpose (``_stripe``).
 
     The row stripes run on a thread pool of one worker per usable CPU (at
     most one per stripe).  Stripes write disjoint cells of exact uint8
-    levels, so the matrix is byte-equal in any order the stripes run.  The
-    off-grid check runs before any worker starts; if a stripe raises or
-    the caller is interrupted, the stripes not yet started are cancelled,
-    and no worker outlives the call.  Memory: the n x n uint8 result and
-    the n x P uint8 levels, plus ``_pixel_levels``' float64 blocks (4.8 MB
-    at P = 784) before the pool starts and 3 * _ROWS * _COLS * P bytes of
+    levels, so the matrix is byte-equal in any order the stripes run and on
+    either path of ``_stripe``.  The off-grid check, and the first compile
+    or load of the kernel, run before any worker starts; if a stripe raises
+    or the caller is interrupted, the stripes not yet started are
+    cancelled, and no worker outlives the call.  Memory: the n x n uint8
+    result and the n x P uint8 levels, plus ``_pixel_levels``' float64
+    blocks (4.8 MB at P = 784) before the pool starts.  The compiled stripe
+    allocates nothing; ``_numpy_stripe`` holds 3 * _ROWS * _COLS * P bytes of
     block temporaries per worker (2.4 MB at P = 784) while it runs.
     """
     units = _pixel_levels(points, np.arange(points.shape[0]) if rows is None else rows)
     n = units.shape[0]
     dist = np.empty((n, n), np.uint8)
+    _native.kernel()  # compiled or loaded here, not on a pool thread
     starts = range(0, n, _ROWS)
     pool = ThreadPoolExecutor(min(_usable_cpus(), len(starts)))
     try:

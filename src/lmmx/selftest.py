@@ -17,9 +17,10 @@ import tempfile
 import numpy as np
 
 from . import _native
-from .data import load_model, save_model
+from .data import PIXEL_LEVELS, load_model, save_model
 from .explain import GRAY, _block, pixel_fragility, prune, shapley_sampling
-from .medoids import MedoidSet, init_params, nearest_medoid_predict
+from .medoids import (_COLS, _ROWS, MedoidSet, _chebyshev_matrix, _numpy_stripe, init_params,
+                      nearest_medoid_predict)
 from .network import (ForwardTrace, LmmParams, batch_logits, forward, pixel_mins,
                       softmax_rows)
 from .oracles import (brute_forward, chebyshev_nearest, extended_sensitivity, fd_gradients,
@@ -295,6 +296,35 @@ def check_model_roundtrip(seed: int = 5) -> None:
                        "model round trip is not bit-exact")
 
 
+def check_medoid_distances(trials: int = 12, seed: int = 6) -> None:
+    """``_chebyshev_matrix`` equals the direct Chebyshev distances in whole levels.
+
+    Each trial draws a tied grid: a few distinct rows on a coarse or fine
+    k / 255 grid, duplicated, at a row count across the stripe and block
+    edges and P in {1, 15, 16, 17, 784}.  The matrix must equal
+    max |a - b| of the int64 levels, and the numpy stripes
+    (``_numpy_stripe``, one thread) must give its bytes, so where the
+    compiled stripe runs it is checked against the numpy one.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 3, 4, 5, _ROWS - 1, _ROWS + 1, _COLS - 1, _COLS + 1, 2 * _COLS + _ROWS + 3]
+    for trial in range(trials):
+        n = sizes[trial % len(sizes)]
+        n_pix = int(rng.choice([1, 15, 16, 17, 784] if n <= 40 else [1, 15, 16, 17]))
+        top = int(rng.choice([3, PIXEL_LEVELS]))
+        distinct = rng.integers(0, top + 1, (int(rng.integers(1, 7)), n_pix))
+        units = distinct[rng.integers(0, distinct.shape[0], n)]
+        dist = _chebyshev_matrix(units / PIXEL_LEVELS)
+        expected = np.abs(units[:, None, :] - units[None, :, :]).max(axis=2)
+        _check(dist.dtype == np.uint8 and np.array_equal(dist, expected),
+               "the Chebyshev matrix differs from the direct distances")
+        numpy, levels = np.empty_like(dist), units.astype(np.uint8)
+        for i0 in range(0, n, _ROWS):
+            _numpy_stripe(levels, numpy, i0)
+        _check(numpy.tobytes() == dist.tobytes(),
+               "the numpy stripes differ from the Chebyshev matrix")
+
+
 SUITES = (
     ("forward-vs-bruteforce", check_forward_oracle),
     ("init-nearest-medoid", check_init_equivalence),
@@ -302,17 +332,18 @@ SUITES = (
     ("fragility-formulas", check_fragility_formulas),
     ("shapley-efficiency", check_shapley_efficiency),
     ("model-roundtrip", check_model_roundtrip),
+    ("medoid-distances", check_medoid_distances),
 )
 
 
 def run_selftest() -> bool:
     """Run every oracle suite, printing one status line each; returns True when all pass.
 
-    A first line names the Shapley path the suites run on: the compiled
-    kernel, or the numpy pass and why no kernel could be built
-    (``lmmx._native.status``).
+    A first line names the path both kernels run on, Shapley blocks and
+    medoid distance stripes: the compiled library, or the numpy passes and
+    why no library could be built (``lmmx._native.status``).
     """
-    print(f"selftest shapley-path: {_native.status()}", flush=True)
+    print(f"selftest native-path: {_native.status()}", flush=True)
     ok = True
     for name, suite in SUITES:
         try:

@@ -47,7 +47,8 @@ def test_install_then_uninstall_restores_every_hook():
 
 
 def test_greedy_build_records_one_span_on_one_thread(monkeypatch):
-    # the matrix stripes run on pool threads that call NumPy only, never a wrapped hook
+    # the matrix stripes run on pool threads that call NumPy or the compiled stripe,
+    # never a wrapped hook
     monkeypatch.setattr(lmmx.medoids, "_usable_cpus", lambda: 4)
     images = np.random.default_rng(6).integers(0, PIXEL_LEVELS + 1, (200, 6)) / PIXEL_LEVELS
     train = lmmx.Dataset(images, np.repeat([0, 1], 100), "train")

@@ -502,30 +502,30 @@ class TestUsageAndSelftest:
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count(": ok") == 6
-        assert out.splitlines()[0] == f"selftest shapley-path: {_native.status()}"
+        assert out.count(": ok") == 7
+        assert out.splitlines()[0] == f"selftest native-path: {_native.status()}"
 
     def test_selftest_passes_on_the_numpy_path(self, monkeypatch, capsys):
         monkeypatch.setattr(_native, "_load", lambda: (None, "numpy (no compiler)"))
         assert run(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "selftest shapley-path: numpy (no compiler)"
-        assert sum(line.endswith(": ok") for line in lines) == 6
+        assert lines[0] == "selftest native-path: numpy (no compiler)"
+        assert sum(line.endswith(": ok") for line in lines) == 7
 
     def test_selftest_reports_any_exception_and_runs_every_suite(self, monkeypatch, capsys):
         def broken():
             raise ValueError("zero-size array to reduction operation maximum")
 
         suites = list(selftest.SUITES)
-        suites[4] = (suites[4][0], broken)    # shapley-efficiency, the fifth of six
+        suites[4] = (suites[4][0], broken)    # shapley-efficiency, the fifth of seven
         monkeypatch.setattr(selftest, "SUITES", tuple(suites))
         assert run(["selftest"]) == 3
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == (
-            ["selftest shapley-path"] + [f"selftest {name}" for name, _ in suites])
+            ["selftest native-path"] + [f"selftest {name}" for name, _ in suites])
         assert lines[5] == ("selftest shapley-efficiency: FAIL (ValueError: zero-size array "
                             "to reduction operation maximum)")
-        assert sum(line.endswith(": ok") for line in lines) == 5
+        assert sum(line.endswith(": ok") for line in lines) == 6
 
     def test_perturbed_oracle_fails_under_python_optimize(self):
         proc = subprocess.run([sys.executable, "-O", "-c", _PERTURBED_SELFTEST],
@@ -541,7 +541,7 @@ class TestUsageAndSelftest:
             proc.stdout.close()
             stderr = proc.stderr.read()
             code = proc.wait(timeout=120)
-        assert first.startswith("selftest shapley-path: ")
+        assert first.startswith("selftest native-path: ")
         assert (code, stderr) == (1, "")
 
     def test_console_entry_point_under_a_minute(self):

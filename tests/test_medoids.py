@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from lmmx import (DataError, Dataset, DimensionError, MedoidSet, NumericError, ParameterError,
                   forward, init_params, nearest_medoid_predict, select_medoids, synth_dataset)
-from lmmx import medoids
+from lmmx import _native, medoids
 from lmmx.data import PIXEL_LEVELS
 from lmmx.medoids import _COLS, _ROWS, _allocate_per_class, _chebyshev_matrix, _greedy_kmedoids
 
 from lmmx.oracles import brute_greedy_kmedoids
-from lmmx.selftest import check_init_equivalence
+from lmmx.selftest import check_init_equivalence, check_medoid_distances
 
 
 # more workers than the largest size below (300 points) has row stripes
@@ -207,6 +207,12 @@ def grid_points(rng, n, n_pix=5):
     return rng.integers(0, PIXEL_LEVELS + 1, (n, n_pix)) / PIXEL_LEVELS
 
 
+def brute_matrix(points):
+    """cdist's Chebyshev matrix, max |a - b|, taken in int64 levels."""
+    units = np.rint(points * PIXEL_LEVELS).astype(np.int64)
+    return np.abs(units[:, None, :] - units[None, :, :]).max(axis=2)
+
+
 class TestChebyshevMatrix:
     @pytest.mark.parametrize("n, workers", worker_cases(
         [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, _COLS - 1, _COLS, _COLS + 1, _ROWS + _COLS + 1,
@@ -220,9 +226,7 @@ class TestChebyshevMatrix:
         points[0, 0], points[-1, 0] = 0.0, 1.0  # the full 255-level span
         dist = _chebyshev_matrix(points)
         assert dist.dtype == np.uint8
-        units = np.rint(points * PIXEL_LEVELS).astype(np.int64)
-        expected = np.abs(units[:, None, :] - units[None, :, :]).max(axis=2)
-        assert np.array_equal(dist, expected)
+        assert np.array_equal(dist, brute_matrix(points))
 
     def test_synth_images_give_uint8_levels(self):
         points = synth_dataset(16, 70, [np.full(16, 0.3), np.full(16, 0.7)], 0.1, seed=1).images
@@ -252,6 +256,58 @@ class TestChebyshevMatrix:
         with pytest.raises(MemoryError, match="stripe 0"):
             _chebyshev_matrix(grid_points(np.random.default_rng(0), 10 * _ROWS))
         assert threading.active_count() == before
+
+
+@st.composite
+def stripe_cases(draw):
+    """(points, rows): duplicated rows of a coarse or fine grid, and a sorted subset of them,
+    at subset sizes across the stripe kernel's four-row groups and the numpy stripe's blocks."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, _ROWS - 1, _ROWS + 1, _COLS - 1, _COLS + 1, 300]))
+    n_pix = draw(st.sampled_from([1, 15, 16, 17, 784]))
+    top = draw(st.sampled_from([3, PIXEL_LEVELS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(0, top + 1, (draw(st.integers(1, 6)), n_pix)) / PIXEL_LEVELS
+    points = distinct[rng.integers(0, distinct.shape[0], n + draw(st.integers(0, 5)))]
+    return points, np.sort(rng.choice(points.shape[0], n, replace=False))
+
+
+class TestNativeStripe:
+    """The compiled stripe and the numpy one build byte-equal matrices."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def library(self):
+        if _native.kernel() is None:
+            pytest.skip(f"no compiled kernel here: {_native.status()}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(stripe_cases(), st.sampled_from([1, 2, MANY_WORKERS]))
+    def test_equals_the_numpy_stripes(self, case, workers):
+        points, rows = case
+        with mock.patch.object(medoids, "_usable_cpus", lambda: workers):
+            native = _chebyshev_matrix(points, rows)
+            with mock.patch.object(_native, "kernel", lambda: None):
+                numpy = _chebyshev_matrix(points, rows)
+        assert native.tobytes() == numpy.tobytes()
+
+    def test_runs_where_a_kernel_is_built(self, monkeypatch):
+        monkeypatch.setattr(medoids, "_numpy_stripe", mock.Mock(side_effect=AssertionError))
+        points = grid_points(np.random.default_rng(2), 3 * _ROWS)
+        assert np.array_equal(_chebyshev_matrix(points), brute_matrix(points))
+
+
+def test_numpy_stripes_run_without_a_kernel(monkeypatch):
+    calls = []
+    numpy_stripe = medoids._numpy_stripe
+    monkeypatch.setattr(_native, "kernel", lambda: None)
+    monkeypatch.setattr(medoids, "_numpy_stripe", lambda *args: calls.append(args[2])
+                        or numpy_stripe(*args))
+    points = grid_points(np.random.default_rng(1), 3 * _ROWS + 2)
+    assert np.array_equal(_chebyshev_matrix(points), brute_matrix(points))
+    assert sorted(calls) == list(range(0, 3 * _ROWS + 2, _ROWS))
+
+
+def test_medoid_distances_oracle():
+    check_medoid_distances(trials=40, seed=11)
 
 
 class TestGreedyKMedoids:

@@ -1,4 +1,5 @@
-"""The compiled Shapley block kernel: equal maps on both paths, its fallback and its cache."""
+"""The compiled kernels: equal Shapley maps on both paths, the wrappers' checks, the
+fallback and the cache.  The medoid distance stripes' equality is in test_medoids.py."""
 
 import os
 import shlex
@@ -23,11 +24,16 @@ from lmmx.selftest import random_params
 from strategies import walk_nets
 
 @pytest.fixture(scope="module")
-def kernel():
+def library():
     found = _native.kernel()
     if found is None:
-        pytest.skip(f"no Shapley kernel here: {_native.status()}")
+        pytest.skip(f"no compiled kernel here: {_native.status()}")
     return found
+
+
+@pytest.fixture(scope="module")
+def kernel(library):
+    return library.shapley_block
 
 
 def both_paths(params, x, permutations, seed):
@@ -179,6 +185,43 @@ class TestKernelErrors:
     def test_terms_of_another_shape(self, kernel, args, shape):
         args["terms"] = np.zeros(shape)
         self.raises(kernel, args)
+
+
+class TestStripeErrors:
+    """The stripe wrapper checks its arrays and rows before the kernel runs, which checks none."""
+
+    @pytest.fixture
+    def args(self):
+        units = np.random.default_rng(5).integers(0, 256, (10, 7)).astype(np.uint8)
+        return dict(units=units, dist=np.full((10, 10), 7, np.uint8), i0=0, i1=10)
+
+    def raises(self, library, args):
+        with pytest.raises(ValueError, match="Chebyshev stripe"):
+            library.chebyshev_stripe(**args)
+        assert (args["dist"] == 7).all()        # the kernel wrote nothing
+
+    def test_valid_arguments_run(self, library, args):
+        library.chebyshev_stripe(**args)
+        units = args["units"].astype(np.int64)
+        assert np.array_equal(args["dist"], np.abs(units[:, None] - units[None]).max(axis=2))
+
+    @pytest.mark.parametrize("field, dtype", [("units", np.int64), ("units", np.float64),
+                                              ("dist", np.int8), ("dist", np.uint16)])
+    def test_wrong_dtype(self, library, args, field, dtype):
+        args[field] = args[field].astype(dtype)
+        self.raises(library, args)
+
+    @pytest.mark.parametrize("field, index", [
+        ("units", np.s_[:9]), ("units", np.s_[None]), ("units", np.s_[:, ::2]),
+        ("dist", np.s_[:9]), ("dist", np.s_[:, :9]), ("dist", np.s_[::-1]), ("dist", np.s_[0])])
+    def test_wrong_shape_or_layout(self, library, args, field, index):
+        args[field] = args[field][index]
+        self.raises(library, args)
+
+    @pytest.mark.parametrize("i0, i1", [(-1, 5), (5, 5), (6, 5), (0, 11), (10, 11)])
+    def test_rows_out_of_range(self, library, args, i0, i1):
+        args.update(i0=i0, i1=i1)
+        self.raises(library, args)
 
 
 def test_source_compiles_with_every_warning_an_error(tmp_path):
